@@ -19,6 +19,7 @@ derived from each sample's own neighbourhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class Dataset:
             raise ValueError("sample ids must be unique")
         if len(feature_names) != X.shape[1]:
             raise ValueError("feature_names length must match feature count")
+        if len(set(feature_names)) != len(feature_names):
+            dup = sorted({n for n in feature_names if feature_names.count(n) > 1})
+            raise ValueError(f"duplicate feature names: {', '.join(dup)}")
         if not np.all(np.isfinite(X)):
             raise ValueError("feature values must be finite")
         if classes is None:
@@ -201,13 +205,19 @@ class FitModel:
         self.memberships = memberships
         self.k_init_used = k_init_used
         self.k_init_clamped = k_init_clamped
-        self.label_index = np.array([classes.index(l) for l in labels])
+        self.label_index = _label_index(labels, classes)
         self._class_pools = tuple(
             np.flatnonzero(self.label_index == ci) for ci in range(len(classes))
         )
+        self._id_rank = _id_rank(ids)
 
     def __len__(self):
         return len(self.ids)
+
+
+def _label_index(labels, classes) -> np.ndarray:
+    position = {c: ci for ci, c in enumerate(classes)}
+    return np.array([position[lab] for lab in labels], dtype=np.intp)
 
 
 def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -217,6 +227,101 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     out = (X - lo) / safe
     # Features constant in training stay inert for every query value.
     return np.where(flat, 0.0, out)
+
+
+# Exact neighbour engine. Every search -- one query or many, whole training
+# set or one class pool, Keller initialization -- goes through the two
+# helpers below, so all of them order neighbours the same way.
+
+# Queries are processed in blocks whose (block x n x d) difference
+# temporary stays near this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _id_rank(ids) -> np.ndarray:
+    """Position of each id in sorted id order: the distance tie-break."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _distance_blocks(X: np.ndarray, V: np.ndarray):
+    """Yield (first query row, distance block) covering all rows of V.
+
+    Each entry is sqrt(sum((x - v)^2)) reduced over the contiguous
+    feature axis, bit-identical to computing it one query at a time.
+    """
+    n, dim = X.shape
+    step = max(1, _BLOCK_BYTES // (8 * max(1, n * dim)))
+    for s in range(0, len(V), step):
+        yield s, np.sqrt(((V[s:s + step, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+
+
+def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
+    """(columns, distances) of the min(k, n) smallest entries of each row
+    of D, ordered by (distance, rank)."""
+    rows = np.arange(len(D))[:, None]
+    if k >= D.shape[1]:
+        sel = np.lexsort((np.broadcast_to(rank, D.shape), D), axis=1)
+        return sel, D[rows, sel]
+    part = np.argpartition(D, k - 1, axis=1)[:, :k]
+    d = D[rows, part]
+    order = np.lexsort((rank[part], d), axis=1)
+    sel, d = part[rows, order], d[rows, order]
+    # More than k entries at or below the k-th smallest distance: the tie
+    # straddles the cut, and rank decides which of the tied entries make it.
+    straddle = (D <= d[:, -1:]).sum(axis=1) > k
+    if straddle.any():
+        tied = D[straddle]
+        full = np.lexsort((np.broadcast_to(rank, tied.shape), tied), axis=1)[:, :k]
+        sel[straddle] = full
+        d[straddle] = tied[np.arange(len(tied))[:, None], full]
+    return sel, d
+
+
+class NeighbourTable(NamedTuple):
+    """The nearest training samples of a batch of queries, nearest first.
+
+    ``nearest`` is an (indices, distances) pair over the whole training
+    set and ``per_class`` holds one such pair per class pool, in class
+    order. Each array has one row per query and min(k, pool size)
+    columns, so any smaller k reads a prefix of every row.
+    """
+
+    nearest: tuple[np.ndarray, np.ndarray]
+    per_class: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def neighbour_table(model: FitModel, queries, k: int) -> NeighbourTable:
+    """Search the k nearest training samples of each query, overall and
+    per class. Queries are FeatureVectors, vectors or the rows of a 2-D
+    array, in the model's raw (unnormalized) feature space."""
+    V = _query_matrix(model, queries)
+    pools = (None,) + model._class_pools
+    widths = [min(k, len(model.X) if p is None else len(p)) for p in pools]
+    out = [(np.empty((len(V), w), dtype=np.intp), np.empty((len(V), w))) for w in widths]
+    for s, D in _distance_blocks(model.X, V):
+        for pool, (idx, dist) in zip(pools, out):
+            Dp, rank = (D, model._id_rank) if pool is None else (D[:, pool], model._id_rank[pool])
+            sel, dist[s:s + len(D)] = _k_smallest(Dp, rank, k)
+            idx[s:s + len(D)] = sel if pool is None else pool[sel]
+    return NeighbourTable(out[0], tuple(out[1:]))
+
+
+def _keller_memberships(X: np.ndarray, ids, label_index: np.ndarray, one_hot: np.ndarray,
+                        k_init: int) -> np.ndarray:
+    """0.49 * (class shares among each sample's k_init nearest others),
+    plus 0.51 for the sample's own class."""
+    n = len(X)
+    rank = _id_rank(ids)
+    nbrs = np.empty((n, k_init), dtype=np.intp)
+    for s, D in _distance_blocks(X, X):
+        rows = np.arange(len(D))
+        D[rows, s + rows] = -1.0  # the sample itself sorts first and is dropped
+        nbrs[s:s + len(D)] = _k_smallest(D, rank, k_init + 1)[0][:, 1:]
+    memberships = 0.49 * one_hot[nbrs].sum(axis=1) / k_init
+    memberships[np.arange(n), label_index] += 0.51
+    return memberships
 
 
 def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
@@ -240,33 +345,19 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     X.flags.writeable = False
 
     n = len(data)
-    n_classes = len(data.classes)
-    class_index = {c: ci for ci, c in enumerate(data.classes)}
-    one_hot = np.zeros((n, n_classes))
-    for j, lab in enumerate(data.labels):
-        one_hot[j, class_index[lab]] = 1.0
+    label_index = _label_index(data.labels, data.classes)
+    one_hot = np.zeros((n, len(data.classes)))
+    one_hot[np.arange(n), label_index] = 1.0
 
     k_init = cfg.k_init if cfg.k_init is not None else cfg.k
     clamped = False
+    memberships = one_hot
     if cfg.init == "keller":
         if k_init > n - 1:
             k_init, clamped = n - 1, True
-        if k_init == 0:
-            # Lone training sample: nothing to vote, fall back to one-hot.
-            memberships = one_hot
-        else:
-            memberships = np.zeros((n, n_classes))
-            d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-            for j in range(n):
-                others = [t for t in range(n) if t != j]
-                others.sort(key=lambda t: (d[j, t], data.ids[t]))
-                counts = np.zeros(n_classes)
-                for t in others[:k_init]:
-                    counts[class_index[data.labels[t]]] += 1
-                memberships[j] = 0.49 * counts / k_init
-                memberships[j, class_index[data.labels[j]]] += 0.51
-    else:
-        memberships = one_hot
+        # A lone training sample has nothing to vote and stays one-hot.
+        if k_init > 0:
+            memberships = _keller_memberships(X, data.ids, label_index, one_hot, k_init)
     memberships.flags.writeable = False
 
     return FitModel(
@@ -284,33 +375,29 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     )
 
 
-def _query_vector(model: FitModel, x) -> np.ndarray:
+def _raw_query(model: FitModel, x) -> np.ndarray:
     if isinstance(x, FeatureVector):
         if x.names != model.feature_names:
             raise ValueError(
                 f"feature schema mismatch: query has {x.names}, "
                 f"model expects {model.feature_names}"
             )
-        v = np.array(x.values, dtype=np.float64)
-    else:
-        v = np.asarray(x, dtype=np.float64).ravel()
-        if v.size != model.X.shape[1]:
-            raise ValueError(
-                f"feature schema mismatch: query has {v.size} values, "
-                f"model expects {model.X.shape[1]}"
-            )
-    if model.config.normalize:
-        v = _normalize_rows(v[None, :], model.norm_lo, model.norm_hi)[0]
+        return np.array(x.values, dtype=np.float64)
+    v = np.asarray(x, dtype=np.float64).ravel()
+    if v.size != model.X.shape[1]:
+        raise ValueError(
+            f"feature schema mismatch: query has {v.size} values, "
+            f"model expects {model.X.shape[1]}"
+        )
     return v
 
 
-def _nearest(model: FitModel, v: np.ndarray, k: int, pool: np.ndarray | None = None):
-    """Indices and distances of the k nearest training samples in the pool,
-    ordered by (distance, id) ascending. Returns all available if fewer."""
-    idx = np.arange(len(model.ids)) if pool is None else pool
-    d = np.sqrt(((model.X[idx] - v) ** 2).sum(axis=1))
-    order = sorted(range(len(idx)), key=lambda t: (d[t], model.ids[idx[t]]))[:k]
-    return idx[order], d[order]
+def _query_matrix(model: FitModel, queries) -> np.ndarray:
+    """Validated queries, normalized like the training vectors, one row each."""
+    V = np.array([_raw_query(model, x) for x in queries]).reshape(-1, model.X.shape[1])
+    if model.config.normalize:
+        V = _normalize_rows(V, model.norm_lo, model.norm_hi)
+    return V
 
 
 def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
@@ -320,37 +407,37 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    v = _query_vector(model, x)
-    pool = None
-    if class_filter is not None:
-        if class_filter not in model.classes:
-            raise ValueError(f"unknown class {class_filter!r}")
-        pool = model._class_pools[model.classes.index(class_filter)]
-    idx, d = _nearest(model, v, k, pool)
-    return [(model.ids[i], float(di)) for i, di in zip(idx, d)]
+    if class_filter is not None and class_filter not in model.classes:
+        raise ValueError(f"unknown class {class_filter!r}")
+    table = neighbour_table(model, [x], k)
+    idx, d = (table.nearest if class_filter is None
+              else table.per_class[model.classes.index(class_filter)])
+    return [(model.ids[i], float(di)) for i, di in zip(idx[0], d[0])]
 
+
+# Scoring rules. Each scores one query from its rows of a NeighbourTable:
+# (idx, d) are its k nearest samples, per_class their per-pool analogues.
 
 def _fuzzy_weights(d: np.ndarray, m: float) -> np.ndarray:
+    """d^(-2/(m-1)). When every weight underflows to 0 (small m, distant
+    query) the weights are rescaled by d_min^(2/(m-1)), which leaves the
+    normalized scores unchanged and keeps the nearest weight at 1."""
     with np.errstate(divide="ignore"):
-        return d ** (-2.0 / (m - 1.0))
+        w = d ** (-2.0 / (m - 1.0))
+    if not w.any():
+        w = (d.min() / d) ** (2.0 / (m - 1.0))
+    return w
 
 
 def _exact_match_scores(model: FitModel, idx: np.ndarray, hit: np.ndarray) -> np.ndarray:
     return model.memberships[idx[hit]].mean(axis=0)
 
 
-def predict_knn(model: FitModel, x) -> Prediction:
-    """Plurality vote among the k nearest samples.
-
-    Scores are vote fractions. A vote tie goes to the tied class whose
-    voters are closest in summed distance, then to class order.
-    """
-    v = _query_vector(model, x)
-    idx, d = _nearest(model, v, model.config.k)
+def _knn(model: FitModel, idx: np.ndarray, d: np.ndarray) -> Prediction:
     n_classes = len(model.classes)
-    votes = np.bincount(model.label_index[idx], minlength=n_classes)
-    sum_dist = np.zeros(n_classes)
-    np.add.at(sum_dist, model.label_index[idx], d)
+    voters = model.label_index[idx]
+    votes = np.bincount(voters, minlength=n_classes)
+    sum_dist = np.bincount(voters, weights=d, minlength=n_classes)
     scores = votes / len(idx)
     top = votes.max()
     tied = [ci for ci in range(n_classes) if votes[ci] == top]
@@ -358,15 +445,7 @@ def predict_knn(model: FitModel, x) -> Prediction:
     return Prediction(model.classes[winner], model.classes, scores)
 
 
-def predict_fknn(model: FitModel, x) -> Prediction:
-    """Fuzzy vote: memberships of the k nearest samples weighted by
-    d^(-2/(m-1)) and renormalized.
-
-    A query that coincides with training samples takes the average
-    membership of the exact matches instead.
-    """
-    v = _query_vector(model, x)
-    idx, d = _nearest(model, v, model.config.k)
+def _fknn(model: FitModel, idx: np.ndarray, d: np.ndarray) -> Prediction:
     zero = d == 0.0
     if zero.any():
         scores = _exact_match_scores(model, idx, zero)
@@ -381,24 +460,7 @@ def predict_fknn(model: FitModel, x) -> Prediction:
     return Prediction(model.classes[winner], model.classes, scores)
 
 
-def _class_pool_neighbours(model: FitModel, v: np.ndarray, k: int):
-    """The k nearest training samples of each class (all if a class has
-    fewer), as parallel per-class index/distance lists."""
-    per_class = []
-    for pool in model._class_pools:
-        per_class.append(_nearest(model, v, k, pool))
-    return per_class
-
-
-def predict_knne(model: FitModel, x) -> Prediction:
-    """Nearest-neighbour equality: the class whose k nearest samples have
-    the smallest mean distance wins.
-
-    Scores are normalized inverse mean distances; classes at mean
-    distance zero share all the mass uniformly.
-    """
-    v = _query_vector(model, x)
-    per_class = _class_pool_neighbours(model, v, model.config.k)
+def _knne(model: FitModel, per_class) -> Prediction:
     means = np.array([d.mean() for _, d in per_class])
     zero = means == 0.0
     if zero.any():
@@ -408,6 +470,86 @@ def predict_knne(model: FitModel, x) -> Prediction:
         scores = inv / inv.sum()
     winner = int(np.argmin(means))
     return Prediction(model.classes[winner], model.classes, scores)
+
+
+def _fknne(model: FitModel, per_class) -> Prediction:
+    all_idx = np.concatenate([idx for idx, _ in per_class])
+    all_d = np.concatenate([d for _, d in per_class])
+    zero = all_d == 0.0
+    if zero.any():
+        scores = _exact_match_scores(model, all_idx, zero)
+    else:
+        w_all = _fuzzy_weights(all_d, model.config.m)
+        inf = np.isinf(w_all)
+        if inf.any():
+            scores = _exact_match_scores(model, all_idx, inf)
+        else:
+            raw = np.zeros(len(model.classes))
+            start = 0
+            for ci, (idx, _) in enumerate(per_class):
+                w = w_all[start:start + len(idx)]
+                start += len(idx)
+                raw[ci] = (model.memberships[idx, ci] * w).sum()
+            scores = raw / raw.sum()
+    winner = int(np.argmax(scores))
+    return Prediction(model.classes[winner], model.classes, scores)
+
+
+def predict_table(model: FitModel, table: NeighbourTable, kind: str | None = None) -> list[Prediction]:
+    """Score every query of a table built at a k of at least the model's,
+    with the model's decision rule or the one named by ``kind``."""
+    kind = kind or model.config.kind
+    k = model.config.k
+    if kind in ("knn", "fknn"):
+        score = _knn if kind == "knn" else _fknn
+        idx, dist = table.nearest
+        return [score(model, i[:k], d[:k]) for i, d in zip(idx, dist)]
+    score = _knne if kind == "knne" else _fknne
+    pools = [(idx[:, :k], dist[:, :k]) for idx, dist in table.per_class]
+    return [score(model, [(idx[q], dist[q]) for idx, dist in pools])
+            for q in range(len(table.nearest[0]))]
+
+
+def predict_many(model: FitModel, queries) -> list[Prediction]:
+    """Predict a batch of queries with the model's decision rule.
+
+    One neighbour search serves the whole batch; each result equals what
+    ``predict`` returns for that query alone.
+    """
+    return predict_table(model, neighbour_table(model, queries, model.config.k))
+
+
+def _predict_one(model: FitModel, x, kind: str) -> Prediction:
+    return predict_table(model, neighbour_table(model, [x], model.config.k), kind)[0]
+
+
+def predict_knn(model: FitModel, x) -> Prediction:
+    """Plurality vote among the k nearest samples.
+
+    Scores are vote fractions. A vote tie goes to the tied class whose
+    voters are closest in summed distance, then to class order.
+    """
+    return _predict_one(model, x, "knn")
+
+
+def predict_fknn(model: FitModel, x) -> Prediction:
+    """Fuzzy vote: memberships of the k nearest samples weighted by
+    d^(-2/(m-1)) and renormalized.
+
+    A query that coincides with training samples takes the average
+    membership of the exact matches instead.
+    """
+    return _predict_one(model, x, "fknn")
+
+
+def predict_knne(model: FitModel, x) -> Prediction:
+    """Nearest-neighbour equality: the class whose k nearest samples have
+    the smallest mean distance wins.
+
+    Scores are normalized inverse mean distances; classes at mean
+    distance zero share all the mass uniformly.
+    """
+    return _predict_one(model, x, "knne")
 
 
 def predict_fknne(model: FitModel, x) -> Prediction:
@@ -420,34 +562,9 @@ def predict_fknne(model: FitModel, x) -> Prediction:
     pool; with Keller memberships the neighbours' soft labels shift it.
     The exact-match rule applies to the union of all pools.
     """
-    v = _query_vector(model, x)
-    per_class = _class_pool_neighbours(model, v, model.config.k)
-    all_idx = np.concatenate([idx for idx, _ in per_class])
-    all_d = np.concatenate([d for _, d in per_class])
-    zero = all_d == 0.0
-    w_all = _fuzzy_weights(all_d, model.config.m)
-    if zero.any():
-        scores = _exact_match_scores(model, all_idx, zero)
-    elif np.isinf(w_all).any():
-        scores = _exact_match_scores(model, all_idx, np.isinf(w_all))
-    else:
-        raw = np.zeros(len(model.classes))
-        for ci, (idx, d) in enumerate(per_class):
-            w = _fuzzy_weights(d, model.config.m)
-            raw[ci] = (model.memberships[idx, ci] * w).sum()
-        scores = raw / raw.sum()
-    winner = int(np.argmax(scores))
-    return Prediction(model.classes[winner], model.classes, scores)
-
-
-_PREDICTORS = {
-    "knn": predict_knn,
-    "fknn": predict_fknn,
-    "knne": predict_knne,
-    "fknne": predict_fknne,
-}
+    return _predict_one(model, x, "fknne")
 
 
 def predict(model: FitModel, x) -> Prediction:
     """Dispatch to the decision rule named by the model's config."""
-    return _PREDICTORS[model.config.kind](model, x)
+    return predict_many(model, [x])[0]

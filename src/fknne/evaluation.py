@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierConfig, Dataset, fit, predict
+from .classifiers import (
+    ClassifierConfig,
+    Dataset,
+    fit,
+    neighbour_table,
+    predict,  # noqa: F401 -- re-exported; perfbench/worker.py wraps fknne.evaluation.predict
+    predict_table,
+)
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,10 @@ class Holdout:
     fraction: float = 0.3
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError("holdout fraction must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class Loocv:
@@ -198,8 +209,6 @@ def _splits(data: Dataset, protocol):
         ordered = sorted(data.ids)
         return [([s for s in ordered if s != sid], [sid]) for sid in ordered]
     if isinstance(protocol, Holdout):
-        if not 0.0 < protocol.fraction < 1.0:
-            raise ValueError("holdout fraction must be in (0, 1)")
         rng = np.random.default_rng(protocol.seed)
         train: list[str] = []
         test: list[str] = []
@@ -293,54 +302,8 @@ def _default_positive(classes) -> str:
     return "malignant" if "malignant" in classes else classes[-1]
 
 
-def loocv(data: Dataset, cfg: ClassifierConfig, positive_class: str | None = None) -> EvaluationReport:
-    """Jack-knife evaluation: fit on all-but-one, predict the held-out
-    sample, pool everything into one confusion and ROC."""
-    return evaluate(data, cfg, Loocv(), positive_class=positive_class)
-
-
-def evaluate(data: Dataset, cfg: ClassifierConfig, protocol,
-             positive_class: str | None = None) -> EvaluationReport:
-    """Run one classifier config under a protocol and assemble the report.
-
-    Deterministic given the protocol seed. Fold models see only the fold's
-    training ids; a fold model that never saw the positive class scores it
-    at zero.
-    """
-    if len(data.classes) != 2:
-        raise ValueError(
-            f"evaluation requires a binary task, got classes {data.classes}"
-        )
-    positive = positive_class if positive_class is not None else _default_positive(data.classes)
-    if positive not in data.classes:
-        raise ValueError(f"positive class {positive!r} not in {data.classes}")
-
-    index_of = {sid: i for i, sid in enumerate(data.ids)}
-    pooled_rows: list[tuple[str, str, str, float]] = []
-    fold_results = []
-    for train_ids, test_ids in _splits(data, protocol):
-        model = fit(data.subset(train_ids), cfg)
-        fold_pred = []
-        for sid in test_ids:
-            i = index_of[sid]
-            p = predict(model, data.X[i])
-            score = p.score(positive) if positive in p.classes else 0.0
-            pooled_rows.append((sid, data.labels[i], p.label, score))
-            fold_pred.append((data.labels[i], p.label))
-        counts = confusion([pl for _, pl in fold_pred], [t for t, _ in fold_pred],
-                           positive, classes=data.classes)
-        fold_results.append(
-            FoldResult(
-                counts=counts,
-                sensitivity=_safe_rate(counts.tp, counts.tp + counts.fn),
-                specificity=_safe_rate(counts.tn, counts.tn + counts.fp),
-                accuracy=(counts.tp + counts.tn) / counts.total,
-            )
-        )
-
-    truth = [t for _, t, _, _ in pooled_rows]
-    predicted = [p for _, _, p, _ in pooled_rows]
-    scores = [s for _, _, _, s in pooled_rows]
+def _report(cfg, protocol, positive, ids, truth, predicted, scores,
+            fold_results) -> EvaluationReport:
     pooled = confusion(predicted, truth, positive)
     sens, spec, acc = rates(pooled)
     roc = roc_curve(scores, truth, positive)
@@ -366,8 +329,73 @@ def evaluate(data: Dataset, cfg: ClassifierConfig, protocol,
         auc=roc.auc,
         averaged=averaged,
         folds=tuple(fold_results),
-        predictions=tuple(pooled_rows),
+        predictions=tuple(zip(ids, truth, predicted, scores)),
     )
+
+
+def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
+    """Run every config under the same splits; yield one report per
+    config, in order.
+
+    Each fold subsets the data once and searches its test set's
+    neighbours once per ``normalize`` setting, at the largest k among the
+    configs sharing it; every config then scores from that table.
+    """
+    if len(data.classes) != 2:
+        raise ValueError(
+            f"evaluation requires a binary task, got classes {data.classes}"
+        )
+    positive = positive_class if positive_class is not None else _default_positive(data.classes)
+    if positive not in data.classes:
+        raise ValueError(f"positive class {positive!r} not in {data.classes}")
+
+    index_of = {sid: i for i, sid in enumerate(data.ids)}
+    k_max: dict[bool, int] = {}
+    for cfg in configs:
+        k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
+    # Test ids and their labels in fold order, the same for every config.
+    tested: list[str] = []
+    tested_truth: list[str] = []
+    predicted: list[list[str]] = [[] for _ in configs]
+    scores: list[list[float]] = [[] for _ in configs]
+    fold_results: list[list[FoldResult]] = [[] for _ in configs]
+    for train_ids, test_ids in _splits(data, protocol):
+        train = data.subset(train_ids)
+        test = [index_of[sid] for sid in test_ids]
+        truth = [data.labels[i] for i in test]
+        tested.extend(test_ids)
+        tested_truth.extend(truth)
+        tables = {}
+        for cfg, labels, cfg_scores, folds in zip(configs, predicted, scores, fold_results):
+            model = fit(train, cfg)
+            if cfg.normalize not in tables:
+                tables[cfg.normalize] = neighbour_table(model, data.X[test], k_max[cfg.normalize])
+            preds = predict_table(model, tables[cfg.normalize])
+            fold_labels = [p.label for p in preds]
+            labels.extend(fold_labels)
+            cfg_scores.extend(p.score(positive) if positive in p.classes else 0.0 for p in preds)
+            counts = confusion(fold_labels, truth, positive, classes=data.classes)
+            folds.append(
+                FoldResult(
+                    counts=counts,
+                    sensitivity=_safe_rate(counts.tp, counts.tp + counts.fn),
+                    specificity=_safe_rate(counts.tn, counts.tn + counts.fp),
+                    accuracy=(counts.tp + counts.tn) / counts.total,
+                )
+            )
+    for cfg, labels, cfg_scores, folds in zip(configs, predicted, scores, fold_results):
+        yield _report(cfg, protocol, positive, tested, tested_truth, labels, cfg_scores, folds)
+
+
+def evaluate(data: Dataset, cfg: ClassifierConfig, protocol,
+             positive_class: str | None = None) -> EvaluationReport:
+    """Run one classifier config under a protocol and assemble the report.
+
+    Deterministic given the protocol seed. Fold models see only the fold's
+    training ids; a fold model that never saw the positive class scores it
+    at zero.
+    """
+    return next(_cross_validate(data, [cfg], protocol, positive_class))
 
 
 @dataclass(frozen=True)
@@ -435,16 +463,16 @@ def compare_classifiers(data: Dataset, configs, protocol,
                         positive_class: str | None = None) -> ComparisonTable:
     """Evaluate each config under the same protocol; rows keep input order.
 
-    Method labels are the config kinds; when one kind appears with several
-    k values the label carries the k to stay unambiguous.
+    Each row equals what ``evaluate`` reports for its config alone. Method
+    labels are the config kinds; when one kind appears with several k
+    values the label carries the k to stay unambiguous.
     """
     if not configs:
         raise ValueError("at least one classifier config is required")
     kinds = [c.kind for c in configs]
     dup = {k for k in kinds if kinds.count(k) > 1}
     rows = []
-    for cfg in configs:
-        rep = evaluate(data, cfg, protocol, positive_class=positive_class)
+    for cfg, rep in zip(configs, _cross_validate(data, configs, protocol, positive_class)):
         label = f"{cfg.kind}[k={cfg.k}]" if cfg.kind in dup else cfg.kind
         rows.append(
             ComparisonRow(

@@ -47,6 +47,9 @@ def read_feature_csv(path) -> Dataset:
         if header[:2] != ["id", "label"] or len(header) < 3:
             raise ValueError(f"{path}: feature CSV must start with id,label,<features>")
         names = tuple(header[2:])
+        dup = sorted({n for n in names if names.count(n) > 1})
+        if dup:
+            raise ValueError(f"{path}: duplicate feature names: {', '.join(dup)}")
         ids, labels, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

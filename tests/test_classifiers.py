@@ -2,6 +2,8 @@
 membership machinery, checked against brute-force oracles and hand
 arithmetic on tiny one-dimensional fixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -315,8 +317,8 @@ class TestSharedInvariants:
         for _ in range(50):
             q_raw = rng.normal(size=3)
             # normalize the query the same way the model does
-            from fknne.classifiers import _query_vector
-            q = _query_vector(model, q_raw)
+            from fknne.classifiers import _query_matrix
+            q = _query_matrix(model, [q_raw])[0]
             d = np.sqrt(((X - q) ** 2).sum(axis=1))
             if np.sum(d == d.min()) > 1:
                 continue
@@ -331,6 +333,50 @@ class TestSharedInvariants:
         for kind, pred in zip(("knn", "fknn", "knne", "fknne"), self.PREDICTORS):
             model = fit(data, ClassifierConfig(kind=kind, k=3))
             assert predict(model, q).scores.tolist() == pred(model, q).scores.tolist()
+
+
+class TestSmallFuzzifier:
+    """With m close to 1 every d^(-2/(m-1)) of a distant query underflows
+    to 0; the weights are then taken relative to the nearest distance."""
+
+    @staticmethod
+    def expected_scores(d, memberships, m):
+        # w_i / sum(w) with w_i = (d_min/d_i)^(2/(m-1)), in log space
+        logw = -2.0 / (m - 1.0) * (np.log(d) - np.log(d.min()))
+        w = np.exp(logw)
+        return (w[:, None] * memberships).sum(axis=0) / w.sum()
+
+    @pytest.mark.parametrize("m", [1.01, 1.001])
+    def test_fknn_far_query_scores_are_finite(self, m):
+        data = dataset_1d([0.0, 1.0, 2.0, 3.0], ["benign", "benign", "malignant", "malignant"])
+        model = fit(data, ClassifierConfig(kind="fknn", k=3, m=m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = predict_fknn(model, np.array([1000.0]))
+        d = np.abs(1000.0 / 3.0 - np.array([1.0, 2 / 3, 1 / 3]))
+        expected = self.expected_scores(d, np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), m)
+        assert np.isfinite(p.scores).all()
+        assert p.scores == pytest.approx(expected, abs=1e-12)
+        assert p.label == "malignant"
+
+    @pytest.mark.parametrize("m", [1.01, 1.001])
+    def test_fknne_far_query_scores_are_finite(self, m):
+        data = dataset_1d([0.0, 1.0, 2.0, 3.0], ["benign", "benign", "malignant", "malignant"])
+        model = fit(data, ClassifierConfig(kind="fknne", k=2, m=m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = predict_fknne(model, np.array([-1000.0]))
+        assert np.isfinite(p.scores).all()
+        assert abs(p.scores.sum() - 1.0) < 1e-12
+        assert p.label == "benign"
+
+    def test_scores_unchanged_when_weights_do_not_underflow(self):
+        data = dataset_1d([0.0, 1.0, 2.0, 3.0], ["A", "A", "B", "B"])
+        model = fit(data, ClassifierConfig(kind="fknn", k=3, m=1.01, **NO_NORM))
+        p = predict_fknn(model, np.array([1.5]))
+        w = np.array([0.5, 0.5, 1.5]) ** (-2.0 / 0.01)
+        assert p.scores.tolist() == ((w[:, None] * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+                                     .sum(axis=0) / w.sum()).tolist()
 
 
 class TestConfigValidation:
@@ -374,6 +420,10 @@ class TestDataset:
                        feature_names=("u", "v"))
         with pytest.raises(ValueError, match="unknown feature"):
             data.select_features(["u", "nope"])
+
+    def test_duplicate_feature_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate feature names: u"):
+            Dataset(["a", "b"], np.zeros((2, 3)), ["x", "y"], feature_names=("u", "v", "u"))
 
     def test_subset_keeps_class_order(self):
         data = dataset_1d([0.0, 1.0, 2.0], ["B", "A", "B"])

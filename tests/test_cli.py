@@ -196,3 +196,13 @@ class TestSynth:
         out = tmp_path / "synthetic.csv"
         assert main(["synth", "--out", str(out)]) == 0
         assert out.read_bytes() == synthetic_csv.read_bytes()
+
+
+class TestFeatureCsv:
+    def test_duplicate_feature_names_rejected(self, tmp_path, capsys):
+        p = tmp_path / "dup.csv"
+        p.write_text("id,label,u,v,u\na,benign,1,2,3\nb,malignant,4,5,6\n")
+        with pytest.raises(ValueError, match="dup.csv: duplicate feature names: u"):
+            read_feature_csv(p)
+        assert main(["eval", "--features", str(p)]) == 2
+        assert "duplicate feature names" in capsys.readouterr().err

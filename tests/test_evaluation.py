@@ -14,12 +14,12 @@ from fknne import (
     Dataset,
     Holdout,
     KFold,
+    Loocv,
     auc,
     compare_classifiers,
     confusion,
     evaluate,
     fit,
-    loocv,
     predict,
     rates,
     roc_curve,
@@ -221,26 +221,33 @@ class TestStratifiedKfold:
 class TestLoocv:
     def test_separated_clusters_are_perfect(self):
         data = clusters_1d(5, margin=1000.0)
-        rep = loocv(data, ClassifierConfig(kind="knn", k=1))
+        rep = evaluate(data, ClassifierConfig(kind="knn", k=1), Loocv())
         assert rep.accuracy == 1.0
         assert rep.pooled.total == len(data)
 
     def test_two_sample_degenerate_case_is_all_wrong(self):
         # each held-out sample sees only the other class
         data = Dataset(["a", "b"], np.array([[0.0], [1.0]]), ["benign", "malignant"])
-        rep = loocv(data, ClassifierConfig(kind="knn", k=1))
+        rep = evaluate(data, ClassifierConfig(kind="knn", k=1), Loocv())
         assert rep.accuracy == 0.0
 
     def test_predictions_match_manual_leave_one_out(self):
         data = clusters_1d(4, margin=3.0)
         cfg = ClassifierConfig(kind="fknne", k=2, init="keller")
-        rep = loocv(data, cfg)
+        rep = evaluate(data, cfg, Loocv())
         by_id = {sid: pred for sid, _, pred, _ in rep.predictions}
         for sid in data.ids:
             rest = [i for i in data.ids if i != sid]
             model = fit(data.subset(rest), cfg)
             manual = predict(model, data.X[data.ids.index(sid)])
             assert by_id[sid] == manual.label
+
+
+class TestHoldout:
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 2.0, -0.5])
+    def test_fraction_outside_unit_interval_rejected_at_construction(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            Holdout(fraction=fraction)
 
 
 class TestEvaluate:
