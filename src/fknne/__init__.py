@@ -73,67 +73,3 @@ from .texture import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BENIGN",
-    "MALIGNANT",
-    "DIRECTIONS",
-    "FEATURE_NAMES",
-    "KINDS",
-    "ClassifierConfig",
-    "ComparisonRow",
-    "ComparisonTable",
-    "ConfusionCounts",
-    "Dataset",
-    "EvaluationReport",
-    "ExtractionConfig",
-    "FeatureVector",
-    "FitModel",
-    "FoldResult",
-    "Glcm",
-    "Gldm",
-    "Glrlm",
-    "GrayImage",
-    "Holdout",
-    "KFold",
-    "Loocv",
-    "Prediction",
-    "RocCurve",
-    "RoiSpec",
-    "auc",
-    "compare_classifiers",
-    "compute_glcm",
-    "compute_gldm",
-    "compute_glrlm",
-    "confusion",
-    "crop_roi",
-    "evaluate",
-    "extract_all",
-    "feature_csv_text",
-    "fit",
-    "gldm_features",
-    "haralick_features",
-    "kneighbors",
-    "minmax_normalize",
-    "parse_mias_index",
-    "predict",
-    "predict_fknn",
-    "predict_fknne",
-    "predict_knn",
-    "predict_knne",
-    "predict_many",
-    "quantize",
-    "rates",
-    "read_feature_csv",
-    "read_pgm",
-    "report_json_text",
-    "roc_csv_text",
-    "roc_curve",
-    "runlength_features",
-    "stratified_kfold",
-    "textured_image",
-    "two_cluster_dataset",
-    "write_feature_csv",
-    "write_pgm",
-    "write_roc_csv",
-]

@@ -143,7 +143,6 @@ class ClassifierConfig:
     m: float = 2.0
     init: str = "crisp"
     k_init: int | None = None
-    metric: str = "euclidean"
     normalize: bool = True
 
     def __post_init__(self):
@@ -157,8 +156,6 @@ class ClassifierConfig:
             raise ValueError("init must be 'crisp' or 'keller'")
         if self.k_init is not None and self.k_init < 1:
             raise ValueError("k_init must be >= 1")
-        if self.metric != "euclidean":
-            raise ValueError("only the euclidean metric is supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,16 +292,25 @@ class NeighbourTable(NamedTuple):
 def neighbour_table(model: FitModel, queries, k: int) -> NeighbourTable:
     """Search the k nearest training samples of each query, overall and
     per class. Queries are FeatureVectors, vectors or the rows of a 2-D
-    array, in the model's raw (unnormalized) feature space."""
-    V = _query_matrix(model, queries)
+    array, in the model's raw (unnormalized) feature space.
+
+    A query so far out that every distance overflows to inf is rejected:
+    no rule could rank its neighbours."""
     pools = (None,) + model._class_pools
-    widths = [min(k, len(model.X) if p is None else len(p)) for p in pools]
-    out = [(np.empty((len(V), w), dtype=np.intp), np.empty((len(V), w))) for w in widths]
-    for s, D in _distance_blocks(model.X, V):
-        for pool, (idx, dist) in zip(pools, out):
-            Dp, rank = (D, model._id_rank) if pool is None else (D[:, pool], model._id_rank[pool])
-            sel, dist[s:s + len(D)] = _k_smallest(Dp, rank, k)
-            idx[s:s + len(D)] = sel if pool is None else pool[sel]
+    # Overflow is allowed here and caught below, by the nearest distance.
+    with np.errstate(over="ignore"):
+        V = _query_matrix(model, queries)
+        widths = [min(k, len(model.X) if p is None else len(p)) for p in pools]
+        out = [(np.empty((len(V), w), dtype=np.intp), np.empty((len(V), w))) for w in widths]
+        for s, D in _distance_blocks(model.X, V):
+            for pool, (idx, dist) in zip(pools, out):
+                Dp, rank = (D, model._id_rank) if pool is None else (D[:, pool], model._id_rank[pool])
+                sel, dist[s:s + len(D)] = _k_smallest(Dp, rank, k)
+                idx[s:s + len(D)] = sel if pool is None else pool[sel]
+    overflowed = np.flatnonzero(np.isinf(out[0][1][:, 0]))
+    if overflowed.size:
+        raise ValueError(f"query row {overflowed[0]}: every distance overflows "
+                         f"to inf; feature values are too large")
     return NeighbourTable(out[0], tuple(out[1:]))
 
 
@@ -395,6 +401,9 @@ def _raw_query(model: FitModel, x) -> np.ndarray:
 def _query_matrix(model: FitModel, queries) -> np.ndarray:
     """Validated queries, normalized like the training vectors, one row each."""
     V = np.array([_raw_query(model, x) for x in queries]).reshape(-1, model.X.shape[1])
+    bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+    if bad.size:
+        raise ValueError(f"query row {bad[0]}: feature values must be finite")
     if model.config.normalize:
         V = _normalize_rows(V, model.norm_lo, model.norm_hi)
     return V

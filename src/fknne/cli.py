@@ -10,16 +10,24 @@ path flags always win.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
 from pathlib import Path
 
 from .classifiers import KINDS, ClassifierConfig
-from .evaluation import ComparisonTable, Holdout, KFold, Loocv, compare_classifiers, evaluate
+from .evaluation import (
+    ComparisonRow,
+    ComparisonTable,
+    Holdout,
+    KFold,
+    Loocv,
+    compare_classifiers,
+    evaluate,
+)
 from .formats import (
     comparison_json_text,
+    feature_rows_text,
     read_feature_csv,
     report_json_text,
     write_feature_csv,
@@ -67,11 +75,7 @@ def cmd_extract(args) -> int:
     if failures:
         out = out.with_name(out.name + ".partial")
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("id", "label") + FEATURE_NAMES)
-        for sid, label, values in rows:
-            w.writerow([sid, label] + [repr(float(v)) for v in values])
+    out.write_text(feature_rows_text(FEATURE_NAMES, rows), encoding="utf-8", newline="")
     print(f"wrote {len(rows)} feature rows to {out}")
     if failures:
         for sid, msg in failures:
@@ -81,14 +85,13 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _classifier_config(args, kind=None) -> ClassifierConfig:
+def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
     return ClassifierConfig(
-        kind=kind or args.method,
-        k=args.k,
+        kind=kind,
+        k=k,
         m=args.m,
         init=args.init,
         k_init=args.k_init,
-        metric=args.metric,
         normalize=not args.no_normalize,
     )
 
@@ -111,7 +114,7 @@ def _load_dataset(args):
 
 def cmd_eval(args) -> int:
     data = _load_dataset(args)
-    report = evaluate(data, _classifier_config(args), _protocol(args),
+    report = evaluate(data, _classifier_config(args, args.method, args.k), _protocol(args),
                       positive_class=args.positive)
 
     stem = Path(args.features).stem
@@ -123,12 +126,7 @@ def cmd_eval(args) -> int:
                         encoding="utf-8")
     write_roc_csv(out_roc, report.roc)
 
-    table = ComparisonTable.from_json_obj([{
-        "method": report.config.kind, "k": report.config.k,
-        "sensitivity": report.sensitivity, "specificity": report.specificity,
-        "accuracy": report.accuracy, "auc": report.auc,
-    }])
-    print(table.render_text())
+    print(ComparisonTable((ComparisonRow.from_report(report, report.config.kind),)).render_text())
     avg = report.averaged
     avg_txt = ", ".join(f"{k}={v:.4f}" if v is not None else f"{k}=n/a"
                         for k, v in avg.items())
@@ -148,11 +146,7 @@ def cmd_compare(args) -> int:
         ks = [int(v) for v in args.k_sweep.split(",") if v.strip()]
     else:
         ks = [args.k]
-    configs = [
-        ClassifierConfig(kind=m, k=k, m=args.m, init=args.init, k_init=args.k_init,
-                         metric=args.metric, normalize=not args.no_normalize)
-        for m in methods for k in ks
-    ]
+    configs = [_classifier_config(args, m, k) for m in methods for k in ks]
     table = compare_classifiers(data, configs, _protocol(args),
                                 positive_class=args.positive)
     stem = Path(args.features).stem
@@ -186,7 +180,6 @@ def _add_classifier_flags(p, with_method=True):
                    help="training membership initialization (default crisp)")
     p.add_argument("--k-init", type=int, default=None, dest="k_init",
                    help="neighbourhood size for keller init (default: k)")
-    p.add_argument("--metric", choices=("euclidean",), default="euclidean")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip per-feature min-max normalization")
     p.add_argument("--feature-mask", default=None,

@@ -10,7 +10,7 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,6 +139,15 @@ def auc(scores, truth, positive: str = "malignant") -> float:
     return roc_curve(scores, truth, positive).auc
 
 
+def _shuffled_by_class(data: Dataset, seed: int):
+    """Yield (class, ids) in class order: each class's ids sorted, then
+    permuted by one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for c in data.classes:
+        ids_c = sorted(i for i, lab in zip(data.ids, data.labels) if lab == c)
+        yield c, [ids_c[t] for t in rng.permutation(len(ids_c))]
+
+
 def stratified_kfold(data: Dataset, k: int, seed: int):
     """Deterministic stratified folds: per class, ids are sorted, shuffled
     with the seed and dealt round-robin, so fold class proportions stay
@@ -149,15 +158,12 @@ def stratified_kfold(data: Dataset, k: int, seed: int):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    rng = np.random.default_rng(seed)
     folds: list[list[str]] = [[] for _ in range(k)]
-    for c in data.classes:
-        ids_c = sorted(i for i, lab in zip(data.ids, data.labels) if lab == c)
+    for c, ids_c in _shuffled_by_class(data, seed):
         if len(ids_c) < k:
             raise ValueError(f"class {c!r} has fewer than {k} samples")
-        perm = rng.permutation(len(ids_c))
-        for pos, t in enumerate(perm):
-            folds[pos % k].append(ids_c[t])
+        for pos, sid in enumerate(ids_c):
+            folds[pos % k].append(sid)
     out = []
     for i in range(k):
         test = sorted(folds[i])
@@ -167,10 +173,20 @@ def stratified_kfold(data: Dataset, k: int, seed: int):
     return out
 
 
+# Protocols. Each names itself in reports, carries its shuffling seed (None
+# when it has none) and splits a dataset into (train_ids, test_ids) pairs.
+
 @dataclass(frozen=True)
 class KFold:
     k: int = 10
     seed: int = 0
+
+    @property
+    def name(self) -> str:
+        return f"kfold({self.k})"
+
+    def splits(self, data: Dataset):
+        return stratified_kfold(data, self.k, self.seed)
 
 
 @dataclass(frozen=True)
@@ -182,47 +198,31 @@ class Holdout:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("holdout fraction must be in (0, 1)")
 
+    @property
+    def name(self) -> str:
+        return f"holdout({self.fraction})"
+
+    def splits(self, data: Dataset):
+        train: list[str] = []
+        test: list[str] = []
+        for c, ids_c in _shuffled_by_class(data, self.seed):
+            if len(ids_c) < 2:
+                raise ValueError(f"class {c!r} needs >= 2 samples for a holdout split")
+            n_test = int(round(self.fraction * len(ids_c)))
+            n_test = min(max(n_test, 1), len(ids_c) - 1)
+            test.extend(ids_c[:n_test])
+            train.extend(ids_c[n_test:])
+        return [(sorted(train), sorted(test))]
+
 
 @dataclass(frozen=True)
 class Loocv:
-    pass
+    name = "loocv"
+    seed = None
 
-
-def protocol_name(protocol) -> str:
-    if isinstance(protocol, KFold):
-        return f"kfold({protocol.k})"
-    if isinstance(protocol, Holdout):
-        return f"holdout({protocol.fraction})"
-    if isinstance(protocol, Loocv):
-        return "loocv"
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def protocol_seed(protocol):
-    return getattr(protocol, "seed", None)
-
-
-def _splits(data: Dataset, protocol):
-    if isinstance(protocol, KFold):
-        return stratified_kfold(data, protocol.k, protocol.seed)
-    if isinstance(protocol, Loocv):
+    def splits(self, data: Dataset):
         ordered = sorted(data.ids)
         return [([s for s in ordered if s != sid], [sid]) for sid in ordered]
-    if isinstance(protocol, Holdout):
-        rng = np.random.default_rng(protocol.seed)
-        train: list[str] = []
-        test: list[str] = []
-        for c in data.classes:
-            ids_c = sorted(i for i, lab in zip(data.ids, data.labels) if lab == c)
-            if len(ids_c) < 2:
-                raise ValueError(f"class {c!r} needs >= 2 samples for a holdout split")
-            perm = rng.permutation(len(ids_c))
-            n_test = int(round(protocol.fraction * len(ids_c)))
-            n_test = min(max(n_test, 1), len(ids_c) - 1)
-            test.extend(ids_c[t] for t in perm[:n_test])
-            train.extend(ids_c[t] for t in perm[n_test:])
-        return [(sorted(train), sorted(test))]
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 @dataclass(frozen=True)
@@ -269,30 +269,18 @@ class EvaluationReport:
             "k": cfg.k,
             "m": cfg.m,
             "init": cfg.init,
-            "protocol": protocol_name(self.protocol),
-            "seed": protocol_seed(self.protocol),
+            "protocol": self.protocol.name,
+            "seed": self.protocol.seed,
             "positive_class": self.positive_class,
             "sensitivity": self.sensitivity,
             "specificity": self.specificity,
             "accuracy": self.accuracy,
             "auc": self.auc,
-            "pooled": {
-                "tp": self.pooled.tp,
-                "fp": self.pooled.fp,
-                "tn": self.pooled.tn,
-                "fn": self.pooled.fn,
-            },
+            "pooled": asdict(self.pooled),
             "averaged": dict(self.averaged),
             "folds": [
-                {
-                    "tp": f.counts.tp,
-                    "fp": f.counts.fp,
-                    "tn": f.counts.tn,
-                    "fn": f.counts.fn,
-                    "sensitivity": f.sensitivity,
-                    "specificity": f.specificity,
-                    "accuracy": f.accuracy,
-                }
+                dict(asdict(f.counts), sensitivity=f.sensitivity,
+                     specificity=f.specificity, accuracy=f.accuracy)
                 for f in self.folds
             ],
         }
@@ -348,6 +336,8 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     positive = positive_class if positive_class is not None else _default_positive(data.classes)
     if positive not in data.classes:
         raise ValueError(f"positive class {positive!r} not in {data.classes}")
+    if not isinstance(protocol, (KFold, Holdout, Loocv)):
+        raise ValueError(f"unknown protocol {protocol!r}")
 
     index_of = {sid: i for i, sid in enumerate(data.ids)}
     k_max: dict[bool, int] = {}
@@ -359,7 +349,7 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     predicted: list[list[str]] = [[] for _ in configs]
     scores: list[list[float]] = [[] for _ in configs]
     fold_results: list[list[FoldResult]] = [[] for _ in configs]
-    for train_ids, test_ids in _splits(data, protocol):
+    for train_ids, test_ids in protocol.splits(data):
         train = data.subset(train_ids)
         test = [index_of[sid] for sid in test_ids]
         truth = [data.labels[i] for i in test]
@@ -407,6 +397,12 @@ class ComparisonRow:
     accuracy: float
     auc: float
 
+    @classmethod
+    def from_report(cls, report: EvaluationReport, method: str) -> "ComparisonRow":
+        """The pooled rates and AUC of one report, labelled ``method``."""
+        return cls(method, report.config.k, report.sensitivity, report.specificity,
+                   report.accuracy, report.auc)
+
 
 @dataclass(frozen=True)
 class ComparisonTable:
@@ -416,17 +412,7 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "method": r.method,
-                "k": r.k,
-                "sensitivity": r.sensitivity,
-                "specificity": r.specificity,
-                "accuracy": r.accuracy,
-                "auc": r.auc,
-            }
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]
 
     @classmethod
     def from_json_obj(cls, obj) -> "ComparisonTable":
@@ -471,17 +457,7 @@ def compare_classifiers(data: Dataset, configs, protocol,
         raise ValueError("at least one classifier config is required")
     kinds = [c.kind for c in configs]
     dup = {k for k in kinds if kinds.count(k) > 1}
-    rows = []
-    for cfg, rep in zip(configs, _cross_validate(data, configs, protocol, positive_class)):
-        label = f"{cfg.kind}[k={cfg.k}]" if cfg.kind in dup else cfg.kind
-        rows.append(
-            ComparisonRow(
-                method=label,
-                k=cfg.k,
-                sensitivity=rep.sensitivity,
-                specificity=rep.specificity,
-                accuracy=rep.accuracy,
-                auc=rep.auc,
-            )
-        )
-    return ComparisonTable(rows=tuple(rows))
+    return ComparisonTable(rows=tuple(
+        ComparisonRow.from_report(rep, f"{cfg.kind}[k={cfg.k}]" if cfg.kind in dup else cfg.kind)
+        for cfg, rep in zip(configs, _cross_validate(data, configs, protocol, positive_class))
+    ))

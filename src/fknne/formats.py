@@ -21,14 +21,21 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def feature_csv_text(dataset: Dataset) -> str:
-    """Serialize a dataset in feature-CSV form, rows in dataset order."""
+def feature_rows_text(feature_names, rows) -> str:
+    """Serialize (id, label, feature values) rows in feature-CSV form, in
+    the given order. With no rows the text is the header line alone."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("id", "label") + dataset.feature_names)
-    for i, sid in enumerate(dataset.ids):
-        w.writerow([sid, dataset.labels[i]] + [_fmt(v) for v in dataset.X[i]])
+    w.writerow(("id", "label") + tuple(feature_names))
+    for sid, label, values in rows:
+        w.writerow([sid, label] + [_fmt(v) for v in values])
     return buf.getvalue()
+
+
+def feature_csv_text(dataset: Dataset) -> str:
+    """Serialize a dataset in feature-CSV form, rows in dataset order."""
+    return feature_rows_text(dataset.feature_names,
+                             zip(dataset.ids, dataset.labels, dataset.X))
 
 
 def write_feature_csv(path, dataset: Dataset) -> None:
@@ -94,7 +101,3 @@ def report_json_text(report: EvaluationReport, features=None) -> str:
 
 def comparison_json_text(table: ComparisonTable) -> str:
     return json.dumps(table.to_json_obj(), indent=2, sort_keys=True) + "\n"
-
-
-def comparison_from_json_text(text: str) -> ComparisonTable:
-    return ComparisonTable.from_json_obj(json.loads(text))

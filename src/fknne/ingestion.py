@@ -9,6 +9,7 @@ abnormality centre and approximate radius in pixels.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ MALIGNANT = "malignant"
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GrayImage:
     """Rectangular grid of integer intensities with a declared maximum.
 
@@ -25,15 +27,16 @@ class GrayImage:
     every value in [0, max_val].
     """
 
-    __slots__ = ("pixels", "max_val")
+    pixels: np.ndarray
+    max_val: int
 
-    def __init__(self, pixels, max_val: int):
-        arr = np.asarray(pixels)
+    def __post_init__(self):
+        arr = np.asarray(self.pixels)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("pixels must form a non-empty 2-D grid")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("pixel values must be integers")
-        max_val = int(max_val)
+        max_val = int(self.max_val)
         if max_val < 1:
             raise ValueError("max_val must be a positive integer")
         if arr.min() < 0 or arr.max() > max_val:
@@ -42,9 +45,6 @@ class GrayImage:
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
         object.__setattr__(self, "max_val", max_val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayImage is immutable")
 
     @property
     def width(self) -> int:
@@ -63,37 +63,24 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height}, max_val={self.max_val})"
 
 
+@dataclass(frozen=True, slots=True)
 class RoiSpec:
     """One annotated abnormality: centre, radius and severity label."""
 
-    __slots__ = ("id", "center_x", "center_y", "radius", "label")
+    id: str
+    center_x: int
+    center_y: int
+    radius: int
+    label: str
 
-    def __init__(self, id: str, center_x: int, center_y: int, radius: int, label: str):
-        if radius < 1:
+    def __post_init__(self):
+        if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if label not in (BENIGN, MALIGNANT):
-            raise ValueError(f"label must be {BENIGN!r} or {MALIGNANT!r}, got {label!r}")
-        object.__setattr__(self, "id", str(id))
-        object.__setattr__(self, "center_x", int(center_x))
-        object.__setattr__(self, "center_y", int(center_y))
-        object.__setattr__(self, "radius", int(radius))
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RoiSpec is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RoiSpec):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f) for f in RoiSpec.__slots__
-        )
-
-    def __repr__(self):
-        return (
-            f"RoiSpec(id={self.id!r}, center=({self.center_x},{self.center_y}), "
-            f"radius={self.radius}, label={self.label!r})"
-        )
+        if self.label not in (BENIGN, MALIGNANT):
+            raise ValueError(f"label must be {BENIGN!r} or {MALIGNANT!r}, got {self.label!r}")
+        object.__setattr__(self, "id", str(self.id))
+        for name in ("center_x", "center_y", "radius"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -158,6 +145,8 @@ def read_pgm(data: bytes) -> GrayImage:
             pixels = np.array(tokens[:count], dtype=np.int64)
         except ValueError:
             raise ValueError("malformed P2 raster: non-numeric pixel value") from None
+        except OverflowError:
+            raise ValueError(f"P2 pixel value outside [0, {max_val}]") from None
     else:
         # Exactly one whitespace byte separates the header from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
@@ -218,7 +207,10 @@ def parse_mias_index(text: str, image_height: int = 1024) -> list[RoiSpec]:
             raise ValueError(f"line {lineno}: malformed numeric field in {raw!r}") from None
         seen[ref] = seen.get(ref, 0) + 1
         roi_id = ref if seen[ref] == 1 else f"{ref}-{seen[ref]}"
-        specs.append(RoiSpec(roi_id, x, image_height - 1 - y, radius, label))
+        try:
+            specs.append(RoiSpec(roi_id, x, image_height - 1 - y, radius, label))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return specs
 
 

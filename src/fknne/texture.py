@@ -364,18 +364,12 @@ class ExtractionConfig:
     levels: int = 16
     distance: int = 1
     symmetric: bool = False
-    directions: tuple[tuple[int, int], ...] = DIRECTIONS
 
     def __post_init__(self):
         if not 2 <= self.levels <= _MAX_LEVELS:
             raise ValueError(f"levels must be in [2, {_MAX_LEVELS}]")
         if self.distance < 1:
             raise ValueError("distance must be >= 1")
-        if not self.directions:
-            raise ValueError("at least one direction is required")
-        for d in self.directions:
-            if d not in DIRECTIONS:
-                raise ValueError(f"unsupported direction {d}; choose from {DIRECTIONS}")
 
 
 FEATURE_NAMES = (
@@ -397,7 +391,7 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
         cfg = ExtractionConfig()
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
     per_direction = []
-    for ux, uy in cfg.directions:
+    for ux, uy in DIRECTIONS:
         off = (ux * cfg.distance, uy * cfg.distance)
         glcm = haralick_features(compute_glcm(q, off[0], off[1], symmetric=cfg.symmetric))
         rl = runlength_features(compute_glrlm(q, ux, uy))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fknne import (
+    KINDS,
     ClassifierConfig,
     Dataset,
     FeatureVector,
@@ -18,6 +19,8 @@ from fknne import (
     predict_fknne,
     predict_knn,
     predict_knne,
+    predict_many,
+    two_cluster_dataset,
 )
 
 
@@ -379,6 +382,24 @@ class TestSmallFuzzifier:
                                      .sum(axis=0) / w.sum()).tolist()
 
 
+class TestUnrankableQueries:
+    """A non-finite query, or one so far out that every distance overflows,
+    has no neighbour order; it is rejected by row instead of scored NaN."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad, reason", [
+        pytest.param([np.nan, 0.0, 0.0], "must be finite", id="nan"),
+        pytest.param([np.inf, 0.0, 0.0], "must be finite", id="inf"),
+        pytest.param([1e300, 0.0, 0.0], "overflows", id="overflow"),
+    ])
+    def test_rejected_naming_the_row(self, kind, bad, reason):
+        model = fit(two_cluster_dataset(10, 3), ClassifierConfig(kind=kind))
+        with pytest.raises(ValueError, match=f"query row 0: .*{reason}"):
+            predict(model, bad)
+        with pytest.raises(ValueError, match=f"query row 1: .*{reason}"):
+            predict_many(model, [[0.0, 0.0, 0.0], bad])
+
+
 class TestConfigValidation:
     def test_bad_fuzzifier_rejected(self):
         with pytest.raises(ValueError, match="m must be > 1"):
@@ -387,10 +408,6 @@ class TestConfigValidation:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ClassifierConfig(kind="svm")
-
-    def test_bad_metric_rejected(self):
-        with pytest.raises(ValueError, match="euclidean"):
-            ClassifierConfig(metric="manhattan")
 
 
 class TestDataset:

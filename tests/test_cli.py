@@ -7,6 +7,7 @@ import pytest
 
 from fknne import (
     Dataset,
+    feature_csv_text,
     read_feature_csv,
     two_cluster_dataset,
     write_feature_csv,
@@ -74,6 +75,18 @@ class TestExtract:
         partial = tmp_path / "features.csv.partial"
         assert partial.exists()
         assert len(read_feature_csv(partial)) == 2
+
+    def test_csv_is_the_formats_serialization(self, tmp_path, image_dir, index_file):
+        out = tmp_path / "features.csv"
+        assert main(extract_args(image_dir, index_file, out)) == 0
+        assert out.read_text(encoding="utf-8") == feature_csv_text(read_feature_csv(out))
+
+    def test_all_failed_writes_header_only_partial(self, tmp_path, image_dir, index_file):
+        index_file.write_text("mdb998 G CIRC B 16 16 5\nmdb999 G CIRC M 16 16 5\n")
+        out = tmp_path / "features.csv"
+        assert main(extract_args(image_dir, index_file, out)) == 2
+        partial = tmp_path / "features.csv.partial"
+        assert partial.read_bytes() == ("id,label," + ",".join(FEATURE_NAMES) + "\n").encode()
 
     def test_output_dir_env_override(self, tmp_path, image_dir, index_file,
                                      monkeypatch):
@@ -145,6 +158,22 @@ class TestEval:
                      "--out-json", str(tmp_path / "r.json"),
                      "--out-roc", str(roc)]) == 0
         assert roc.read_text().splitlines()[0] == "threshold,fpr,tpr"
+
+    def test_printed_row_equals_compare_row(self, tmp_path, synthetic_csv, capsys):
+        common = ["--features", str(synthetic_csv), "--k", "5", "--init", "keller",
+                  "--folds", "4", "--seed", "3"]
+        assert main(["eval", "--method", "knne", *common,
+                     "--out-json", str(tmp_path / "r.json"),
+                     "--out-roc", str(tmp_path / "roc.csv")]) == 0
+        eval_lines = capsys.readouterr().out.splitlines()
+        assert main(["compare", "--methods", "knne", *common,
+                     "--out-json", str(tmp_path / "cmp.json")]) == 0
+        compare_lines = capsys.readouterr().out.splitlines()
+        assert eval_lines[:2] == compare_lines[:2]
+        assert eval_lines[1].split()[0] == "knne"
+        report = json.loads((tmp_path / "r.json").read_text())
+        (row,) = json.loads((tmp_path / "cmp.json").read_text())
+        assert row == {key: report[key] for key in row}
 
 
 class TestCompare:

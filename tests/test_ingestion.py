@@ -62,6 +62,10 @@ class TestReadPgm:
         with pytest.raises(ValueError):
             read_pgm(b"P2\n1 1\n10\n11")
 
+    def test_p2_value_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match=r"outside \[0, 255\]"):
+            read_pgm(b"P2\n2 1\n255\n1 99999999999999999999")
+
     def test_round_trip_both_encodings(self):
         rng = np.random.default_rng(11)
         for max_val in (1, 255, 4095):
@@ -93,6 +97,10 @@ class TestParseMiasIndex:
     def test_malformed_numbers_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
             parse_mias_index("mdb000 G CIRC B x y z")
+
+    def test_nonpositive_radius_names_the_line(self):
+        with pytest.raises(ValueError, match="^line 2: radius must be >= 1"):
+            parse_mias_index("mdb001 G CIRC B 1 2 3\nmdb002 G CIRC B 1 2 0\n")
 
     def test_custom_image_height(self):
         (roi,) = parse_mias_index("mdb001 G CIRC B 5 3 2", image_height=10)
