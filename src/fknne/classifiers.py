@@ -345,6 +345,14 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     X = np.array(data.X, dtype=np.float64)
     if cfg.normalize:
         lo, hi = X.min(axis=0), X.max(axis=0)
+        # Halves cannot overflow, and max - min does exactly when its half
+        # exceeds half the largest float.
+        wide = np.flatnonzero(hi / 2 - lo / 2 > np.finfo(np.float64).max / 2)
+        if wide.size:
+            raise ValueError(
+                f"feature {data.feature_names[wide[0]]!r}: max - min overflows, "
+                "so it cannot be normalized"
+            )
         X = _normalize_rows(X, lo, hi)
     else:
         lo = hi = None

@@ -6,6 +6,11 @@ Three matrix families are built from a quantized gray image:
 * run-length (GLRLM): counts of maximal constant-gray runs by level/length,
 * gray difference (GLDM): distribution of |gray difference| at an offset.
 
+The GLDM is the |i-j| marginal of the GLCM's integer pair counts, so
+``gldm.contrast``, ``gldm.idm`` and ``gldm.entropy`` equal ``glcm.contrast``,
+``glcm.idm`` and ``glcm.diff_entropy`` in exact arithmetic. All three stay:
+the paper's 25-feature schema, and so every distance, includes them.
+
 ``extract_all`` composes them over the four standard directions and
 averages, yielding one fixed-schema feature vector per image.
 """
@@ -83,6 +88,7 @@ class Glcm:
     p: np.ndarray
     offset: tuple[int, int]
     symmetric: bool
+    counts: np.ndarray | None = None  # integer pair counts behind p, set by compute_glcm
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
@@ -138,16 +144,25 @@ class Gldm:
         object.__setattr__(self, "d", d)
 
 
-def _offset_pairs(pixels: np.ndarray, dx: int, dy: int):
-    """All in-bounds (value, shifted value) pairs at the offset, flattened."""
-    h, w = pixels.shape
+def _levels(img: GrayImage) -> int:
+    if img.max_val + 1 > _MAX_LEVELS:
+        raise ValueError(f"image must be quantized to <= {_MAX_LEVELS} levels")
+    return img.max_val + 1
+
+
+def _pair_counts(img: GrayImage, dx: int, dy: int) -> np.ndarray:
+    """levels x levels int64 counts of (gray at p, gray at p + (dx, dy)) in the image."""
+    if (dx, dy) == (0, 0):
+        raise ValueError("offset must be nonzero")
+    levels = _levels(img)
+    h, w = img.pixels.shape
     x0, x1 = max(0, -dx), w - max(0, dx)
     y0, y1 = max(0, -dy), h - max(0, dy)
     if x1 <= x0 or y1 <= y0:
-        return None, None
-    a = pixels[y0:y1, x0:x1]
-    b = pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    return a.ravel(), b.ravel()
+        raise ValueError("empty co-occurrence: no pixel pair fits the offset")
+    a = img.pixels[y0:y1, x0:x1].astype(np.int64)
+    b = img.pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    return np.bincount((a * levels + b).ravel(), minlength=levels * levels).reshape(levels, levels)
 
 
 def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> Glcm:
@@ -157,20 +172,11 @@ def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> G
     ``symmetric`` each pair is also counted in reverse, making p its own
     transpose.
     """
-    if (dx, dy) == (0, 0):
-        raise ValueError("offset must be nonzero")
-    levels = img.max_val + 1
-    if levels > _MAX_LEVELS:
-        raise ValueError(f"image must be quantized to <= {_MAX_LEVELS} levels")
-    a, b = _offset_pairs(img.pixels, dx, dy)
-    if a is None:
-        raise ValueError("empty co-occurrence: no pixel pair fits the offset")
-    counts = np.bincount(
-        a.astype(np.int64) * levels + b, minlength=levels * levels
-    ).reshape(levels, levels).astype(np.float64)
+    counts = _pair_counts(img, dx, dy)
     if symmetric:
         counts = counts + counts.T
-    return Glcm(levels=levels, p=counts / counts.sum(), offset=(dx, dy), symmetric=symmetric)
+    counts.flags.writeable = False
+    return Glcm(len(counts), counts / counts.sum(), (dx, dy), symmetric, counts)
 
 
 def _entropy(q: np.ndarray) -> float:
@@ -232,9 +238,8 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
 
     entropy = _entropy(p)
 
-    kd = np.arange(g, dtype=np.float64)
-    diff_mean = float(kd @ pdiff)
-    diff_variance = float(((kd - diff_mean) ** 2) @ pdiff)
+    diff_mean = float(i @ pdiff)
+    diff_variance = float(((i - diff_mean) ** 2) @ pdiff)
     diff_entropy = _entropy(pdiff)
 
     outer = np.outer(px, py)
@@ -264,40 +269,33 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
     return FeatureVector(HARALICK_NAMES, np.array(values))
 
 
-def _line_views(pixels: np.ndarray, dx: int, dy: int):
-    """Decompose the image into the 1-D lines running along (dx, dy)."""
-    h, w = pixels.shape
-    if (dx, dy) == (1, 0):
-        return [pixels[y] for y in range(h)]
-    if (dx, dy) == (0, 1):
-        return [pixels[:, x] for x in range(w)]
-    if (dx, dy) == (1, 1):
-        return [pixels.diagonal(o) for o in range(-(h - 1), w)]
-    if (dx, dy) == (1, -1):
-        flipped = np.flipud(pixels)
-        return [flipped.diagonal(o) for o in range(-(h - 1), w)]
-    raise ValueError(f"unsupported run direction ({dx},{dy})")
-
-
 def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     """Count maximal constant-gray runs along one of the four directions.
 
     Every pixel belongs to exactly one maximal run, so the run lengths
-    weighted by count always sum to the pixel count.
+    weighted by count always sum to the pixel count. The image must already
+    be quantized (max_val + 1 <= 64 levels).
     """
-    lines = _line_views(img.pixels, dx, dy)
-    levels = img.max_val + 1
+    if (dx, dy) not in DIRECTIONS:
+        raise ValueError(f"unsupported run direction ({dx},{dy})")
+    levels = _levels(img)
     h, w = img.pixels.shape
     max_run = max(h, w)
-    r = np.zeros((levels, max_run), dtype=np.int64)
-    for line in lines:
-        n = line.size
-        if n == 0:
-            continue
-        boundaries = np.flatnonzero(np.diff(line)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
-        np.add.at(r, (line[starts], ends - starts - 1), 1)
+    # Pixel (y, x) lies on line dy*x - dx*y: one canvas row per line, indexed by the
+    # shorter coordinate that moves along (dx, dy), so the canvas stays near 2*h*w
+    # cells. The -1 padding ends each run at its line's end; its own runs are dropped.
+    y, x = np.indices((h, w), dtype=np.int32)
+    line = dy * x - dx * y
+    line -= line.min()
+    along_x = dx != 0 and (dy == 0 or w <= h)
+    canvas = np.full((line.max() + 1, (w if along_x else h) + 1), -1, img.pixels.dtype)
+    canvas[line, x if along_x else y] = img.pixels
+    flat = canvas.ravel()
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    lengths = np.diff(starts, append=flat.size)
+    real = flat[starts] >= 0
+    cells = flat[starts[real]].astype(np.int64) * max_run + lengths[real] - 1
+    r = np.bincount(cells, minlength=levels * max_run).reshape(levels, max_run)
     return Glrlm(levels=levels, max_run=max_run, r=r, direction=(dx, dy), n_pixels=h * w)
 
 
@@ -329,17 +327,18 @@ def runlength_features(glrlm: Glrlm) -> FeatureVector:
     return FeatureVector(RUNLENGTH_NAMES, np.array(values))
 
 
+def _gldm_from_counts(counts: np.ndarray, offset: tuple[int, int]) -> Gldm:
+    # Integer weights sum exactly in float64, so this equals counting the
+    # pixel differences one by one, bit for bit.
+    i, j = np.indices(counts.shape)
+    d = np.bincount(np.abs(i - j).ravel(), weights=counts.ravel(), minlength=len(counts))
+    return Gldm(levels=len(counts), d=d / counts.sum(), offset=offset)
+
+
 def compute_gldm(img: GrayImage, dx: int, dy: int) -> Gldm:
-    """Distribution of absolute gray differences at offset (dx, dy)."""
-    if (dx, dy) == (0, 0):
-        raise ValueError("offset must be nonzero")
-    levels = img.max_val + 1
-    a, b = _offset_pairs(img.pixels, dx, dy)
-    if a is None:
-        raise ValueError("no pixel pair fits the offset")
-    diffs = np.abs(a.astype(np.int64) - b)
-    d = np.bincount(diffs, minlength=levels).astype(np.float64) / diffs.size
-    return Gldm(levels=levels, d=d, offset=(dx, dy))
+    """Distribution of absolute gray differences at offset (dx, dy): the
+    |i-j| marginal of the pair counts."""
+    return _gldm_from_counts(_pair_counts(img, dx, dy), (dx, dy))
 
 
 def gldm_features(gldm: Gldm) -> FeatureVector:
@@ -393,8 +392,8 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
     per_direction = []
     for ux, uy in DIRECTIONS:
         off = (ux * cfg.distance, uy * cfg.distance)
-        glcm = haralick_features(compute_glcm(q, off[0], off[1], symmetric=cfg.symmetric))
+        glcm = compute_glcm(q, off[0], off[1], symmetric=cfg.symmetric)
         rl = runlength_features(compute_glrlm(q, ux, uy))
-        gd = gldm_features(compute_gldm(q, off[0], off[1]))
-        per_direction.append(np.concatenate([glcm.values, rl.values, gd.values]))
+        gd = gldm_features(_gldm_from_counts(glcm.counts, off))
+        per_direction.append(np.concatenate([haralick_features(glcm).values, rl.values, gd.values]))
     return FeatureVector(FEATURE_NAMES, np.mean(per_direction, axis=0))

@@ -400,6 +400,29 @@ class TestUnrankableQueries:
             predict_many(model, [[0.0, 0.0, 0.0], bad])
 
 
+class TestOverflowingFeatureSpan:
+    ROWS = [[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0], [5.0, 3.0]]
+
+    def data(self, rows=ROWS):
+        return Dataset(["a", "b", "c", "d"], rows, ["x", "y", "x", "x"],
+                       feature_names=("wide", "narrow"))
+
+    def test_rejected_naming_the_feature(self):
+        with pytest.raises(ValueError, match="feature 'wide': max - min overflows"):
+            fit(self.data())
+
+    def test_accepted_without_normalization(self):
+        model = fit(self.data(), ClassifierConfig(kind="knn", k=1, normalize=False))
+        assert np.isfinite(model.X).all()
+
+    @pytest.mark.parametrize("span", [8.9e307, np.finfo(np.float64).max])
+    def test_largest_finite_span_still_normalizes(self, span):
+        rows = [[0.0, 0.0], [span, 1.0], [0.0, 2.0], [5.0, 3.0]]
+        model = fit(self.data(rows), ClassifierConfig(kind="knn", k=1))
+        assert np.isfinite(model.X).all()
+        assert predict(model, [span, 1.0]).label == "y"
+
+
 class TestConfigValidation:
     def test_bad_fuzzifier_rejected(self):
         with pytest.raises(ValueError, match="m must be > 1"):

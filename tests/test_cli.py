@@ -152,6 +152,16 @@ class TestEval:
         write_feature_csv(p, data)
         assert main(["eval", "--features", str(p)]) == 2
 
+    def test_overflowing_feature_span_exits_2(self, tmp_path, capsys):
+        # Each extreme twice, so every leave-one-out training set spans both.
+        wide = [-1e308, -1e308, 1e308, 1e308, 0, 5]
+        data = Dataset(list("abcdef"), [[v, i] for i, v in enumerate(wide)],
+                       ["benign", "malignant"] * 3, feature_names=("wide", "narrow"))
+        p = tmp_path / "wide.csv"
+        write_feature_csv(p, data)
+        assert main(["eval", "--features", str(p), "--protocol", "loocv"]) == 2
+        assert "feature 'wide': max - min overflows" in capsys.readouterr().err
+
     def test_roc_csv_header(self, tmp_path, synthetic_csv):
         roc = tmp_path / "roc.csv"
         assert main(["eval", "--features", str(synthetic_csv),

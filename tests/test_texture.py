@@ -1,8 +1,18 @@
 """Texture matrices and feature statistics, checked against hand
-enumerations and independent re-implementations."""
+enumerations and independent re-implementations.
+
+The oracles below are the per-line run counter and the pixel-difference
+GLDM that the one-pass run counter and the GLCM-count marginal replaced;
+the new code must reproduce them bit for bit.
+"""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fknne import (
     DIRECTIONS,
@@ -10,6 +20,7 @@ from fknne import (
     ExtractionConfig,
     FeatureVector,
     Gldm,
+    Glrlm,
     GrayImage,
     compute_glcm,
     compute_gldm,
@@ -17,6 +28,7 @@ from fknne import (
     extract_all,
     gldm_features,
     haralick_features,
+    quantize,
     runlength_features,
 )
 
@@ -29,6 +41,78 @@ def random_quantized(rng, shape=(8, 8), levels=4) -> GrayImage:
 
 def checkerboard(n=6) -> GrayImage:
     return GrayImage(np.indices((n, n)).sum(axis=0) % 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def oracle_line_views(pixels, dx, dy):
+    h, w = pixels.shape
+    if (dx, dy) == (1, 0):
+        return [pixels[y] for y in range(h)]
+    if (dx, dy) == (0, 1):
+        return [pixels[:, x] for x in range(w)]
+    if (dx, dy) == (1, 1):
+        return [pixels.diagonal(o) for o in range(-(h - 1), w)]
+    if (dx, dy) == (1, -1):
+        flipped = np.flipud(pixels)
+        return [flipped.diagonal(o) for o in range(-(h - 1), w)]
+    raise AssertionError((dx, dy))
+
+
+def oracle_glrlm(img, dx, dy):
+    h, w = img.pixels.shape
+    r = np.zeros((img.max_val + 1, max(h, w)), dtype=np.int64)
+    for line in oracle_line_views(img.pixels, dx, dy):
+        boundaries = np.flatnonzero(np.diff(line)) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [line.size]))
+        np.add.at(r, (line[starts], ends - starts - 1), 1)
+    return r
+
+
+def oracle_gldm(img, dx, dy):
+    """|gray difference| of every pixel pair at the offset, counted one by
+    one; None when no pair fits."""
+    h, w = img.pixels.shape
+    x0, x1 = max(0, -dx), w - max(0, dx)
+    y0, y1 = max(0, -dy), h - max(0, dy)
+    if x1 <= x0 or y1 <= y0:
+        return None
+    a = img.pixels[y0:y1, x0:x1].ravel()
+    b = img.pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel()
+    diffs = np.abs(a.astype(np.int64) - b)
+    return np.bincount(diffs, minlength=img.max_val + 1).astype(np.float64) / diffs.size
+
+
+def oracle_extract_all(img, cfg):
+    q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
+    rows = []
+    for ux, uy in DIRECTIONS:
+        ox, oy = ux * cfg.distance, uy * cfg.distance
+        glcm = haralick_features(compute_glcm(q, ox, oy, symmetric=cfg.symmetric))
+        r = oracle_glrlm(q, ux, uy)
+        rl = runlength_features(Glrlm(q.max_val + 1, r.shape[1], r, (ux, uy), q.pixels.size))
+        gd = gldm_features(Gldm(q.max_val + 1, oracle_gldm(q, ox, oy), (ox, oy)))
+        rows.append(np.concatenate([glcm.values, rl.values, gd.values]))
+    return np.mean(rows, axis=0)
+
+
+@st.composite
+def quantized_images(draw, min_side=1, max_side=20):
+    levels = draw(st.integers(2, 64))
+    h = draw(st.integers(min_side, max_side))
+    w = draw(st.integers(min_side, max_side))
+    # A narrow band of grays makes long runs likely.
+    top = draw(st.integers(0, levels - 1))
+    pixels = draw(arrays(np.int64, (h, w), elements=st.integers(0, top)))
+    return GrayImage(pixels, levels - 1)
+
+
+EDGE_SHAPES = (GrayImage([[0]], 1), GrayImage([[0, 1, 1, 3, 3, 3]], 3),
+               GrayImage([[5], [5], [0], [5]], 7))
+directions = st.sampled_from(DIRECTIONS)
 
 
 class TestGlcm:
@@ -141,6 +225,24 @@ class TestGlrlm:
         with pytest.raises(ValueError, match="direction"):
             compute_glrlm(EXAMPLE_3X3, 2, 0)
 
+    def test_unquantized_image_rejected(self):
+        img = GrayImage([[0, 65535], [7, 7]], 65535)
+        with pytest.raises(ValueError, match="quantized to <= 64 levels"):
+            compute_glrlm(img, 1, 0)
+        with pytest.raises(ValueError, match="quantized to <= 64 levels"):
+            compute_gldm(img, 1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quantized_images(), directions)
+    @example(EDGE_SHAPES[0], (1, 1))
+    @example(EDGE_SHAPES[1], (1, -1))
+    @example(EDGE_SHAPES[2], (1, 1))
+    def test_matches_line_loop_oracle(self, img, direction):
+        r = compute_glrlm(img, *direction).r
+        expected = oracle_glrlm(img, *direction)
+        assert r.dtype == expected.dtype
+        assert r.tobytes() == expected.tobytes()
+
     def test_pixel_coverage_identity_on_random_images(self):
         # every pixel lies in exactly one maximal run
         rng = np.random.default_rng(7)
@@ -180,6 +282,20 @@ class TestGldm:
     def test_checkerboard_all_mass_at_one(self):
         d = compute_gldm(checkerboard(4), 1, 0).d
         assert d[1] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(quantized_images(), directions, st.integers(1, 3))
+    @example(EDGE_SHAPES[0], (1, 0), 1)
+    @example(EDGE_SHAPES[1], (1, 0), 2)
+    @example(EDGE_SHAPES[2], (0, 1), 3)
+    def test_matches_pixel_difference_oracle(self, img, direction, distance):
+        dx, dy = direction[0] * distance, direction[1] * distance
+        expected = oracle_gldm(img, dx, dy)
+        if expected is None:
+            with pytest.raises(ValueError, match="no pixel pair fits"):
+                compute_gldm(img, dx, dy)
+        else:
+            assert compute_gldm(img, dx, dy).d.tobytes() == expected.tobytes()
 
     def test_probabilities_sum_to_one_on_random_images(self):
         rng = np.random.default_rng(9)
@@ -242,6 +358,36 @@ class TestExtractAll:
             a = extract_all(img)
             b = extract_all(rot)
             assert np.allclose(a.values, b.values, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quantized_images(min_side=4), st.integers(2, 64), st.integers(1, 3), st.booleans())
+    def test_rotation_invariance_on_random_rois(self, img, levels, distance, symmetric):
+        # Rotation maps the four directions onto themselves, some reversed,
+        # and every statistic is unchanged by reversing a direction. Only
+        # the summation order changes. imc2 = sqrt(1 - exp(-2*(HXY2 - HXY)))
+        # turns a rounding error e in HXY2 - HXY near 0 into about sqrt(2e),
+        # so it gets a tolerance of sqrt(2 * 1e-13).
+        cfg = ExtractionConfig(levels=levels, distance=distance, symmetric=symmetric)
+        rot = GrayImage(np.rot90(img.pixels), img.max_val)
+        a = extract_all(img, cfg).values
+        b = extract_all(rot, cfg).values
+        atol = np.where(np.array(FEATURE_NAMES) == "glcm.imc2", 5e-7, 1e-9)
+        assert (np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(quantized_images(), st.integers(2, 64), st.integers(1, 3), st.booleans())
+    @example(EDGE_SHAPES[0], 2, 1, False)
+    @example(EDGE_SHAPES[1], 64, 1, True)
+    @example(EDGE_SHAPES[2], 4, 2, False)
+    def test_matches_oracle_bitwise(self, img, levels, distance, symmetric):
+        cfg = ExtractionConfig(levels=levels, distance=distance, symmetric=symmetric)
+        try:
+            expected = oracle_extract_all(img, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                extract_all(img, cfg)
+        else:
+            assert extract_all(img, cfg).values.tobytes() == expected.tobytes()
 
     def test_propagates_quantization(self):
         # raw 8-bit input is quantized down to the configured depth
