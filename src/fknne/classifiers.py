@@ -19,7 +19,7 @@ derived from each sample's own neighbourhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class FitModel:
     against one model are safe.
     """
 
-    def __init__(self, config, ids, X, labels, classes, feature_names,
+    def __init__(self, config, ids, X, labels, label_index, id_rank, classes, feature_names,
                  norm_lo, norm_hi, memberships, k_init_used, k_init_clamped):
         self.config = config
         self.ids = ids
@@ -202,19 +202,14 @@ class FitModel:
         self.memberships = memberships
         self.k_init_used = k_init_used
         self.k_init_clamped = k_init_clamped
-        self.label_index = _label_index(labels, classes)
+        self.label_index = label_index
         self._class_pools = tuple(
             np.flatnonzero(self.label_index == ci) for ci in range(len(classes))
         )
-        self._id_rank = _id_rank(ids)
+        self._id_rank = id_rank
 
     def __len__(self):
         return len(self.ids)
-
-
-def _label_index(labels, classes) -> np.ndarray:
-    position = {c: ci for ci, c in enumerate(classes)}
-    return np.array([position[lab] for lab in labels], dtype=np.intp)
 
 
 def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -226,9 +221,10 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.where(flat, 0.0, out)
 
 
-# Exact neighbour engine. Every search -- one query or many, whole training
-# set or one class pool, Keller initialization -- goes through the two
-# helpers below, so all of them order neighbours the same way.
+# Exact neighbour engine. Every search -- one query or many, each class
+# pool, Keller initialization -- goes through the two helpers below, so all
+# of them order neighbours the same way. The k nearest overall are merged
+# from the per-class lists (_nearest), never searched a second time.
 
 # Queries are processed in blocks whose (block x n x d) difference
 # temporary stays near this many bytes.
@@ -276,50 +272,54 @@ def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
     return sel, d
 
 
-class NeighbourTable(NamedTuple):
-    """The nearest training samples of a batch of queries, nearest first.
+def neighbour_table(model: FitModel, queries, k: int):
+    """Search the k nearest training samples of each query in every class
+    pool. Queries are FeatureVectors, vectors or the rows of a 2-D array,
+    in the model's raw (unnormalized) feature space.
 
-    ``nearest`` is an (indices, distances) pair over the whole training
-    set and ``per_class`` holds one such pair per class pool, in class
-    order. Each array has one row per query and min(k, pool size)
-    columns, so any smaller k reads a prefix of every row.
-    """
-
-    nearest: tuple[np.ndarray, np.ndarray]
-    per_class: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def neighbour_table(model: FitModel, queries, k: int) -> NeighbourTable:
-    """Search the k nearest training samples of each query, overall and
-    per class. Queries are FeatureVectors, vectors or the rows of a 2-D
-    array, in the model's raw (unnormalized) feature space.
+    Returns one (indices, distances) pair per class, in class order. Each
+    array has one row per query and min(k, pool size) columns, nearest
+    first, so any smaller k reads a prefix of every row.
 
     A query so far out that every distance overflows to inf is rejected:
     no rule could rank its neighbours."""
-    pools = (None,) + model._class_pools
-    # Overflow is allowed here and caught below, by the nearest distance.
+    # Overflow is allowed here and caught below, by each pool's nearest distance.
     with np.errstate(over="ignore"):
         V = _query_matrix(model, queries)
-        widths = [min(k, len(model.X) if p is None else len(p)) for p in pools]
-        out = [(np.empty((len(V), w), dtype=np.intp), np.empty((len(V), w))) for w in widths]
+        table = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
+                       np.empty((len(V), min(k, len(p))))) for p in model._class_pools)
         for s, D in _distance_blocks(model.X, V):
-            for pool, (idx, dist) in zip(pools, out):
-                Dp, rank = (D, model._id_rank) if pool is None else (D[:, pool], model._id_rank[pool])
-                sel, dist[s:s + len(D)] = _k_smallest(Dp, rank, k)
-                idx[s:s + len(D)] = sel if pool is None else pool[sel]
-    overflowed = np.flatnonzero(np.isinf(out[0][1][:, 0]))
+            for pool, (idx, dist) in zip(model._class_pools, table):
+                sel, dist[s:s + len(D)] = _k_smallest(D[:, pool], model._id_rank[pool], k)
+                idx[s:s + len(D)] = pool[sel]
+    overflowed = np.flatnonzero(np.isinf([d[:, 0] for _, d in table]).all(axis=0))
     if overflowed.size:
         raise ValueError(f"query row {overflowed[0]}: every distance overflows "
                          f"to inf; feature values are too large")
-    return NeighbourTable(out[0], tuple(out[1:]))
+    return table
 
 
-def _keller_memberships(X: np.ndarray, ids, label_index: np.ndarray, one_hot: np.ndarray,
-                        k_init: int) -> np.ndarray:
+def _joined(pools):
+    """The per-class (indices, distances) rows side by side, in class order."""
+    return (np.concatenate([idx for idx, _ in pools], axis=1),
+            np.concatenate([d for _, d in pools], axis=1))
+
+
+def _nearest(model: FitModel, pools, k: int):
+    """The k nearest samples overall, nearest first: the k smallest entries,
+    by (distance, id rank), of the joined per-class rows. Each class brings
+    its own k nearest, so the k nearest overall are all among them."""
+    idx, d = _joined(pools)
+    order = np.lexsort((model._id_rank[idx], d), axis=1)[:, :k]
+    rows = np.arange(len(d))[:, None]
+    return idx[rows, order], d[rows, order]
+
+
+def _keller_memberships(X: np.ndarray, rank: np.ndarray, label_index: np.ndarray,
+                        one_hot: np.ndarray, k_init: int) -> np.ndarray:
     """0.49 * (class shares among each sample's k_init nearest others),
     plus 0.51 for the sample's own class."""
     n = len(X)
-    rank = _id_rank(ids)
     nbrs = np.empty((n, k_init), dtype=np.intp)
     for s, D in _distance_blocks(X, X):
         rows = np.arange(len(D))
@@ -359,9 +359,9 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     X.flags.writeable = False
 
     n = len(data)
-    label_index = _label_index(data.labels, data.classes)
-    one_hot = np.zeros((n, len(data.classes)))
-    one_hot[np.arange(n), label_index] = 1.0
+    label_index = np.array([data.classes.index(lab) for lab in data.labels], dtype=np.intp)
+    one_hot = np.eye(len(data.classes))[label_index]
+    id_rank = _id_rank(data.ids)
 
     k_init = cfg.k_init if cfg.k_init is not None else cfg.k
     clamped = False
@@ -371,7 +371,7 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
             k_init, clamped = n - 1, True
         # A lone training sample has nothing to vote and stays one-hot.
         if k_init > 0:
-            memberships = _keller_memberships(X, data.ids, label_index, one_hot, k_init)
+            memberships = _keller_memberships(X, id_rank, label_index, one_hot, k_init)
     memberships.flags.writeable = False
 
     return FitModel(
@@ -379,6 +379,8 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
         ids=data.ids,
         X=X,
         labels=data.labels,
+        label_index=label_index,
+        id_rank=id_rank,
         classes=data.classes,
         feature_names=data.feature_names,
         norm_lo=lo,
@@ -427,104 +429,95 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
     if class_filter is not None and class_filter not in model.classes:
         raise ValueError(f"unknown class {class_filter!r}")
     table = neighbour_table(model, [x], k)
-    idx, d = (table.nearest if class_filter is None
-              else table.per_class[model.classes.index(class_filter)])
+    idx, d = (_nearest(model, table, k) if class_filter is None
+              else table[model.classes.index(class_filter)])
     return [(model.ids[i], float(di)) for i, di in zip(idx[0], d[0])]
 
 
-# Scoring rules. Each scores one query from its rows of a NeighbourTable:
-# (idx, d) are its k nearest samples, per_class their per-pool analogues.
+# Scoring rules. Each scores every query of a table at once, from its
+# per-class (indices, distances) rows cut to the model's k, and returns the
+# winning class index of each query and its Q x C scores. A sum over one
+# query's neighbours runs in the order it would for that query alone: along
+# a contiguous last axis, or along axis 1 of a (Q, k, C) array.
 
-def _fuzzy_weights(d: np.ndarray, m: float) -> np.ndarray:
-    """d^(-2/(m-1)). When every weight underflows to 0 (small m, distant
-    query) the weights are rescaled by d_min^(2/(m-1)), which leaves the
-    normalized scores unchanged and keeps the nearest weight at 1."""
-    with np.errstate(divide="ignore"):
+def _knn(model: FitModel, pools):
+    idx, d = _nearest(model, pools, model.config.k)
+    voter = model.label_index[idx][:, :, None] == np.arange(len(model.classes))
+    votes = voter.sum(axis=1)
+    # np.where, not voter * d: an inf distance times 0 is NaN.
+    sum_dist = np.where(voter, d[:, :, None], 0.0).sum(axis=1)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    closest = np.where(tied, sum_dist, np.inf).min(axis=1, keepdims=True)
+    return np.argmax(tied & (sum_dist == closest), axis=1), votes / idx.shape[1]
+
+
+def _fuzzy_weights(model: FitModel, d: np.ndarray):
+    """Weights d^(-2/(m-1)) of each row's neighbours, and which rows match.
+
+    A row with an exact match (d == 0), or else a weight that overflows to
+    inf, weighs those neighbours 1 and the rest 0: it takes their mean
+    membership. When all of a row's weights underflow to 0 (small m,
+    distant query) they are rescaled by d_min^(2/(m-1)), which leaves the
+    normalized scores unchanged and keeps the nearest weight at 1.
+    """
+    m = model.config.m
+    with np.errstate(divide="ignore", over="ignore"):
         w = d ** (-2.0 / (m - 1.0))
-    if not w.any():
-        w = (d.min() / d) ** (2.0 / (m - 1.0))
-    return w
-
-
-def _exact_match_scores(model: FitModel, idx: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    return model.memberships[idx[hit]].mean(axis=0)
-
-
-def _knn(model: FitModel, idx: np.ndarray, d: np.ndarray) -> Prediction:
-    n_classes = len(model.classes)
-    voters = model.label_index[idx]
-    votes = np.bincount(voters, minlength=n_classes)
-    sum_dist = np.bincount(voters, weights=d, minlength=n_classes)
-    scores = votes / len(idx)
-    top = votes.max()
-    tied = [ci for ci in range(n_classes) if votes[ci] == top]
-    winner = min(tied, key=lambda ci: (sum_dist[ci], ci))
-    return Prediction(model.classes[winner], model.classes, scores)
-
-
-def _fknn(model: FitModel, idx: np.ndarray, d: np.ndarray) -> Prediction:
     zero = d == 0.0
-    if zero.any():
-        scores = _exact_match_scores(model, idx, zero)
-    else:
-        w = _fuzzy_weights(d, model.config.m)
-        inf = np.isinf(w)
-        if inf.any():  # same limit as an exact match
-            scores = _exact_match_scores(model, idx, inf)
-        else:
-            scores = (w[:, None] * model.memberships[idx]).sum(axis=0) / w.sum()
-    winner = int(np.argmax(scores))
-    return Prediction(model.classes[winner], model.classes, scores)
+    hit = np.where(zero.any(axis=1, keepdims=True), zero, np.isinf(w))
+    exact = hit.any(axis=1)
+    under = ~w.any(axis=1)
+    if under.any():
+        w[under] = (d[under].min(axis=1, keepdims=True) / d[under]) ** (2.0 / (m - 1.0))
+    return np.where(exact[:, None], hit, w), exact
 
 
-def _knne(model: FitModel, per_class) -> Prediction:
-    means = np.array([d.mean() for _, d in per_class])
+def _membership_mean(model: FitModel, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Memberships of each row's neighbours, averaged with weights w."""
+    return (w[:, :, None] * model.memberships[idx]).sum(axis=1) / w.sum(axis=1, keepdims=True)
+
+
+def _fknn(model: FitModel, pools):
+    idx, d = _nearest(model, pools, model.config.k)
+    scores = _membership_mean(model, idx, _fuzzy_weights(model, d)[0])
+    return np.argmax(scores, axis=1), scores
+
+
+def _knne(model: FitModel, pools):
+    means = np.column_stack([d.mean(axis=1) for _, d in pools])
     zero = means == 0.0
-    if zero.any():
-        scores = zero / zero.sum()
-    else:
-        inv = 1.0 / means
-        scores = inv / inv.sum()
-    winner = int(np.argmin(means))
-    return Prediction(model.classes[winner], model.classes, scores)
+    with np.errstate(divide="ignore"):
+        raw = np.where(zero.any(axis=1, keepdims=True), zero, 1.0 / means)
+    return np.argmin(means, axis=1), raw / raw.sum(axis=1, keepdims=True)
 
 
-def _fknne(model: FitModel, per_class) -> Prediction:
-    all_idx = np.concatenate([idx for idx, _ in per_class])
-    all_d = np.concatenate([d for _, d in per_class])
-    zero = all_d == 0.0
-    if zero.any():
-        scores = _exact_match_scores(model, all_idx, zero)
-    else:
-        w_all = _fuzzy_weights(all_d, model.config.m)
-        inf = np.isinf(w_all)
-        if inf.any():
-            scores = _exact_match_scores(model, all_idx, inf)
-        else:
-            raw = np.zeros(len(model.classes))
-            start = 0
-            for ci, (idx, _) in enumerate(per_class):
-                w = w_all[start:start + len(idx)]
-                start += len(idx)
-                raw[ci] = (model.memberships[idx, ci] * w).sum()
-            scores = raw / raw.sum()
-    winner = int(np.argmax(scores))
-    return Prediction(model.classes[winner], model.classes, scores)
+def _fknne(model: FitModel, pools):
+    idx, d = _joined(pools)
+    w, exact = _fuzzy_weights(model, d)
+    bounds = list(accumulate([i.shape[1] for i, _ in pools], initial=0))
+    # Each pool weighs its neighbours' memberships in its own class.
+    raw = np.column_stack([(model.memberships[idx[:, a:b], ci] * w[:, a:b]).sum(axis=1)
+                           for ci, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    # The exact-match rule applies to the union of all pools.
+    scores = np.where(exact[:, None], _membership_mean(model, idx, w),
+                      raw / raw.sum(axis=1, keepdims=True))
+    return np.argmax(scores, axis=1), scores
 
 
-def predict_table(model: FitModel, table: NeighbourTable, kind: str | None = None) -> list[Prediction]:
+_RULES = {"knn": _knn, "fknn": _fknn, "knne": _knne, "fknne": _fknne}
+
+
+def predict_table(model: FitModel, table, kind: str | None = None):
     """Score every query of a table built at a k of at least the model's,
-    with the model's decision rule or the one named by ``kind``."""
-    kind = kind or model.config.kind
+    with the model's decision rule or the one named by ``kind``. Returns
+    the winning class index of each query and its Q x C scores."""
     k = model.config.k
-    if kind in ("knn", "fknn"):
-        score = _knn if kind == "knn" else _fknn
-        idx, dist = table.nearest
-        return [score(model, i[:k], d[:k]) for i, d in zip(idx, dist)]
-    score = _knne if kind == "knne" else _fknne
-    pools = [(idx[:, :k], dist[:, :k]) for idx, dist in table.per_class]
-    return [score(model, [(idx[q], dist[q]) for idx, dist in pools])
-            for q in range(len(table.nearest[0]))]
+    return _RULES[kind or model.config.kind](model, [(idx[:, :k], d[:, :k]) for idx, d in table])
+
+
+def _predictions(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:
+    winners, scores = predict_table(model, neighbour_table(model, queries, model.config.k), kind)
+    return [Prediction(model.classes[w], model.classes, s) for w, s in zip(winners, scores)]
 
 
 def predict_many(model: FitModel, queries) -> list[Prediction]:
@@ -533,11 +526,7 @@ def predict_many(model: FitModel, queries) -> list[Prediction]:
     One neighbour search serves the whole batch; each result equals what
     ``predict`` returns for that query alone.
     """
-    return predict_table(model, neighbour_table(model, queries, model.config.k))
-
-
-def _predict_one(model: FitModel, x, kind: str) -> Prediction:
-    return predict_table(model, neighbour_table(model, [x], model.config.k), kind)[0]
+    return _predictions(model, queries)
 
 
 def predict_knn(model: FitModel, x) -> Prediction:
@@ -546,7 +535,7 @@ def predict_knn(model: FitModel, x) -> Prediction:
     Scores are vote fractions. A vote tie goes to the tied class whose
     voters are closest in summed distance, then to class order.
     """
-    return _predict_one(model, x, "knn")
+    return _predictions(model, [x], "knn")[0]
 
 
 def predict_fknn(model: FitModel, x) -> Prediction:
@@ -556,7 +545,7 @@ def predict_fknn(model: FitModel, x) -> Prediction:
     A query that coincides with training samples takes the average
     membership of the exact matches instead.
     """
-    return _predict_one(model, x, "fknn")
+    return _predictions(model, [x], "fknn")[0]
 
 
 def predict_knne(model: FitModel, x) -> Prediction:
@@ -566,7 +555,7 @@ def predict_knne(model: FitModel, x) -> Prediction:
     Scores are normalized inverse mean distances; classes at mean
     distance zero share all the mass uniformly.
     """
-    return _predict_one(model, x, "knne")
+    return _predictions(model, [x], "knne")[0]
 
 
 def predict_fknne(model: FitModel, x) -> Prediction:
@@ -579,7 +568,7 @@ def predict_fknne(model: FitModel, x) -> Prediction:
     pool; with Keller memberships the neighbours' soft labels shift it.
     The exact-match rule applies to the union of all pools.
     """
-    return _predict_one(model, x, "fknne")
+    return _predictions(model, [x], "fknne")[0]
 
 
 def predict(model: FitModel, x) -> Prediction:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -44,12 +43,6 @@ def _out_path(explicit, default_name: str) -> Path:
     return Path(os.environ.get("FKNNE_OUT", ".")) / default_name
 
 
-def _image_ref(roi_id: str) -> str:
-    # Repeated index references get "-2", "-3" id suffixes; the image file
-    # is named after the bare reference.
-    return re.sub(r"-\d+$", "", roi_id)
-
-
 def cmd_extract(args) -> int:
     index_text = Path(args.index).read_text(encoding="utf-8")
     rois = sorted(parse_mias_index(index_text, image_height=args.image_height),
@@ -62,7 +55,7 @@ def cmd_extract(args) -> int:
     rows = []
     failures = []
     for roi in rois:
-        image_path = Path(args.images) / f"{_image_ref(roi.id)}.pgm"
+        image_path = Path(args.images) / f"{roi.reference}.pgm"
         try:
             img = read_pgm(image_path.read_bytes())
             fv = extract_all(crop_roi(img, roi, side=args.side), cfg)

@@ -327,7 +327,8 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
 
     Each fold subsets the data once and searches its test set's
     neighbours once per ``normalize`` setting, at the largest k among the
-    configs sharing it; every config then scores from that table.
+    configs sharing it; every config then scores that whole table in one
+    call.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -360,10 +361,11 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
             model = fit(train, cfg)
             if cfg.normalize not in tables:
                 tables[cfg.normalize] = neighbour_table(model, data.X[test], k_max[cfg.normalize])
-            preds = predict_table(model, tables[cfg.normalize])
-            fold_labels = [p.label for p in preds]
+            winners, fold_scores = predict_table(model, tables[cfg.normalize])
+            fold_labels = [model.classes[w] for w in winners]
             labels.extend(fold_labels)
-            cfg_scores.extend(p.score(positive) if positive in p.classes else 0.0 for p in preds)
+            cfg_scores.extend(fold_scores[:, model.classes.index(positive)].tolist()
+                              if positive in model.classes else [0.0] * len(test))
             counts = confusion(fold_labels, truth, positive, classes=data.classes)
             folds.append(
                 FoldResult(

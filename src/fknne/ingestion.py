@@ -65,13 +65,15 @@ class GrayImage:
 
 @dataclass(frozen=True, slots=True)
 class RoiSpec:
-    """One annotated abnormality: centre, radius and severity label."""
+    """One annotated abnormality: centre, radius and severity label, plus
+    the index reference that names its image (the id unless given)."""
 
     id: str
     center_x: int
     center_y: int
     radius: int
     label: str
+    reference: str | None = None
 
     def __post_init__(self):
         if self.radius < 1:
@@ -79,6 +81,8 @@ class RoiSpec:
         if self.label not in (BENIGN, MALIGNANT):
             raise ValueError(f"label must be {BENIGN!r} or {MALIGNANT!r}, got {self.label!r}")
         object.__setattr__(self, "id", str(self.id))
+        ref = self.id if self.reference is None else str(self.reference)
+        object.__setattr__(self, "reference", ref)
         for name in ("center_x", "center_y", "radius"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -186,10 +190,13 @@ def parse_mias_index(text: str, image_height: int = 1024) -> list[RoiSpec]:
     and M to malignant. Index y coordinates use a bottom-left origin and
     are converted to top-left rows via ``image_height - 1 - y``. A
     reference appearing more than once (several abnormalities on one
-    image) gets "-2", "-3", ... appended to keep ids unique.
+    image) gets "-2", "-3", ... appended to keep ids unique; an id that
+    still repeats one parsed before is rejected with its line. Each ROI
+    keeps its reference, which names its image.
     """
     specs = []
     seen: dict[str, int] = {}
+    ids: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if len(fields) < 7:
@@ -207,8 +214,11 @@ def parse_mias_index(text: str, image_height: int = 1024) -> list[RoiSpec]:
             raise ValueError(f"line {lineno}: malformed numeric field in {raw!r}") from None
         seen[ref] = seen.get(ref, 0) + 1
         roi_id = ref if seen[ref] == 1 else f"{ref}-{seen[ref]}"
+        if roi_id in ids:
+            raise ValueError(f"line {lineno}: duplicate ROI id {roi_id!r}")
+        ids.add(roi_id)
         try:
-            specs.append(RoiSpec(roi_id, x, image_height - 1 - y, radius, label))
+            specs.append(RoiSpec(roi_id, x, image_height - 1 - y, radius, label, ref))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return specs

@@ -76,6 +76,26 @@ class TestExtract:
         assert partial.exists()
         assert len(read_feature_csv(partial)) == 2
 
+    def test_image_is_named_by_the_index_reference(self, tmp_path, image_dir, index_file):
+        # "case-7" is a reference of its own, not a repeat of "case".
+        (image_dir / "case-7.pgm").write_bytes((image_dir / "mdb001.pgm").read_bytes())
+        (image_dir / "case.pgm").write_bytes((image_dir / "mdb002.pgm").read_bytes())
+        index_file.write_text("mdb001 G CIRC B 20 15 8\ncase-7 G CIRC B 20 15 8\n")
+        out = tmp_path / "features.csv"
+        assert main(extract_args(image_dir, index_file, out)) == 0
+        data = read_feature_csv(out)
+        assert data.ids == ("case-7", "mdb001")
+        assert data.X[0].tobytes() == data.X[1].tobytes()
+
+    def test_duplicate_roi_id_exits_2_naming_the_line(self, tmp_path, image_dir,
+                                                      index_file, capsys):
+        index_file.write_text("mdb001 G CIRC B 20 15 8\nmdb001 G CIRC B 10 10 4\n"
+                              "mdb001-2 G CIRC M 12 20 6\n")
+        out = tmp_path / "features.csv"
+        assert main(extract_args(image_dir, index_file, out)) == 2
+        assert "line 3: duplicate ROI id 'mdb001-2'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_is_the_formats_serialization(self, tmp_path, image_dir, index_file):
         out = tmp_path / "features.csv"
         assert main(extract_args(image_dir, index_file, out)) == 0

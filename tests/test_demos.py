@@ -18,8 +18,12 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # Demos write demo_output/ under the working directory and temporary
-    # files under TMPDIR; both go to the test's own directory.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # files under TMPDIR; both go to the test's own directories, and a demo
+    # removes every temporary file it made.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fknne import (
+    KINDS,
     ClassifierConfig,
     Dataset,
     KFold,
@@ -294,6 +295,63 @@ class TestSharedFoldTable:
                     assert by_id[sid][0] == label
                     assert same_bits(by_id[sid][1], score)
             assert [sid for sid, _, _, _ in rep.predictions] == expected
+
+
+class TestBatchedScoring:
+    """Every rule scores a whole batch at once; each row must score exactly
+    as it does alone, whatever branch of its rule it takes."""
+
+    # An ordinary row; an exact match; nonzero distances (1e-300 and 0.01
+    # from the sample at 0) whose weights overflow to inf at m=1.01; and a
+    # far row whose every weight underflows to 0 at m=1.01.
+    MIXED = [[1.4], [2.0], [1e-300], [0.01], [1000.0]]
+
+    @pytest.mark.parametrize("init", ["crisp", "keller"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mixed_rows_in_one_batch_score_as_single_queries(self, kind, init):
+        data = Dataset(["z", "a", "b", "c"], [[0.0], [1.0], [2.0], [3.0]], ["A", "A", "B", "B"])
+        model = fit(data, ClassifierConfig(kind=kind, k=2, m=1.01, init=init, normalize=False))
+        batch = predict_many(model, self.MIXED)
+        for q, p in zip(self.MIXED, batch):
+            single = PREDICTORS[kind](model, q)
+            assert p.label == single.label
+            assert same_bits(p.scores, single.scores)
+        if kind in ("fknn", "fknne"):
+            # exact match and infinite weight: the matched sample's membership
+            for row, sample in ((1, 2), (2, 0), (3, 0)):
+                assert same_bits(batch[row].scores, model.memberships[sample])
+
+    def test_knn_vote_tie_with_an_infinite_summed_distance(self):
+        # Distances 1e150 (B) and inf (A): one vote each, B is closer.
+        data = Dataset(["b", "a"], [[1e200], [0.0]], ["A", "B"])
+        model = fit(data, ClassifierConfig(kind="knn", k=2, normalize=False))
+        for p in predict_many(model, [[1e150], [1e150]]) + [predict(model, [1e150])]:
+            assert p.label == "B"
+            assert p.scores.tolist() == [0.5, 0.5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems(), st.builds(
+        ClassifierConfig,
+        kind=st.sampled_from(KINDS),
+        k=st.integers(1, 30),
+        m=st.sampled_from((1.01, 1.5, 2.0, 3.0)),
+        init=st.sampled_from(("crisp", "keller")),
+        k_init=st.none() | st.integers(1, 30),
+        normalize=st.booleans(),
+    ), st.sampled_from((1.0, 1e3, 1e6)))
+    def test_scores_are_distributions_and_batches_match_single_queries(self, problem, cfg, reach):
+        data, queries = problem
+        model = fit(data, cfg)
+        # Far copies of the queries drive small-m weights into underflow.
+        V = np.array(queries + [q * reach + reach for q in queries]).reshape(-1, data.X.shape[1])
+        for q, p in zip(V, predict_many(model, V)):
+            single = predict(model, q)
+            assert single.label == p.label
+            assert same_bits(single.scores, p.scores)
+            assert np.isfinite(p.scores).all()
+            assert ((p.scores >= 0.0) & (p.scores <= 1.0)).all()
+            assert abs(p.scores.sum() - 1.0) <= 1e-9
+            assert p.score(p.label) == p.scores.max()
 
 
 class TestEdges:

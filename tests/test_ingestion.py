@@ -110,6 +110,15 @@ class TestParseMiasIndex:
         text = "mdb005 F CIRC B 477 133 30\nmdb005 F CIRC B 500 168 26\n"
         specs = parse_mias_index(text)
         assert [r.id for r in specs] == ["mdb005", "mdb005-2"]
+        assert [r.reference for r in specs] == ["mdb005", "mdb005"]
+
+    def test_reference_with_a_numeric_suffix_is_kept(self):
+        (roi,) = parse_mias_index("case-7 G CIRC B 30 30 8")
+        assert (roi.id, roi.reference) == ("case-7", "case-7")
+
+    def test_generated_id_repeating_a_reference_names_the_line(self):
+        with pytest.raises(ValueError, match="^line 3: duplicate ROI id 'a-2'"):
+            parse_mias_index("a G CIRC B 1 2 3\na G CIRC B 4 5 6\na-2 G CIRC M 7 8 9\n")
 
 
 class TestCropRoi:
