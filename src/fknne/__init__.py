@@ -48,7 +48,6 @@ from .ingestion import (
     GrayImage,
     RoiSpec,
     crop_roi,
-    minmax_normalize,
     parse_mias_index,
     quantize,
     read_pgm,

@@ -18,7 +18,7 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -292,6 +292,12 @@ def neighbour_table(model: FitModel, queries, k: int):
             for pool, (idx, dist) in zip(model._class_pools, table):
                 sel, dist[s:s + len(D)] = _k_smallest(D[:, pool], model._id_rank[pool], k)
                 idx[s:s + len(D)] = pool[sel]
+    return check_reach(table)
+
+
+def check_reach(table):
+    """Return the table, or reject its first query whose distances all
+    overflowed to inf: no rule could rank its neighbours."""
     overflowed = np.flatnonzero(np.isinf([d[:, 0] for _, d in table]).all(axis=0))
     if overflowed.size:
         raise ValueError(f"query row {overflowed[0]}: every distance overflows "
@@ -315,19 +321,77 @@ def _nearest(model: FitModel, pools, k: int):
     return idx[rows, order], d[rows, order]
 
 
-def _keller_memberships(X: np.ndarray, rank: np.ndarray, label_index: np.ndarray,
-                        one_hot: np.ndarray, k_init: int) -> np.ndarray:
-    """0.49 * (class shares among each sample's k_init nearest others),
-    plus 0.51 for the sample's own class."""
-    n = len(X)
-    nbrs = np.empty((n, k_init), dtype=np.intp)
+def _self_distance_blocks(X: np.ndarray):
+    """_distance_blocks of X against itself, with each row's own entry set
+    to -1 so that the row sorts first among its neighbours."""
     for s, D in _distance_blocks(X, X):
         rows = np.arange(len(D))
-        D[rows, s + rows] = -1.0  # the sample itself sorts first and is dropped
-        nbrs[s:s + len(D)] = _k_smallest(D, rank, k_init + 1)[0][:, 1:]
-    memberships = 0.49 * one_hot[nbrs].sum(axis=1) / k_init
-    memberships[np.arange(n), label_index] += 0.51
+        D[rows, s + rows] = -1.0
+        yield s, D
+
+
+def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
+                           one_hot: np.ndarray) -> np.ndarray:
+    """0.49 * (class shares among each row's neighbours ``nbrs``), plus
+    0.51 for the row's own class."""
+    memberships = 0.49 * one_hot[nbrs].sum(axis=1) / nbrs.shape[1]
+    memberships[np.arange(len(nbrs)), label_index] += 0.51
     return memberships
+
+
+def _keller_memberships(X: np.ndarray, rank: np.ndarray, label_index: np.ndarray,
+                        one_hot: np.ndarray, k_init: int) -> np.ndarray:
+    """Keller memberships from each sample's k_init nearest others.
+    Distances that overflow to inf still rank, last."""
+    nbrs = np.empty((len(X), k_init), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for s, D in _self_distance_blocks(X):
+            nbrs[s:s + len(D)] = _k_smallest(D, rank, k_init + 1)[0][:, 1:]
+    return keller_from_neighbours(nbrs, label_index, one_hot)
+
+
+def self_search(model: FitModel, k_others: int, k: int):
+    """Every training sample's neighbours among the training samples, from
+    one blockwise search of the model's rows against themselves.
+
+    Returns ``(others, table)``. ``others`` holds each row's ``k_others``
+    nearest other rows, nearest first (no columns when ``k_others`` is 0).
+    ``table`` is laid out like a ``neighbour_table`` at k + 1 of the
+    training rows, except that each row's own entry sorts first in its own
+    class pool, so that dropping it leaves that pool's k nearest others.
+    Only these O(n * k) lists are kept, never the n x n distances."""
+    n = len(model)
+    others = np.empty((n, k_others), dtype=np.intp)
+    pools = model._class_pools
+    table = tuple((np.empty((n, min(k + 1, len(p))), dtype=np.intp),
+                   np.empty((n, min(k + 1, len(p))))) for p in pools)
+    with np.errstate(over="ignore"):
+        for s, D in _self_distance_blocks(model.X):
+            if k_others:
+                others[s:s + len(D)] = _k_smallest(D, model._id_rank, k_others + 1)[0][:, 1:]
+            for pool, (idx, dist) in zip(pools, table):
+                sel, dist[s:s + len(D)] = _k_smallest(D[:, pool], model._id_rank[pool], k + 1)
+                idx[s:s + len(D)] = pool[sel]
+    return others, table
+
+
+def keller_k_init(cfg: ClassifierConfig, n: int) -> tuple[int, bool]:
+    """The k_init a fit on n samples uses, and whether it was clamped to
+    n - 1."""
+    k_init = cfg.k_init if cfg.k_init is not None else cfg.k
+    if cfg.init == "keller" and k_init > n - 1:
+        return n - 1, True
+    return k_init, False
+
+
+def fit_key(cfg: ClassifierConfig, n: int) -> tuple:
+    """What a fit on n samples computes from ``cfg``: configs with equal
+    keys fit models that score alike under each config's own rule.
+
+    Crisp memberships depend on none of kind, k, m or k_init."""
+    if cfg.init == "crisp":
+        return cfg.normalize, cfg.init
+    return cfg.normalize, cfg.init, keller_k_init(cfg, n)[0]
 
 
 def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
@@ -363,12 +427,9 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     one_hot = np.eye(len(data.classes))[label_index]
     id_rank = _id_rank(data.ids)
 
-    k_init = cfg.k_init if cfg.k_init is not None else cfg.k
-    clamped = False
+    k_init, clamped = keller_k_init(cfg, n)
     memberships = one_hot
     if cfg.init == "keller":
-        if k_init > n - 1:
-            k_init, clamped = n - 1, True
         # A lone training sample has nothing to vote and stays one-hot.
         if k_init > 0:
             memberships = _keller_memberships(X, id_rank, label_index, one_hot, k_init)
@@ -435,13 +496,14 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
 
 
 # Scoring rules. Each scores every query of a table at once, from its
-# per-class (indices, distances) rows cut to the model's k, and returns the
+# per-class (indices, distances) rows cut to the config's k, with the
+# config's m and the model's memberships, and returns the
 # winning class index of each query and its Q x C scores. A sum over one
 # query's neighbours runs in the order it would for that query alone: along
 # a contiguous last axis, or along axis 1 of a (Q, k, C) array.
 
-def _knn(model: FitModel, pools):
-    idx, d = _nearest(model, pools, model.config.k)
+def _knn(model: FitModel, pools, cfg: ClassifierConfig):
+    idx, d = _nearest(model, pools, cfg.k)
     voter = model.label_index[idx][:, :, None] == np.arange(len(model.classes))
     votes = voter.sum(axis=1)
     # np.where, not voter * d: an inf distance times 0 is NaN.
@@ -451,7 +513,7 @@ def _knn(model: FitModel, pools):
     return np.argmax(tied & (sum_dist == closest), axis=1), votes / idx.shape[1]
 
 
-def _fuzzy_weights(model: FitModel, d: np.ndarray):
+def _fuzzy_weights(d: np.ndarray, m: float):
     """Weights d^(-2/(m-1)) of each row's neighbours, and which rows match.
 
     A row with an exact match (d == 0), or else a weight that overflows to
@@ -460,7 +522,6 @@ def _fuzzy_weights(model: FitModel, d: np.ndarray):
     distant query) they are rescaled by d_min^(2/(m-1)), which leaves the
     normalized scores unchanged and keeps the nearest weight at 1.
     """
-    m = model.config.m
     with np.errstate(divide="ignore", over="ignore"):
         w = d ** (-2.0 / (m - 1.0))
     zero = d == 0.0
@@ -477,13 +538,13 @@ def _membership_mean(model: FitModel, idx: np.ndarray, w: np.ndarray) -> np.ndar
     return (w[:, :, None] * model.memberships[idx]).sum(axis=1) / w.sum(axis=1, keepdims=True)
 
 
-def _fknn(model: FitModel, pools):
-    idx, d = _nearest(model, pools, model.config.k)
-    scores = _membership_mean(model, idx, _fuzzy_weights(model, d)[0])
+def _fknn(model: FitModel, pools, cfg: ClassifierConfig):
+    idx, d = _nearest(model, pools, cfg.k)
+    scores = _membership_mean(model, idx, _fuzzy_weights(d, cfg.m)[0])
     return np.argmax(scores, axis=1), scores
 
 
-def _knne(model: FitModel, pools):
+def _knne(model: FitModel, pools, cfg: ClassifierConfig):
     means = np.column_stack([d.mean(axis=1) for _, d in pools])
     zero = means == 0.0
     with np.errstate(divide="ignore"):
@@ -491,9 +552,9 @@ def _knne(model: FitModel, pools):
     return np.argmin(means, axis=1), raw / raw.sum(axis=1, keepdims=True)
 
 
-def _fknne(model: FitModel, pools):
+def _fknne(model: FitModel, pools, cfg: ClassifierConfig):
     idx, d = _joined(pools)
-    w, exact = _fuzzy_weights(model, d)
+    w, exact = _fuzzy_weights(d, cfg.m)
     bounds = list(accumulate([i.shape[1] for i, _ in pools], initial=0))
     # Each pool weighs its neighbours' memberships in its own class.
     raw = np.column_stack([(model.memberships[idx[:, a:b], ci] * w[:, a:b]).sum(axis=1)
@@ -507,16 +568,17 @@ def _fknne(model: FitModel, pools):
 _RULES = {"knn": _knn, "fknn": _fknn, "knne": _knne, "fknne": _fknne}
 
 
-def predict_table(model: FitModel, table, kind: str | None = None):
-    """Score every query of a table built at a k of at least the model's,
-    with the model's decision rule or the one named by ``kind``. Returns
+def predict_table(model: FitModel, table, cfg: ClassifierConfig):
+    """Score every query of a table built at a k of at least ``cfg.k``
+    with the rule, k and m of ``cfg`` and the model's memberships. Returns
     the winning class index of each query and its Q x C scores."""
-    k = model.config.k
-    return _RULES[kind or model.config.kind](model, [(idx[:, :k], d[:, :k]) for idx, d in table])
+    k = cfg.k
+    return _RULES[cfg.kind](model, [(idx[:, :k], d[:, :k]) for idx, d in table], cfg)
 
 
 def _predictions(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:
-    winners, scores = predict_table(model, neighbour_table(model, queries, model.config.k), kind)
+    cfg = model.config if kind is None else replace(model.config, kind=kind)
+    winners, scores = predict_table(model, neighbour_table(model, queries, cfg.k), cfg)
     return [Prediction(model.classes[w], model.classes, s) for w, s in zip(winners, scores)]
 
 

@@ -10,17 +10,24 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import copy
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .classifiers import (
     ClassifierConfig,
     Dataset,
+    FitModel,
+    check_reach,
     fit,
+    fit_key,
+    keller_from_neighbours,
+    keller_k_init,
     neighbour_table,
     predict,  # noqa: F401 -- re-exported; perfbench/worker.py wraps fknne.evaluation.predict
     predict_table,
+    self_search,
 )
 
 
@@ -221,8 +228,11 @@ class Loocv:
     seed = None
 
     def splits(self, data: Dataset):
+        """One fold per id, in id order, made as it is read: all n training
+        lists at once would hold n^2 ids."""
         ordered = sorted(data.ids)
-        return [([s for s in ordered if s != sid], [sid]) for sid in ordered]
+        for sid in ordered:
+            yield [s for s in ordered if s != sid], [sid]
 
 
 @dataclass(frozen=True)
@@ -321,14 +331,123 @@ def _report(cfg, protocol, positive, ids, truth, predicted, scores,
     )
 
 
+class _Refit:
+    """One fold's models and test table from its own training set: one
+    fit per fit key, one search of the test rows. Every protocol can take
+    this path."""
+
+    def __init__(self, train: Dataset, queries: np.ndarray, k: int):
+        self.train, self.queries, self.k = train, queries, k
+        self.models = {}
+        self.table = None
+
+    def __call__(self, cfg: ClassifierConfig):
+        key = fit_key(cfg, len(self.train))
+        if key not in self.models:
+            self.models[key] = fit(self.train, cfg)
+        if self.table is None:
+            self.table = neighbour_table(self.models[key], self.queries, self.k)
+        return self.models[key], self.table
+
+
+class _LeaveOneOut:
+    """Every leave-one-out fold of one ``normalize`` setting, read from one
+    search of the full data instead of a fit and a search per fold.
+
+    Let held-out row i leave each feature's min and max unchanged. Then the
+    fold's normalized rows are the full data's, bit for bit, and so is
+    every distance between them. (The min or max can only stay equal in
+    value: the sign of a zero may change, which no squared difference
+    sees.) Dropping i keeps the (distance, id rank) order of the others, so
+    * the fold's Keller memberships are the full data's, except for the
+      rows whose k_init nearest others include i: those take their
+      k_init + 1 nearest others with i removed;
+    * row i's per-class table is its own row of the full search, with
+      itself dropped from its own class.
+    Models and tables index the full data; the fold model's memberships
+    differ from the full data's only in the rows that lost neighbour i.
+    """
+
+    def __init__(self, data: Dataset, configs, k: int):
+        n = len(data)
+        self.model = fit(data, replace(configs[0], init="crisp"))
+        self.one_hot = self.model.memberships  # crisp memberships are one-hot
+        k_inits = {fit_key(c, n - 1)[2] for c in configs if c.init == "keller"}
+        self.others, self.table = self_search(self.model, max(k_inits) + 1 if k_inits else 0, k)
+        self.k = k
+        label_index = self.model.label_index
+        self.keller = {
+            k_init: keller_from_neighbours(self.others[:, :k_init], label_index, self.one_hot)
+            for k_init in k_inits}
+        # Folds that a search of the full data cannot stand in for: a class
+        # vanishes, or (normalizing) i is the only row at some feature's
+        # min or max, so the fold's range and every normalized row change.
+        self.refit = np.bincount(label_index)[label_index] == 1
+        if configs[0].normalize:
+            for edge in (data.X.min(axis=0), data.X.max(axis=0)):
+                at = data.X == edge
+                self.refit |= (at & (at.sum(axis=0) == 1)).any(axis=1)
+
+    @classmethod
+    def build(cls, data: Dataset, configs, k: int):
+        """The reuse for these configs, or None where every fold refits:
+        a Keller k_init past n - 2 is clamped in the folds, and a feature
+        whose range does not normalize on the full data may still do so on
+        a fold."""
+        if any(c.init == "keller" and keller_k_init(c, len(data) - 1)[1] for c in configs):
+            return None
+        try:
+            return cls(data, configs, k)
+        except ValueError:
+            return None
+
+    def fold(self, i: int):
+        """The (model, table) source of the fold that holds out row i, or
+        None when that fold must be refitted."""
+        if self.refit[i]:
+            return None
+        own = self.model.label_index[i]
+        table = check_reach(tuple(
+            (idx[i:i + 1, 1:], d[i:i + 1, 1:]) if ci == own
+            else (idx[i:i + 1, :self.k], d[i:i + 1, :self.k])
+            for ci, (idx, d) in enumerate(self.table)))
+        models = {}
+
+        def source(cfg: ClassifierConfig):
+            if cfg.init == "crisp":
+                return self.model, table
+            k_init = fit_key(cfg, len(self.model) - 1)[2]
+            if k_init not in models:
+                models[k_init] = self._keller_fold(i, k_init)
+            return models[k_init], table
+
+        return source
+
+    def _keller_fold(self, i: int, k_init: int) -> FitModel:
+        """The full model with the Keller memberships of the fold without i."""
+        memberships = self.keller[k_init]
+        lost = np.flatnonzero((self.others[:, :k_init] == i).any(axis=1))
+        if lost.size:
+            memberships = memberships.copy()
+            nbrs = self.others[lost, :k_init + 1]
+            memberships[lost] = keller_from_neighbours(
+                nbrs[nbrs != i].reshape(len(lost), k_init),
+                self.model.label_index[lost], self.one_hot)
+        model = copy.copy(self.model)
+        model.memberships = memberships
+        return model
+
+
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
     """Run every config under the same splits; yield one report per
     config, in order.
 
-    Each fold subsets the data once and searches its test set's
+    Each fold fits once per fit key (``fit_key``: normalize, init and the
+    Keller k_init), not once per config, and searches its test set's
     neighbours once per ``normalize`` setting, at the largest k among the
-    configs sharing it; every config then scores that whole table in one
-    call.
+    configs sharing it; every config then scores that whole table with
+    its own rule, k and m. Leave-one-out reads most folds from one search
+    of the full data instead (``_LeaveOneOut``).
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -344,6 +463,11 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     k_max: dict[bool, int] = {}
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
+    reuse = {}
+    if isinstance(protocol, Loocv):
+        for normalize, k in k_max.items():
+            reuse[normalize] = _LeaveOneOut.build(
+                data, [c for c in configs if c.normalize == normalize], k)
     # Test ids and their labels in fold order, the same for every config.
     tested: list[str] = []
     tested_truth: list[str] = []
@@ -351,17 +475,23 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     scores: list[list[float]] = [[] for _ in configs]
     fold_results: list[list[FoldResult]] = [[] for _ in configs]
     for train_ids, test_ids in protocol.splits(data):
-        train = data.subset(train_ids)
         test = [index_of[sid] for sid in test_ids]
         truth = [data.labels[i] for i in test]
         tested.extend(test_ids)
         tested_truth.extend(truth)
-        tables = {}
+        train = None
+        sources = {}
         for cfg, labels, cfg_scores, folds in zip(configs, predicted, scores, fold_results):
-            model = fit(train, cfg)
-            if cfg.normalize not in tables:
-                tables[cfg.normalize] = neighbour_table(model, data.X[test], k_max[cfg.normalize])
-            winners, fold_scores = predict_table(model, tables[cfg.normalize])
+            source = sources.get(cfg.normalize)
+            if source is None:
+                source = reuse[cfg.normalize].fold(test[0]) if reuse.get(cfg.normalize) else None
+                if source is None:
+                    if train is None:
+                        train = data.subset(train_ids)
+                    source = _Refit(train, data.X[test], k_max[cfg.normalize])
+                sources[cfg.normalize] = source
+            model, table = source(cfg)
+            winners, fold_scores = predict_table(model, table, cfg)
             fold_labels = [model.classes[w] for w in winners]
             labels.extend(fold_labels)
             cfg_scores.extend(fold_scores[:, model.classes.index(positive)].tolist()
@@ -415,22 +545,6 @@ class ComparisonTable:
 
     def to_json_obj(self) -> list[dict]:
         return [asdict(r) for r in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ComparisonTable":
-        return cls(
-            rows=tuple(
-                ComparisonRow(
-                    method=r["method"],
-                    k=int(r["k"]),
-                    sensitivity=float(r["sensitivity"]),
-                    specificity=float(r["specificity"]),
-                    accuracy=float(r["accuracy"]),
-                    auc=float(r["auc"]),
-                )
-                for r in obj
-            )
-        )
 
     def render_text(self) -> str:
         header = ("method", "sensitivity", "specificity", "accuracy", "auc")

@@ -58,11 +58,16 @@ def read_feature_csv(path) -> Dataset:
         if dup:
             raise ValueError(f"{path}: duplicate feature names: {', '.join(dup)}")
         ids, labels, rows = [], [], []
+        line_of = {}  # id -> its line
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            if row[0] in line_of:
+                raise ValueError(f"{path}:{lineno}: duplicate id {row[0]!r} "
+                                 f"(first on line {line_of[row[0]]})")
+            line_of[row[0]] = lineno
             ids.append(row[0])
             labels.append(row[1])
             try:
@@ -71,7 +76,12 @@ def read_feature_csv(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(ids, np.array(rows), labels, feature_names=names)
+    X = np.array(rows)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}:{line_of[ids[row]]}: non-finite value in column {names[col]!r}")
+    return Dataset(ids, X, labels, feature_names=names)
 
 
 def roc_csv_text(roc: RocCurve) -> str:

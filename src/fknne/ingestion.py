@@ -244,21 +244,6 @@ def crop_roi(img: GrayImage, roi: RoiSpec, side: int | None = None) -> GrayImage
     return GrayImage(img.pixels[y0:y1, x0:x1], img.max_val)
 
 
-def minmax_normalize(values) -> np.ndarray:
-    """Rescale to [0, 1] via (x - min) / (max - min).
-
-    A constant input maps to all zeros so that degenerate features stay
-    inert instead of sitting mid-scale.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot normalize an empty sequence")
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
-
-
 def quantize(img: GrayImage, levels: int) -> GrayImage:
     """Reduce gray depth to ``levels`` bins: g' = floor(g*levels/(max_val+1)).
 

@@ -16,6 +16,7 @@ import pytest
 
 from fknne import (
     ClassifierConfig,
+    ComparisonRow,
     ComparisonTable,
     Dataset,
     KFold,
@@ -206,7 +207,7 @@ def test_criterion_09_compare_table_shape_and_json_round_trip(tmp_path, capsys):
     assert out_lines[0].split() == ["method", "sensitivity", "specificity",
                                     "accuracy", "auc"]
     # lossless round trip: JSON -> table -> same rendering, JSON -> JSON stable
-    table = ComparisonTable.from_json_obj(rows)
+    table = ComparisonTable(rows=tuple(ComparisonRow(**r) for r in rows))
     assert table.render_text() == table_text
     assert json.loads(json.dumps(table.to_json_obj())) == rows
     _report(9, "report fidelity")

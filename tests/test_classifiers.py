@@ -79,6 +79,31 @@ class TestFit:
             Dataset([], np.empty((0, 2)), [])
 
 
+def normalized(values):
+    """One feature column as fit's min-max normalization leaves it."""
+    return fit(dataset_1d(values, ["A"] * len(values))).X[:, 0]
+
+
+class TestMinmaxNormalize:
+    def test_simple_ramp(self):
+        assert normalized([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]
+
+    def test_constant_input_maps_to_zero(self):
+        assert normalized([5, 5, 5]).tolist() == [0.0, 0.0, 0.0]
+
+    def test_random_input_spans_unit_interval(self):
+        rng = np.random.default_rng(5)
+        out = normalized(rng.normal(size=100))
+        assert out.min() == 0.0 and out.max() == 1.0
+
+    def test_affine_invariance(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=50)
+        base = normalized(x)
+        for a, b in [(2.0, 3.0), (0.1, -7.0), (1000.0, 0.5)]:
+            assert np.allclose(normalized(a * x + b), base, atol=1e-9)
+
+
 class TestKneighbors:
     def test_single_training_point(self):
         data = dataset_1d([5.0], ["A"])
@@ -414,6 +439,12 @@ class TestOverflowingFeatureSpan:
     def test_accepted_without_normalization(self):
         model = fit(self.data(), ClassifierConfig(kind="knn", k=1, normalize=False))
         assert np.isfinite(model.X).all()
+
+    def test_keller_init_ranks_overflowing_distances_last(self):
+        # a and b are 2e154 apart: that distance overflows to inf.
+        rows = [[-1e154, 0.0], [1e154, 1.0], [0.0, 2.0], [5.0, 3.0]]
+        model = fit(self.data(rows), ClassifierConfig(init="keller", k_init=1, normalize=False))
+        assert np.allclose(model.memberships, [[1.0, 0.0], [0.49, 0.51], [1.0, 0.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("span", [8.9e307, np.finfo(np.float64).max])
     def test_largest_finite_span_still_normalizes(self, span):

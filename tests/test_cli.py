@@ -265,3 +265,16 @@ class TestFeatureCsv:
             read_feature_csv(p)
         assert main(["eval", "--features", str(p)]) == 2
         assert "duplicate feature names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2_naming_line_and_column(self, tmp_path, capsys, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"id,label,a,b\nx,benign,1,2\ny,malignant,3,{cell}\n")
+        assert main(["eval", "--features", str(p)]) == 2
+        assert f"{p}:3: non-finite value in column 'b'" in capsys.readouterr().err
+
+    def test_duplicate_id_exits_2_naming_both_lines(self, tmp_path, capsys):
+        p = tmp_path / "dupid.csv"
+        p.write_text("id,label,a\nx,benign,1\ny,malignant,2\nx,malignant,3\n")
+        assert main(["eval", "--features", str(p)]) == 2
+        assert f"{p}:4: duplicate id 'x' (first on line 2)" in capsys.readouterr().err

@@ -4,7 +4,9 @@ The oracle below is the per-query code the engine superseded: a Python
 sort of every training sample by (distance, id) for each query and each
 class pool, the four scoring rules on top of it, and the Keller
 initialization loop. Batched search must reproduce it exactly: the same
-labels and ids, and bit-identical scores and distances.
+labels and ids, and bit-identical scores and distances. Cross-validation,
+which shares fits between configs and reads leave-one-out folds from one
+search of the full data, is held to a per-fold subset and fit.
 """
 
 import numpy as np
@@ -12,13 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fknne.evaluation
 from fknne import (
     KINDS,
     ClassifierConfig,
     Dataset,
+    FoldResult,
+    Holdout,
     KFold,
+    Loocv,
     Prediction,
     compare_classifiers,
+    confusion,
     evaluate,
     fit,
     kneighbors,
@@ -28,8 +35,11 @@ from fknne import (
     predict_knn,
     predict_knne,
     predict_many,
+    roc_curve,
     stratified_kfold,
 )
+from fknne.classifiers import fit_key
+from fknne.evaluation import _cross_validate
 
 # ---------------------------------------------------------------------------
 # Scalar oracle
@@ -158,6 +168,29 @@ def oracle_keller(data, X, k_init):
         memberships[j] = 0.49 * counts / k_init
         memberships[j, class_index[data.labels[j]]] += 0.51
     return memberships
+
+
+def oracle_cross_validate(data, cfg, protocol, positive="malignant"):
+    """Per-fold subset and fit: (id, truth, label, score) rows, fold
+    results and AUC, as cross-validation computed them before fits were
+    shared."""
+    rows, folds = [], []
+    for train_ids, test_ids in protocol.splits(data):
+        model = fit(data.subset(train_ids), cfg)
+        test = [data.ids.index(sid) for sid in test_ids]
+        preds = predict_many(model, data.X[test])
+        truth = [data.labels[i] for i in test]
+        for sid, true, p in zip(test_ids, truth, preds):
+            rows.append((sid, true, p.label,
+                         p.score(positive) if positive in model.classes else 0.0))
+        c = confusion([p.label for p in preds], truth, positive, classes=data.classes)
+        folds.append(FoldResult(
+            c,
+            c.tp / (c.tp + c.fn) if c.tp + c.fn else None,
+            c.tn / (c.tn + c.fp) if c.tn + c.fp else None,
+            (c.tp + c.tn) / c.total))
+    scores = [score for _, _, _, score in rows]
+    return rows, folds, roc_curve(scores, [true for _, true, _, _ in rows], positive).auc
 
 
 def same_bits(a, b) -> bool:
@@ -404,3 +437,99 @@ class TestEdges:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+
+# Cross-validation datasets: two classes whose sizes suit the protocol
+# (a single-sample class under leave-one-out), duplicate rows, column
+# extremes held by one row or by several, and k_init near n - 2.
+
+@st.composite
+def cross_validations(draw):
+    protocol = draw(st.sampled_from((Loocv(), KFold(3, seed=1), Holdout(0.4, seed=2))))
+    least = {Loocv: 1, KFold: 3, Holdout: 2}[type(protocol)]
+    sizes = [draw(st.integers(least, 8)), draw(st.integers(max(least, 2), 8))]
+    n = sum(sizes)
+    dim = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from((COARSE, FINE)))
+    X = np.array(draw(st.lists(cells, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    if draw(st.booleans()):
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    ids = [f"s{i:02d}" for i in draw(st.permutations(range(n)))]
+    labels = draw(st.permutations(["benign"] * sizes[0] + ["malignant"] * sizes[1]))
+    cfgs = draw(st.lists(st.builds(
+        ClassifierConfig,
+        kind=st.sampled_from(KINDS),
+        k=st.integers(1, 10),
+        m=st.sampled_from((1.5, 2.0, 3.0)),
+        init=st.sampled_from(("crisp", "keller")),
+        k_init=st.none() | st.integers(1, 4) | st.integers(max(1, n - 3), n + 1),
+        normalize=st.booleans(),
+    ), min_size=1, max_size=4))
+    return Dataset(ids, X, labels), protocol, cfgs
+
+
+class TestFoldReuse:
+    @settings(max_examples=200, deadline=None)
+    @given(cross_validations())
+    def test_reports_equal_per_fold_refit(self, problem):
+        data, protocol, cfgs = problem
+        for cfg, rep in zip(cfgs, _cross_validate(data, cfgs, protocol, None)):
+            rows, folds, auc = oracle_cross_validate(data, cfg, protocol)
+            assert [r[:3] for r in rep.predictions] == [r[:3] for r in rows]
+            assert same_bits([r[3] for r in rep.predictions], [r[3] for r in rows])
+            assert list(rep.folds) == folds
+            assert same_bits(rep.auc, auc)
+
+    @staticmethod
+    def counting_fits(monkeypatch):
+        calls = []
+
+        def counted(data, cfg):
+            calls.append((data.ids, fit_key(cfg, len(data))))
+            return fit(data, cfg)
+
+        monkeypatch.setattr(fknne.evaluation, "fit", counted)
+        return calls
+
+    def test_one_fit_per_fold_and_fit_key(self, monkeypatch):
+        calls = self.counting_fits(monkeypatch)
+        X = np.random.default_rng(0).normal(size=(30, 3))
+        data = Dataset([f"s{i:02d}" for i in range(30)], X, ["benign", "malignant"] * 15)
+        cfgs = ([ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (1, 3, 5)]
+                + [ClassifierConfig(kind=kind, k=k, init="keller")
+                   for kind in KINDS for k in (3, 5)]
+                + [ClassifierConfig(kind="knn", k=5, init="keller", k_init=3),
+                   ClassifierConfig(kind="fknne", k=3, normalize=False)])
+        compare_classifiers(data, cfgs, KFold(5, seed=0))
+        # crisp; keller at k_init 3 and 5; crisp unnormalized
+        assert len(calls) == 5 * 4
+        assert len(set(calls)) == len(calls)
+
+    def test_leave_one_out_refits_only_the_folds_it_cannot_reuse(self, monkeypatch):
+        calls = self.counting_fits(monkeypatch)
+        # Every column min and max is held by two rows, except g's 4.0.
+        X = [[0, 5], [1, 5], [2, 7], [3, 5], [0, 6], [3, 7], [4, 6]]
+        data = Dataset(list("abcdefg"), X, ["benign", "malignant"] * 3 + ["benign"])
+        cfgs = [ClassifierConfig(kind="fknne", k=3, init="keller", k_init=2, normalize=normalize)
+                for normalize in (False, True)]
+        compare_classifiers(data, cfgs, Loocv())
+        # One fit of the full data per normalize setting; normalizing, the
+        # fold without g has a narrower first column and is refitted.
+        assert calls == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp")),
+                         (data.ids[:-1], (True, "keller", 2))]
+
+    def test_leave_one_out_memory_stays_linear(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n = 2000
+        data = Dataset([f"s{i:04d}" for i in range(n)], rng.normal(size=(n, 25)),
+                       ["benign" if i % 3 else "malignant" for i in range(n)])
+        tracemalloc.start()
+        try:
+            evaluate(data, ClassifierConfig(init="keller", k=5, normalize=False), Loocv())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One n x n float64 distance matrix would take 32 MB.
+        assert peak < 8 * n * n

@@ -321,9 +321,9 @@ class TestCompareClassifiers:
         data = two_cluster_dataset(n_per_class=6, seed=4)
         configs = [ClassifierConfig(kind=k, k=3) for k in ("knn", "fknne")]
         table = compare_classifiers(data, configs, KFold(3, seed=1))
-        round_tripped = ComparisonTable.from_json_obj(
-            json.loads(json.dumps(table.to_json_obj()))
-        )
+        round_tripped = ComparisonTable(rows=tuple(
+            ComparisonRow(**r) for r in json.loads(json.dumps(table.to_json_obj()))
+        ))
         assert round_tripped == table
         assert round_tripped.render_text() == table.render_text()
 

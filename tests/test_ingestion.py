@@ -9,7 +9,6 @@ from fknne import (
     GrayImage,
     RoiSpec,
     crop_roi,
-    minmax_normalize,
     parse_mias_index,
     quantize,
     read_pgm,
@@ -148,30 +147,6 @@ class TestCropRoi:
         img = GrayImage(np.zeros((20, 20), dtype=int), 255)
         crop = crop_roi(img, RoiSpec("r", 10, 10, 8, BENIGN), side=5)
         assert (crop.width, crop.height) == (5, 5)
-
-
-class TestMinmaxNormalize:
-    def test_simple_ramp(self):
-        assert minmax_normalize([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]
-
-    def test_constant_input_maps_to_zero(self):
-        assert minmax_normalize([5, 5, 5]).tolist() == [0.0, 0.0, 0.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            minmax_normalize([])
-
-    def test_random_input_spans_unit_interval(self):
-        rng = np.random.default_rng(5)
-        out = minmax_normalize(rng.normal(size=100))
-        assert out.min() == 0.0 and out.max() == 1.0
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=50)
-        base = minmax_normalize(x)
-        for a, b in [(2.0, 3.0), (0.1, -7.0), (1000.0, 0.5)]:
-            assert np.allclose(minmax_normalize(a * x + b), base, atol=1e-9)
 
 
 class TestQuantize:
