@@ -43,6 +43,23 @@ def _out_path(explicit, default_name: str) -> Path:
     return Path(os.environ.get("FKNNE_OUT", ".")) / default_name
 
 
+def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
+    """Read one image once and extract every ROI on it: per ROI id, its
+    feature values and None, or None and the failure message. The image is
+    freed on return, so one raster is held at a time."""
+    try:
+        img = read_pgm(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        return {roi.id: (None, str(exc)) for roi in rois}
+    results = {}
+    for roi in rois:
+        try:
+            results[roi.id] = (extract_all(crop_roi(img, roi, side=side), cfg).values, None)
+        except ValueError as exc:
+            results[roi.id] = (None, str(exc))
+    return results
+
+
 def cmd_extract(args) -> int:
     index_text = Path(args.index).read_text(encoding="utf-8")
     rois = sorted(parse_mias_index(index_text, image_height=args.image_height),
@@ -52,17 +69,21 @@ def cmd_extract(args) -> int:
         return 2
     cfg = ExtractionConfig(levels=args.levels, distance=args.distance,
                            symmetric=args.symmetric)
+    by_image: dict[str, list] = {}
+    for roi in rois:
+        by_image.setdefault(roi.reference, []).append(roi)
+    results = {}
+    for ref, on_image in by_image.items():
+        results.update(_extract_image(Path(args.images) / f"{ref}.pgm", on_image, cfg,
+                                      args.side))
     rows = []
     failures = []
-    for roi in rois:
-        image_path = Path(args.images) / f"{roi.reference}.pgm"
-        try:
-            img = read_pgm(image_path.read_bytes())
-            fv = extract_all(crop_roi(img, roi, side=args.side), cfg)
-        except (OSError, ValueError) as exc:
-            failures.append((roi.id, str(exc)))
-            continue
-        rows.append((roi.id, roi.label, fv.values))
+    for roi in rois:  # id order, whatever the image order
+        values, error = results[roi.id]
+        if error is None:
+            rows.append((roi.id, roi.label, values))
+        else:
+            failures.append((roi.id, error))
 
     out = _out_path(args.out, "features.csv")
     if failures:

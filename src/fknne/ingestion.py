@@ -19,12 +19,21 @@ MALIGNANT = "malignant"
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
+def _pixel_dtype(max_val: int) -> np.dtype:
+    """Smallest native unsigned dtype holding [0, max_val]."""
+    return np.dtype(np.uint8 if max_val <= 255 else np.uint16)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class GrayImage:
     """Rectangular grid of integer intensities with a declared maximum.
 
-    Pixels are held as a read-only 2-D array (height x width, row-major),
-    every value in [0, max_val].
+    Pixels are held as a read-only 2-D array (height x width, row-major) of
+    ``uint8`` when max_val <= 255 and native-endian ``uint16`` otherwise,
+    every value in [0, max_val], max_val at most 65535. A read-only input of
+    that dtype is kept as it is (crops share memory with their image);
+    any other input is copied once, so a caller's writable array never
+    aliases the image.
     """
 
     pixels: np.ndarray
@@ -37,12 +46,14 @@ class GrayImage:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("pixel values must be integers")
         max_val = int(self.max_val)
-        if max_val < 1:
-            raise ValueError("max_val must be a positive integer")
+        if not 1 <= max_val <= 65535:
+            raise ValueError("max_val must be an integer in [1, 65535]")
         if arr.min() < 0 or arr.max() > max_val:
             raise ValueError("pixel values must lie in [0, max_val]")
-        arr = arr.astype(np.int32)
-        arr.flags.writeable = False
+        dtype = _pixel_dtype(max_val)
+        if arr.dtype != dtype or arr.flags.writeable:
+            arr = arr.astype(dtype)
+            arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
         object.__setattr__(self, "max_val", max_val)
 
@@ -156,15 +167,18 @@ def read_pgm(data: bytes) -> GrayImage:
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
             raise ValueError("malformed P5 header: missing raster separator")
         pos += 1
-        nbytes = count * (2 if max_val > 255 else 1)
-        raw = data[pos : pos + nbytes]
-        if len(raw) < nbytes:
+        dtype = _pixel_dtype(max_val).newbyteorder(">")  # P5 is big-endian
+        nbytes = count * dtype.itemsize
+        if len(data) - pos < nbytes:
             raise ValueError(
-                f"truncated P5 pixel data: expected {nbytes} bytes, got {len(raw)}"
+                f"truncated P5 pixel data: expected {nbytes} bytes, got {len(data) - pos}"
             )
-        dtype = ">u2" if max_val > 255 else np.uint8
-        pixels = np.frombuffer(raw, dtype=dtype).astype(np.int64)
+        # A read-only view of the bytes; GrayImage keeps 8-bit rasters as they
+        # are and byte-swaps 16-bit ones into one native copy.
+        pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
 
+    # P2 values are still int64 here, so a negative one reaches GrayImage's
+    # range check instead of wrapping in the narrowing cast.
     if pixels.max() > max_val:
         raise ValueError("pixel value exceeds declared max_val")
     return GrayImage(pixels.reshape(height, width), max_val)
@@ -172,11 +186,9 @@ def read_pgm(data: bytes) -> GrayImage:
 
 def write_pgm(img: GrayImage, binary: bool = True) -> bytes:
     """Serialize a GrayImage as P5 (binary) or P2 (ASCII) bytes."""
-    if img.max_val > 65535:
-        raise ValueError("PGM cannot store max_val > 65535")
     header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{img.max_val}\n"
     if binary:
-        dtype = ">u2" if img.max_val > 255 else np.uint8
+        dtype = _pixel_dtype(img.max_val).newbyteorder(">")
         return header.encode("ascii") + img.pixels.astype(dtype).tobytes()
     rows = "\n".join(" ".join(str(v) for v in row) for row in img.pixels)
     return (header + rows + "\n").encode("ascii")
@@ -226,7 +238,8 @@ def parse_mias_index(text: str, image_height: int = 1024) -> list[RoiSpec]:
 
 def crop_roi(img: GrayImage, roi: RoiSpec, side: int | None = None) -> GrayImage:
     """Cut the square window of the given side (default 2*radius+1) centred
-    on the ROI, clamped to the image bounds."""
+    on the ROI, clamped to the image bounds. The crop is a view of the
+    image's pixels, not a copy."""
     if not (0 <= roi.center_x < img.width and 0 <= roi.center_y < img.height):
         raise ValueError(
             f"ROI centre ({roi.center_x},{roi.center_y}) outside "
@@ -254,5 +267,10 @@ def quantize(img: GrayImage, levels: int) -> GrayImage:
         raise ValueError("levels must be >= 2")
     if levels > img.max_val + 1:
         raise ValueError(f"levels={levels} exceeds available depth {img.max_val + 1}")
-    q = (img.pixels.astype(np.int64) * levels) // (img.max_val + 1)
+    # g*levels in the smallest dtype holding max_val*levels (< 2**32), so nothing
+    # wraps; every bin is below levels and fits the result's dtype.
+    wide = np.multiply(img.pixels, levels, dtype=np.min_scalar_type(img.max_val * levels))
+    q = np.floor_divide(wide, img.max_val + 1, out=np.empty(wide.shape, _pixel_dtype(levels - 1)),
+                        casting="unsafe")
+    q.flags.writeable = False
     return GrayImage(q, levels - 1)

@@ -284,11 +284,12 @@ def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     # Pixel (y, x) lies on line dy*x - dx*y: one canvas row per line, indexed by the
     # shorter coordinate that moves along (dx, dy), so the canvas stays near 2*h*w
     # cells. The -1 padding ends each run at its line's end; its own runs are dropped.
+    # Pixels are unsigned, so the canvas takes a signed dtype that holds -1.
     y, x = np.indices((h, w), dtype=np.int32)
     line = dy * x - dx * y
     line -= line.min()
     along_x = dx != 0 and (dy == 0 or w <= h)
-    canvas = np.full((line.max() + 1, (w if along_x else h) + 1), -1, img.pixels.dtype)
+    canvas = np.full((line.max() + 1, (w if along_x else h) + 1), -1, np.int32)
     canvas[line, x if along_x else y] = img.pixels
     flat = canvas.ravel()
     starts = np.flatnonzero(np.diff(flat, prepend=-1))

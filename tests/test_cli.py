@@ -1,19 +1,32 @@
 """End-to-end command behavior: artifacts, determinism and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fknne.cli
 from fknne import (
     Dataset,
+    crop_roi,
+    extract_all,
     feature_csv_text,
+    parse_mias_index,
     read_feature_csv,
+    read_pgm,
     two_cluster_dataset,
     write_feature_csv,
     write_pgm,
 )
 from fknne.cli import main
+from fknne.formats import feature_rows_text
 from fknne.synthetic import textured_image
 from fknne.texture import FEATURE_NAMES
 
@@ -115,6 +128,117 @@ class TestExtract:
         assert main(["extract", "--images", str(image_dir),
                      "--index", str(index_file), "--image-height", "32"]) == 0
         assert (outdir / "features.csv").exists()
+
+
+def per_roi_extract(image_dir, index_file, image_height):
+    """The extract command as one read per ROI: the reference for the
+    grouped reads. Returns the CSV text and the (id, message) failures."""
+    rois = sorted(parse_mias_index(index_file.read_text(), image_height=image_height),
+                  key=lambda r: r.id)
+    rows, failures = [], []
+    for roi in rois:
+        try:
+            img = read_pgm((image_dir / f"{roi.reference}.pgm").read_bytes())
+            fv = extract_all(crop_roi(img, roi))
+        except (OSError, ValueError) as exc:
+            failures.append((roi.id, str(exc)))
+            continue
+        rows.append((roi.id, roi.label, fv.values))
+    return feature_rows_text(FEATURE_NAMES, rows), failures
+
+
+class TestExtractReadsEachImageOnce:
+    # Ids sort as m, m-1, m-1-2, m-2, m-25, m-25-2, m-3: the ROIs of images
+    # "m", "m-1" (corrupt) and "m-25" (missing) interleave in id order.
+    INDEX = ("m G CIRC B 20 15 8\nm-1 G CIRC M 10 10 4\nm G CIRC M 12 20 6\n"
+             "m-25 G CIRC B 16 16 5\nm G CIRC B 5 5 3\nm-1 G CIRC B 9 9 2\n"
+             "m-25 G CIRC M 16 16 5\n")
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        images = tmp_path / "images"
+        images.mkdir()
+        (images / "m.pgm").write_bytes(write_pgm(textured_image(32, 32, seed=3)))
+        (images / "m-1.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
+        index = tmp_path / "index.txt"
+        index.write_text(self.INDEX)
+        return images, index
+
+    def test_one_read_per_image_and_the_per_roi_output(self, tmp_path, corpus,
+                                                       monkeypatch, capsys):
+        images, index = corpus
+        expected_csv, expected_failures = per_roi_extract(images, index, 32)
+        assert [sid for sid, _ in expected_failures] == ["m-1", "m-1-2", "m-25", "m-25-2"]
+
+        real_read = fknne.cli.read_pgm
+        reads = []
+        alive = []
+
+        def counting_read(data):
+            # The image read before this one has already been freed.
+            assert all(ref() is None for ref in alive)
+            reads.append(data)
+            img = real_read(data)
+            alive.append(weakref.ref(img.pixels))
+            return img
+
+        monkeypatch.setattr(fknne.cli, "read_pgm", counting_read)
+        out = tmp_path / "features.csv"
+        assert main(extract_args(images, index, out)) == 2
+        # "m-25.pgm" is missing, so only two images reach the parser.
+        assert reads == [(images / "m.pgm").read_bytes(), (images / "m-1.pgm").read_bytes()]
+
+        partial = tmp_path / "features.csv.partial"
+        assert partial.read_text(encoding="utf-8") == expected_csv
+        assert read_feature_csv(partial).ids == ("m", "m-2", "m-3")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"failed {sid}: {msg}" for sid, msg in expected_failures] + [
+            "4 of 7 ROIs failed"]
+        assert "truncated P5 pixel data" in err[0] and "No such file" in err[2]
+
+    def test_complete_corpus_matches_the_per_roi_reference(self, tmp_path, corpus):
+        images, index = corpus
+        (images / "m-1.pgm").write_bytes(write_pgm(textured_image(32, 32, seed=4), binary=False))
+        (images / "m-25.pgm").write_bytes(write_pgm(textured_image(32, 32, levels=4096, seed=5)))
+        expected_csv, expected_failures = per_roi_extract(images, index, 32)
+        assert expected_failures == []
+        out = tmp_path / "features.csv"
+        assert main(extract_args(images, index, out)) == 0
+        assert out.read_text(encoding="utf-8") == expected_csv
+
+
+_FUZZ_IMAGE = write_pgm(textured_image(24, 24, seed=9))
+_FUZZ_INDEX = "img G CIRC B 12 11 6\nimg G CIRC M 6 6 3\n"
+
+
+class TestExtractMutatedImage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_FUZZ_IMAGE) - 1), st.integers(0, 255)),
+                    min_size=1, max_size=4),
+           st.just(len(_FUZZ_IMAGE)) | st.integers(0, len(_FUZZ_IMAGE)))
+    def test_fails_each_roi_with_exit_2_or_succeeds(self, edits, keep):
+        data = bytearray(_FUZZ_IMAGE)
+        for pos, byte in edits:
+            data[pos] = byte
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "img.pgm").write_bytes(bytes(data[:keep]))
+            (tmp / "index.txt").write_text(_FUZZ_INDEX)
+            out = tmp / "features.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(extract_args(tmp, tmp / "index.txt", out))
+            if code == 0:
+                assert read_feature_csv(out).ids == ("img", "img-2")
+                return
+            assert code == 2
+            partial = out.with_name("features.csv.partial").read_text(encoding="utf-8")
+            written = [line.split(",", 1)[0] for line in partial.splitlines()[1:]]
+            failed = [sid for sid in ("img", "img-2") if sid not in written]
+            lines = err.getvalue().splitlines()
+            assert [line.split(": ", 1)[0] for line in lines[:-1]] == [
+                f"failed {sid}" for sid in failed]
+            assert lines[-1] == f"{len(failed)} of 2 ROIs failed"
 
 
 class TestEval:

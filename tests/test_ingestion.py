@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fknne import (
     BENIGN,
@@ -65,6 +67,24 @@ class TestReadPgm:
         with pytest.raises(ValueError, match=r"outside \[0, 255\]"):
             read_pgm(b"P2\n2 1\n255\n1 99999999999999999999")
 
+    def test_p2_negative_token_rejected_before_narrowing(self):
+        # Narrowed to uint8 first, -1 would wrap to 255 and pass the check.
+        with pytest.raises(ValueError, match=r"^pixel values must lie in \[0, max_val\]$"):
+            read_pgm(b"P2\n2 1\n255\n7 -1\n")
+
+    @pytest.mark.parametrize("max_val, dtype", [(1, np.uint8), (255, np.uint8),
+                                                (256, np.uint16), (65535, np.uint16)])
+    def test_p2_and_p5_give_equal_pixels_of_one_dtype(self, max_val, dtype):
+        rng = np.random.default_rng(max_val)
+        img = GrayImage(rng.integers(0, max_val + 1, size=(6, 9)), max_val)
+        p5 = read_pgm(write_pgm(img, binary=True))
+        p2 = read_pgm(write_pgm(img, binary=False))
+        for parsed in (p5, p2):
+            assert parsed.pixels.dtype == dtype and parsed.pixels.dtype.isnative
+            assert not parsed.pixels.flags.writeable
+        assert np.array_equal(p5.pixels, p2.pixels)
+        assert np.array_equal(p5.pixels, img.pixels)
+
     def test_round_trip_both_encodings(self):
         rng = np.random.default_rng(11)
         for max_val in (1, 255, 4095):
@@ -72,6 +92,45 @@ class TestReadPgm:
             img = GrayImage(pix, max_val)
             assert read_pgm(write_pgm(img, binary=True)) == img
             assert read_pgm(write_pgm(img, binary=False)) == img
+
+
+class TestGrayImagePixels:
+    def test_read_only_in_the_smallest_unsigned_dtype(self):
+        for max_val, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                               (65535, np.uint16)):
+            img = GrayImage(np.full((2, 3), max_val, dtype=np.int64), max_val)
+            assert img.pixels.dtype == dtype
+            assert not img.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                img.pixels[0, 0] = 0
+
+    def test_max_val_beyond_sixteen_bits_rejected(self):
+        with pytest.raises(ValueError, match="max_val"):
+            GrayImage([[0]], 65536)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_caller_array_does_not_alias_the_image(self, dtype):
+        pix = np.arange(12, dtype=dtype).reshape(3, 4)
+        img = GrayImage(pix, 255)
+        pix[:] = 0
+        assert img.pixels.tolist() == np.arange(12).reshape(3, 4).tolist()
+
+    def test_read_only_input_of_the_right_dtype_is_kept(self):
+        pix = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        pix.flags.writeable = False
+        assert GrayImage(pix, 255).pixels is pix
+
+    def test_big_endian_input_is_stored_native(self):
+        pix = np.array([[1, 300], [65535, 0]], dtype=">u2")
+        img = GrayImage(pix, 65535)
+        assert img.pixels.dtype == np.uint16 and img.pixels.dtype.isnative
+        assert img.pixels.tolist() == pix.tolist()
+
+    def test_crop_of_a_parsed_image_is_a_view(self):
+        img = read_pgm(b"P5\n4 4\n255\n" + bytes(range(16)))
+        crop = crop_roi(img, RoiSpec("r", 1, 1, 1, BENIGN))
+        assert np.shares_memory(crop.pixels, img.pixels)
+        assert crop.pixels.tolist() == [[0, 1, 2], [4, 5, 6], [8, 9, 10]]
 
 
 class TestParseMiasIndex:
@@ -164,9 +223,85 @@ class TestQuantize:
         with pytest.raises(ValueError, match="levels"):
             quantize(GrayImage([[0]], 255), 1)
 
+    def test_result_is_uint8_for_at_most_256_levels(self):
+        q = quantize(GrayImage(np.arange(256).reshape(16, 16), 255), 16)
+        assert q.pixels.dtype == np.uint8 and not q.pixels.flags.writeable
+
+    @pytest.mark.parametrize("levels", [2, 16, 64, 4096, 65536])
+    def test_sixteen_bit_input_does_not_wrap(self, levels):
+        # g*levels reaches 65535*65536: beyond 16 and 31 bits.
+        pix = np.array([[0, 1, 255, 256], [4095, 32768, 65534, 65535]])
+        q = quantize(GrayImage(pix, 65535), levels)
+        assert q.pixels.tolist() == [[int(g) * levels // 65536 for g in row] for row in pix]
+
     def test_monotone_and_surjective(self):
         img = GrayImage(np.arange(256).reshape(16, 16), 255)
         q = quantize(img, 16)
         flat = q.pixels.ravel()
         assert (np.diff(flat) >= 0).all()
         assert set(flat.tolist()) == set(range(16))
+
+
+def mutated(seed: bytes):
+    """Strategy: ``seed`` with a few bytes set, inserted or deleted, or cut short."""
+
+    @st.composite
+    def build(draw):
+        data = bytearray(seed)
+        for _ in range(draw(st.integers(1, 6))):
+            op = draw(st.sampled_from(("set", "insert", "delete", "truncate")))
+            pos = draw(st.integers(0, max(len(data) - 1, 0)))
+            if op == "insert":
+                data.insert(pos, draw(st.integers(0, 255)))
+            elif op == "truncate":
+                del data[pos:]
+            elif data and op == "set":
+                data[pos] = draw(st.integers(0, 255))
+            elif data:
+                del data[pos]
+        return bytes(data)
+
+    return build()
+
+
+_TEXTURE = np.random.default_rng(5).integers(0, 256, size=(5, 6))
+PGM_SEEDS = {
+    "p5-8bit": write_pgm(GrayImage(_TEXTURE, 255)),
+    "p5-16bit": write_pgm(GrayImage(_TEXTURE * 16, 4095)),
+    "p2": b"P2\n# scanner\n" + write_pgm(GrayImage(_TEXTURE, 255), binary=False)[3:],
+}
+MIAS_SEED = ("mdb001 G CIRC B 535 425 197\nmdb002 G CIRC B 522 280 69\n"
+             "mdb003 D NORM\nmdb005 F CIRC B 477 133 30\nmdb005 F CIRC B 500 168 26\n"
+             "mdb023 G CIRC M 538 681 29\n")
+
+
+class TestMutatedInputs:
+    """Mutated inputs either parse to a valid value or raise ValueError."""
+
+    @pytest.mark.parametrize("name", sorted(PGM_SEEDS))
+    def test_read_pgm_raises_only_value_error(self, name):
+        @settings(max_examples=300, deadline=None)
+        @given(mutated(PGM_SEEDS[name]))
+        def check(data):
+            try:
+                img = read_pgm(data)
+            except ValueError:
+                return
+            assert img.pixels.dtype in (np.uint8, np.uint16)
+            assert not img.pixels.flags.writeable
+            assert int(img.pixels.max()) <= img.max_val
+
+        check()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(MIAS_SEED) - 1),
+                              st.characters(codec="utf-8")), min_size=1, max_size=6))
+    def test_parse_mias_index_raises_only_value_error(self, edits):
+        text = MIAS_SEED
+        for pos, char in edits:
+            text = text[:pos] + char + text[pos + 1 :]
+        try:
+            specs = parse_mias_index(text)
+        except ValueError:
+            return
+        assert len({r.id for r in specs}) == len(specs)
