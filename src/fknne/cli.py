@@ -28,6 +28,7 @@ from .formats import (
     comparison_json_text,
     feature_rows_text,
     read_feature_csv,
+    read_utf8,
     report_json_text,
     write_feature_csv,
     write_roc_csv,
@@ -61,7 +62,7 @@ def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
 
 
 def cmd_extract(args) -> int:
-    index_text = Path(args.index).read_text(encoding="utf-8")
+    index_text = read_utf8(args.index)
     rois = sorted(parse_mias_index(index_text, image_height=args.image_height),
                   key=lambda r: r.id)
     if not rois:

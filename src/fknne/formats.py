@@ -43,10 +43,32 @@ def write_feature_csv(path, dataset: Dataset) -> None:
         f.write(feature_csv_text(dataset))
 
 
+def read_utf8(path) -> str:
+    """A file's text, decoded as UTF-8. A byte that does not decode raises
+    ValueError naming the path, the line and the byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
+def _utf8_lines(f, path):
+    """The lines of text file ``f``, opened from ``path`` as UTF-8. A byte
+    that does not decode raises read_utf8's error, located by line."""
+    try:
+        yield from f
+    except UnicodeDecodeError:
+        read_utf8(path)
+        raise
+
+
 def read_feature_csv(path) -> Dataset:
     """Load a feature CSV back into a Dataset."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(f, path))
         try:
             header = next(reader)
         except StopIteration:

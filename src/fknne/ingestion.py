@@ -126,6 +126,63 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise ValueError(f"malformed PGM {what}: {tok!r}") from None
 
 
+def _p2_raster(body: bytes, count: int, max_val: int) -> np.ndarray:
+    """The first ``count`` values of a P2 raster, as signed int64.
+
+    '#' comments run to the end of their line. Tokens are separated by the
+    header's six whitespace bytes and match ``[+-]?[0-9]+``; tokens after
+    the ``count``-th are ignored. Per-byte work stays in uint8/bool arrays;
+    only per-token arrays are int64.
+    """
+    if b"#" in body:
+        body = re.sub(rb"#[^\r\n]*", b"", body)
+    buf = np.frombuffer(body, dtype=np.uint8)
+    if buf.size and buf.max() >= 128:
+        raise ValueError("malformed P2 raster: non-ASCII bytes")
+    # Bytes 9-13 (\t \n \v \f \r) and the space, as in _WHITESPACE; uint8
+    # arithmetic wraps every byte below 9 above 4.
+    ws = (buf == 32) | (buf - 9 <= 4)
+    edges = np.flatnonzero(np.diff(np.concatenate(([True], ws, [True]))))
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) < count:
+        raise ValueError(f"truncated P2 pixel data: expected {count} values, got {len(starts)}")
+    starts, ends = starts[:count], ends[:count]
+
+    end = ends[-1]
+    digits = buf[:end] - 48  # '0'-'9' -> 0-9; every other byte wraps above 9
+    stray = np.count_nonzero(~((digits <= 9) | ws[:end]))  # non-digit bytes in tokens
+    first, negative = starts, None
+    if stray:
+        # The only ones allowed are '+' or '-' leading a token that has digits.
+        lead = buf[starts]
+        signed = ((lead == 43) | (lead == 45)) & (ends - starts > 1)
+        if stray != np.count_nonzero(signed):
+            raise ValueError("malformed P2 raster: non-numeric pixel value")
+        first, negative = starts + signed, lead == 45
+
+    ndigits = ends - first
+    longest = int(ndigits.max())
+    if longest > 5:
+        # Any nonzero digit left of a token's last five puts it above 99999.
+        long = ndigits > 5
+        bounds = np.stack((first[long], ends[long] - 5), axis=1).ravel()
+        if np.maximum.reduceat(digits, bounds)[0::2].any():
+            raise ValueError(f"P2 pixel value outside [0, {max_val}]")
+    # The value from the last five digits, one place at a time: each uint8
+    # digit is widened to int64 before it is scaled, since uint8 would wrap.
+    # Places beyond a token's digits are masked; for a short first token
+    # they lie before byte 0, hence the clip.
+    pos = ends - 1
+    values = digits.take(pos).astype(np.int64)
+    for place in range(1, min(longest, 5)):
+        pos -= 1
+        d = digits.take(pos, mode="clip") * (ndigits > place)
+        values += np.multiply(d, 10**place, dtype=np.int64)
+    if negative is not None:
+        np.negative(values, out=values, where=negative)
+    return values
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (magic P2 or P5) into a GrayImage.
 
@@ -146,22 +203,7 @@ def read_pgm(data: bytes) -> GrayImage:
 
     count = width * height
     if magic == b"P2":
-        body = re.sub(rb"#[^\r\n]*", b"", data[pos:])
-        try:
-            text = body.decode("ascii")
-        except UnicodeDecodeError:
-            raise ValueError("malformed P2 raster: non-ASCII bytes") from None
-        tokens = text.split()
-        if len(tokens) < count:
-            raise ValueError(
-                f"truncated P2 pixel data: expected {count} values, got {len(tokens)}"
-            )
-        try:
-            pixels = np.array(tokens[:count], dtype=np.int64)
-        except ValueError:
-            raise ValueError("malformed P2 raster: non-numeric pixel value") from None
-        except OverflowError:
-            raise ValueError(f"P2 pixel value outside [0, {max_val}]") from None
+        pixels = _p2_raster(data[pos:], count, max_val)
     else:
         # Exactly one whitespace byte separates the header from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:

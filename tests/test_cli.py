@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import weakref
 from pathlib import Path
@@ -120,6 +121,13 @@ class TestExtract:
         assert main(extract_args(image_dir, index_file, out)) == 2
         partial = tmp_path / "features.csv.partial"
         assert partial.read_bytes() == ("id,label," + ",".join(FEATURE_NAMES) + "\n").encode()
+
+    def test_non_utf8_index_exits_2_naming_the_line_and_byte(self, tmp_path, image_dir,
+                                                             capsys):
+        index = tmp_path / "info.txt"
+        index.write_bytes(b"mdb001 G CIRC B 20 15 8\nmdb002 D MISC M 12 \xd8 6\n")
+        assert main(extract_args(image_dir, index, tmp_path / "f.csv")) == 2
+        assert capsys.readouterr().err == f"error: {index}:2: not UTF-8 text (byte 0xd8)\n"
 
     def test_output_dir_env_override(self, tmp_path, image_dir, index_file,
                                      monkeypatch):
@@ -402,3 +410,11 @@ class TestFeatureCsv:
         p.write_text("id,label,a\nx,benign,1\ny,malignant,2\nx,malignant,3\n")
         assert main(["eval", "--features", str(p)]) == 2
         assert f"{p}:4: duplicate id 'x' (first on line 2)" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_naming_the_line_and_byte(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"id,label,a\nx,benign,1\ny,malign\xd8nt,2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: not UTF-8 text"):
+            read_feature_csv(p)
+        assert main(["eval", "--features", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}:3: not UTF-8 text (byte 0xd8)\n"

@@ -1,10 +1,18 @@
 """PGM parsing, annotation index parsing, cropping and quantization."""
 
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fknne.ingestion
 from fknne import (
     BENIGN,
     MALIGNANT,
@@ -13,9 +21,11 @@ from fknne import (
     crop_roi,
     parse_mias_index,
     quantize,
+    read_feature_csv,
     read_pgm,
     write_pgm,
 )
+from fknne.cli import main
 
 
 class TestReadPgm:
@@ -269,7 +279,13 @@ PGM_SEEDS = {
     "p5-8bit": write_pgm(GrayImage(_TEXTURE, 255)),
     "p5-16bit": write_pgm(GrayImage(_TEXTURE * 16, 4095)),
     "p2": b"P2\n# scanner\n" + write_pgm(GrayImage(_TEXTURE, 255), binary=False)[3:],
+    # Five-digit tokens, a comment inside the raster, a '+' sign, leading
+    # zeros and two tokens after the 4x3 raster (70000 is never read).
+    "p2-16bit": (b"P2\n4 3\n65535\n65535 +40000 00017 51234 # mid-raster comment\n"
+                 b"09999 0 32768 1000\n12345 00000 65534 7\n8 70000\n"),
 }
+FEATURE_CSV_SEED = (b"id,label,a,b\nx1,benign,0.5,1\nx2,benign,0.25,2\nx3,benign,0.75,1.5\n"
+                    b"y1,malignant,3,-1e-3\ny2,malignant,2.5,0\ny3,malignant,3.5,\"-0.5\"\n")
 MIAS_SEED = ("mdb001 G CIRC B 535 425 197\nmdb002 G CIRC B 522 280 69\n"
              "mdb003 D NORM\nmdb005 F CIRC B 477 133 30\nmdb005 F CIRC B 500 168 26\n"
              "mdb023 G CIRC M 538 681 29\n")
@@ -305,3 +321,145 @@ class TestMutatedInputs:
         except ValueError:
             return
         assert len({r.id for r in specs}) == len(specs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(FEATURE_CSV_SEED))
+    def test_read_feature_csv_raises_only_located_value_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            path.write_bytes(data)
+            try:
+                read_feature_csv(path)
+            except ValueError as exc:
+                assert str(exc).startswith(str(path)), str(exc)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["eval", "--features", str(path), "--protocol", "loocv",
+                             "--out-json", str(Path(tmp) / "r.json"),
+                             "--out-roc", str(Path(tmp) / "r.csv")])
+            assert code in (0, 2)
+
+
+def _p2_raster_oracle(body, count, max_val):
+    """The P2 raster parser that ``ingestion._p2_raster`` replaced: comments
+    stripped, the text split on str whitespace, and the first ``count``
+    tokens converted by numpy's str -> int64."""
+    body = re.sub(rb"#[^\r\n]*", b"", body)
+    try:
+        text = body.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError("malformed P2 raster: non-ASCII bytes") from None
+    tokens = text.split()
+    if len(tokens) < count:
+        raise ValueError(f"truncated P2 pixel data: expected {count} values, got {len(tokens)}")
+    try:
+        return np.array(tokens[:count], dtype=np.int64)
+    except ValueError:
+        raise ValueError("malformed P2 raster: non-numeric pixel value") from None
+    except OverflowError:
+        raise ValueError(f"P2 pixel value outside [0, {max_val}]") from None
+
+
+def _read_pgm_outcome(data):
+    try:
+        return read_pgm(data)
+    except ValueError as exc:
+        return exc
+
+
+def assert_p2_parse_matches_oracle(data):
+    """read_pgm gives the image the oracle gives, or both raise ValueError
+    with one message. Two differences are intended: bytes 0x1c-0x1f are not
+    separators and '_' is not part of a number, so a raster the oracle reads
+    through them is non-numeric now. A message may also differ when a token
+    has more than five significant digits."""
+    new = _read_pgm_outcome(data)
+    with mock.patch.object(fknne.ingestion, "_p2_raster", _p2_raster_oracle):
+        old = _read_pgm_outcome(data)
+    if isinstance(old, GrayImage):
+        if isinstance(new, ValueError) and re.search(rb"[\x1c-\x1f_]", data):
+            assert str(new) == "malformed P2 raster: non-numeric pixel value"
+            return
+        assert isinstance(new, GrayImage), f"oracle accepts, read_pgm says {new}"
+        assert (new.max_val, new.pixels.dtype, new.pixels.shape) == (
+            old.max_val, old.pixels.dtype, old.pixels.shape)
+        assert new.pixels.tobytes() == old.pixels.tobytes()
+    else:
+        assert isinstance(new, ValueError), f"oracle says {old}, read_pgm accepts"
+        if not re.search(rb"[1-9][0-9]{5}|[\x1c-\x1f_]", data):
+            assert str(new) == str(old)
+
+
+_P2_SEPARATORS = (" ", "\n", "\t", "\r\n", "\x0b", "\x0c", " \n  ", " # note 12\n", "#\r")
+_P2_TOKENS = (st.integers(0, 65535).map(str)
+              | st.from_regex(r"[+-]?0{0,20}[0-9]{1,24}", fullmatch=True))
+_P2_JUNK = st.text("0123456789+-_x#", min_size=1, max_size=4)
+
+
+@st.composite
+def p2_files(draw):
+    """P2 files of up to 4x4 pixels: in- and out-of-range values, signs,
+    leading zeros, long tokens, comments, missing and extra tokens, and
+    sometimes one junk token."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    max_val = draw(st.sampled_from((1, 255, 256, 65535)) | st.integers(1, 65535))
+    ntok = max(0, width * height + draw(st.integers(-2, 3)))
+    tokens = draw(st.lists(_P2_TOKENS, min_size=ntok, max_size=ntok))
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, ntok - 1))] = draw(_P2_JUNK)
+    seps = draw(st.lists(st.sampled_from(_P2_SEPARATORS), min_size=ntok + 1,
+                         max_size=ntok + 1))
+    raster = "".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[-1]
+    return f"P2\n{width} {height}\n{max_val}".encode() + raster.encode("ascii")
+
+
+class TestP2Raster:
+    """The numpy P2 tokenizer against the str.split parser it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p2_files())
+    def test_generated_files_match_the_oracle(self, data):
+        assert_p2_parse_matches_oracle(data)
+
+    @pytest.mark.parametrize("name", ["p2", "p2-16bit"])
+    def test_mutated_rasters_match_the_oracle(self, name):
+        seed = PGM_SEEDS[name]
+        header = re.match(rb"P2\s(#[^\n]*\n)?\d+ \d+\s\d+", seed).end()
+
+        @settings(max_examples=150, deadline=None)
+        @given(mutated(seed[header:]))
+        def check(raster):
+            assert_p2_parse_matches_oracle(seed[:header] + raster)
+
+        check()
+
+    @pytest.mark.parametrize("raster, max_val", [
+        (b" +5 -0 007 99", 255),
+        (b"\n1 2 3 4 junk +", 255),      # tokens after the last pixel are not read
+        (b" 1 2\n3", 255),                # truncated
+        (b" 1 2 3 4", 3),                 # exceeds max_val
+        (b" 1 -2 3 4", 255),              # negative
+        (b" 1 2 3 4 5", 4),               # an extra token beyond max_val is ignored
+        (b" 000000000000000000000042 0 1 +00065535", 65535),
+        (b" 1 2 3 -000000000000000000001", 255),
+        (b" + 1 2 3", 255), (b" 1- 2 3 4", 255), (b" +-1 2 3 4", 255),
+        (b" 1+2 3 4 5", 255), (b" 1 2 3 4-", 255), (b" 1 2 3 0x1", 255),
+        (b"#c\n1#c\n2 3# 4\r4", 255),    # comments end at \r or \n
+        (b" 1 2 3 4 \xc3\xa9", 255),     # non-ASCII anywhere in the raster
+        (b" 1 2 3 4\x1c", 255),          # after the last pixel, both agree
+    ])
+    def test_edge_cases_match_the_oracle(self, raster, max_val):
+        assert_p2_parse_matches_oracle(b"P2 2 2 %d" % max_val + raster)
+
+    @pytest.mark.parametrize("raster", [b" 1\x1c2", b" 1\x1f2", b" 1_0"])
+    def test_only_header_whitespace_separates_and_digits_are_plain(self, raster):
+        data = b"P2 1 1 255" + raster
+        with mock.patch.object(fknne.ingestion, "_p2_raster", _p2_raster_oracle):
+            read_pgm(data)  # str.split() and str -> int read these
+        with pytest.raises(ValueError, match="^malformed P2 raster: non-numeric pixel value$"):
+            read_pgm(data)
+
+    @pytest.mark.parametrize("token", [b"100000", b"-100000", b"0100000", b"18446744073709551616"])
+    def test_six_significant_digits_are_out_of_range(self, token):
+        with pytest.raises(ValueError, match=r"^P2 pixel value outside \[0, 65535\]$"):
+            read_pgm(b"P2 2 1 65535 7 " + token)
