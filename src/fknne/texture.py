@@ -116,6 +116,8 @@ class Glrlm:
         r = np.asarray(self.r)
         if r.shape != (self.levels, self.max_run) or not np.issubdtype(r.dtype, np.integer):
             raise ValueError("r must be a levels x max_run integer matrix")
+        if (r < 0).any():
+            raise ValueError("run counts must be non-negative")
         covered = int((r * np.arange(1, self.max_run + 1)).sum())
         if covered != self.n_pixels:
             raise ValueError(
@@ -223,7 +225,9 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
     asm = float((p**2).sum())
     contrast = float((((ii - jj) ** 2) * p).sum())
     cov = float((ii * jj * p).sum()) - mu_x * mu_y
-    correlation = 0.0 if var_x == 0.0 or var_y == 0.0 else cov / np.sqrt(var_x * var_y)
+    # A marginal on one gray has variance 0, though its float sum may round above 0.
+    degenerate = np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1
+    correlation = 0.0 if degenerate else cov / np.sqrt(var_x * var_y)
 
     pooled = 0.5 * (px + py)
     mu = float(i @ pooled)
@@ -279,24 +283,28 @@ def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     if (dx, dy) not in DIRECTIONS:
         raise ValueError(f"unsupported run direction ({dx},{dy})")
     levels = _levels(img)
-    h, w = img.pixels.shape
+    p = img.pixels
+    h, w = p.shape
     max_run = max(h, w)
-    # Pixel (y, x) lies on line dy*x - dx*y: one canvas row per line, indexed by the
-    # shorter coordinate that moves along (dx, dy), so the canvas stays near 2*h*w
-    # cells. The -1 padding ends each run at its line's end; its own runs are dropped.
-    # Pixels are unsigned, so the canvas takes a signed dtype that holds -1.
-    y, x = np.indices((h, w), dtype=np.int32)
-    line = dy * x - dx * y
-    line -= line.min()
-    along_x = dx != 0 and (dy == 0 or w <= h)
-    canvas = np.full((line.max() + 1, (w if along_x else h) + 1), -1, np.int32)
-    canvas[line, x if along_x else y] = img.pixels
-    flat = canvas.ravel()
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    lengths = np.diff(starts, append=flat.size)
-    real = flat[starts] >= 0
-    cells = flat[starts[real]].astype(np.int64) * max_run + lengths[real] - 1
-    r = np.bincount(cells, minlength=levels * max_run).reshape(levels, max_run)
+    # Each line of (dx, dy) becomes one column of a one-byte buffer, above a row of
+    # 255: no quantized gray is 255, so no run crosses lines, and the runs of 255 are
+    # dropped. The (1, 1) lines of p, reversed, are the (1, -1) lines x + y = c of
+    # p[::-1], and a transpose keeps x + y. So the rows of the shorter side are sheared,
+    # row y right by y, putting line c in column c of (min(h, w) + 1) * (h + w - 1) cells.
+    shear = int(dx * dy != 0)
+    q = p.T if dy == 0 else p[::-1] if dx * dy > 0 else p
+    q = q.T if shear and h > w else q
+    s, t = q.shape
+    buf = np.full((s + 1, t + shear * (s - 1)), 255, np.uint8)
+    buf.reshape(-1)[: s * (t + shear * s)].reshape(s, -1)[:, :t] = q
+    flat = buf.T.ravel()
+    change = np.ones(flat.size, bool)
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    # The buffer's last cell is a 255, so each counted run ends where the next starts.
+    grays = flat[starts[:-1]]
+    cells = np.multiply(grays, max_run, dtype=np.int64) + np.diff(starts) - 1
+    r = np.bincount(cells[grays != 255], minlength=levels * max_run).reshape(levels, max_run)
     return Glrlm(levels=levels, max_run=max_run, r=r, direction=(dx, dy), n_pixels=h * w)
 
 

@@ -294,18 +294,35 @@ MIAS_SEED = ("mdb001 G CIRC B 535 425 197\nmdb002 G CIRC B 522 280 69\n"
 class TestMutatedInputs:
     """Mutated inputs either parse to a valid value or raise ValueError."""
 
+    @staticmethod
+    def assert_loads_or_raises_value_error(data):
+        try:
+            img = read_pgm(data)
+        except ValueError:
+            return
+        assert img.pixels.dtype in (np.uint8, np.uint16)
+        assert not img.pixels.flags.writeable
+        assert int(img.pixels.max()) <= img.max_val
+
     @pytest.mark.parametrize("name", sorted(PGM_SEEDS))
     def test_read_pgm_raises_only_value_error(self, name):
         @settings(max_examples=300, deadline=None)
         @given(mutated(PGM_SEEDS[name]))
         def check(data):
-            try:
-                img = read_pgm(data)
-            except ValueError:
-                return
-            assert img.pixels.dtype in (np.uint8, np.uint16)
-            assert not img.pixels.flags.writeable
-            assert int(img.pixels.max()) <= img.max_val
+            self.assert_loads_or_raises_value_error(data)
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(PGM_SEEDS))
+    def test_read_pgm_raster_mutations_raise_only_value_error(self, name):
+        # Whole-file mutations mostly stop in the header; these all reach the raster.
+        seed = PGM_SEEDS[name]
+        header = re.match(rb"P[25]\s(#[^\n]*\n)?\d+ \d+\s\d+\s", seed).end()
+
+        @settings(max_examples=300, deadline=None)
+        @given(mutated(seed[header:]))
+        def check(raster):
+            self.assert_loads_or_raises_value_error(seed[:header] + raster)
 
         check()
 

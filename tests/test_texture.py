@@ -7,6 +7,7 @@ the new code must reproduce them bit for bit.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ def quantized_images(draw, min_side=1, max_side=20):
 EDGE_SHAPES = (GrayImage([[0]], 1), GrayImage([[0, 1, 1, 3, 3, 3]], 3),
                GrayImage([[5], [5], [0], [5]], 7))
 directions = st.sampled_from(DIRECTIONS)
+# Beyond the strategy's 20-pixel sides: long lines both ways, both diagonals on
+# wide and tall images, one run per line, all runs of length 1 along the axes,
+# and the top gray of 64 levels next to each line's end.
+LONG_SHAPES = tuple(random_quantized(np.random.default_rng(seed), shape, 2)
+                    for seed, shape in enumerate([(1, 300), (300, 1), (7, 61), (61, 7)]))
+CONSTANT = GrayImage(np.full((9, 14), 5), 7)
+GRAY_63 = GrayImage(np.where(np.random.default_rng(4).random((11, 6)) < 0.7, 63, 62), 63)
 
 
 class TestGlcm:
@@ -167,6 +175,14 @@ class TestHaralickFeatures:
         assert hf["idm"] == 1.0
         # degenerate marginals: correlation defined as 0
         assert hf["correlation"] == 0.0
+
+    def test_degenerate_marginal_with_rounding_noise_has_zero_correlation(self):
+        # Rows of p sum to 4/6 + 1/6 + 1/6, which is not 1 in float arithmetic,
+        # so var_x is a rounding residue rather than 0.
+        img = GrayImage([[1, 1, 1, 2, 3, 1]] + [[1] * 6] * 4, 3)
+        g = compute_glcm(img, 3, -3)
+        assert np.count_nonzero(g.p.sum(axis=1)) == 1
+        assert haralick_features(g)["correlation"] == 0.0
 
     def test_contrast_matches_direct_summation(self):
         hf = haralick_features(compute_glcm(EXAMPLE_3X3, 1, 0))
@@ -237,11 +253,42 @@ class TestGlrlm:
     @example(EDGE_SHAPES[0], (1, 1))
     @example(EDGE_SHAPES[1], (1, -1))
     @example(EDGE_SHAPES[2], (1, 1))
+    @example(LONG_SHAPES[0], (1, 1))
+    @example(LONG_SHAPES[0], (0, 1))
+    @example(LONG_SHAPES[1], (1, -1))
+    @example(LONG_SHAPES[1], (1, 0))
+    @example(LONG_SHAPES[2], (1, 1))
+    @example(LONG_SHAPES[2], (1, -1))
+    @example(LONG_SHAPES[3], (1, 1))
+    @example(LONG_SHAPES[3], (1, -1))
+    @example(CONSTANT, (1, 0))
+    @example(CONSTANT, (1, -1))
+    @example(checkerboard(7), (1, 0))
+    @example(checkerboard(7), (0, 1))
+    @example(GRAY_63, (1, 1))
+    @example(GRAY_63, (0, 1))
     def test_matches_line_loop_oracle(self, img, direction):
         r = compute_glrlm(img, *direction).r
         expected = oracle_glrlm(img, *direction)
         assert r.dtype == expected.dtype
         assert r.tobytes() == expected.tobytes()
+
+    def test_negative_run_counts_rejected(self):
+        with pytest.raises(ValueError, match="run counts must be non-negative"):
+            Glrlm(2, 3, [[3, -1, 0], [0, 0, 0]], (1, 0), 1)
+
+    @pytest.mark.parametrize("shape", [(4000, 1), (1, 4000)])
+    def test_thin_images_take_linear_memory(self, shape):
+        # Shearing the 4000-pixel side would take two buffers of 4001 x 4000 bytes.
+        img = random_quantized(np.random.default_rng(21), shape, 4)
+        for direction in DIRECTIONS:
+            tracemalloc.start()
+            try:
+                compute_glrlm(img, *direction)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, (direction, peak)
 
     def test_pixel_coverage_identity_on_random_images(self):
         # every pixel lies in exactly one maximal run
@@ -388,6 +435,13 @@ class TestExtractAll:
                 extract_all(img, cfg)
         else:
             assert extract_all(img, cfg).values.tobytes() == expected.tobytes()
+
+    def test_matches_oracle_bitwise_on_a_large_roi(self):
+        # 8-bit blocks of 3 x 3 pixels quantized to 16 levels: runs of many lengths.
+        coarse = np.random.default_rng(15).integers(0, 256, size=(54, 57))
+        img = GrayImage(np.repeat(np.repeat(coarse, 3, axis=0), 3, axis=1)[:160, :171], 255)
+        cfg = ExtractionConfig()
+        assert extract_all(img, cfg).values.tobytes() == oracle_extract_all(img, cfg).tobytes()
 
     def test_propagates_quantization(self):
         # raw 8-bit input is quantized down to the configured depth
