@@ -8,16 +8,7 @@ different directions.
 
 import numpy as np
 
-from fknne import (
-    ClassifierConfig,
-    Dataset,
-    fit,
-    kneighbors,
-    predict_fknn,
-    predict_fknne,
-    predict_knn,
-    predict_knne,
-)
+from fknne import KINDS, ClassifierConfig, Dataset, fit, kneighbors, predict
 
 points = [0.0, 0.4, 0.8, 4.6, 6.0, 9.0]
 labels = ["A", "A", "A", "B", "B", "B"]
@@ -31,16 +22,15 @@ print("\n2 nearest overall:", kneighbors(model, query, 2))
 print("2 nearest per class: A ->", kneighbors(model, query, 2, class_filter="A"),
       " B ->", kneighbors(model, query, 2, class_filter="B"))
 
-for name, pred in (("knn", predict_knn), ("fknn", predict_fknn),
-                   ("knne", predict_knne), ("fknne", predict_fknne)):
-    p = pred(model, query)
+for kind in KINDS:
+    p = predict(model, query, kind)
     scores = {c: round(s, 4) for c, s in p.as_dict().items()}
-    print(f"{name:6s} -> {p.label}   scores {scores}")
+    print(f"{kind:6s} -> {p.label}   scores {scores}")
 
 print("\nsoft training memberships (keller init, k_init=3):")
 keller = fit(data, ClassifierConfig(k=2, init="keller", k_init=3, normalize=False))
 for sid, lab, u in zip(keller.ids, keller.labels, keller.memberships):
     print(f"  {sid} ({lab}): A={u[0]:.4f} B={u[1]:.4f}")
-p = predict_fknne(keller, query)
+p = predict(keller, query, "fknne")
 print("fknne with soft memberships ->", p.label,
       {c: round(s, 4) for c, s in p.as_dict().items()})

@@ -10,10 +10,6 @@ from .classifiers import (
     fit,
     kneighbors,
     predict,
-    predict_fknn,
-    predict_fknne,
-    predict_knn,
-    predict_knne,
     predict_many,
 )
 from .evaluation import (

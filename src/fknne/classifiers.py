@@ -10,7 +10,9 @@ Four decision rules share one fitted model:
             accumulated inside each class pool, normalized across classes.
 
 Every tie is broken by a documented total order: neighbours by
-(distance, id), labels by (score, class order). Fitting memorizes the
+(distance, id), labels by (score, class order); each rule's docstring
+states its own tie-breaks. ``predict`` and ``predict_many`` score with
+the model's rule or any other named by ``kind``. Fitting memorizes the
 (optionally min-max normalized) training vectors and assigns per-sample
 class memberships, either crisp one-hot or Keller-style soft labels
 derived from each sample's own neighbourhood.
@@ -18,7 +20,7 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -81,9 +83,7 @@ class Dataset:
     @classmethod
     def from_samples(cls, samples, classes=None) -> "Dataset":
         """Build from (id, FeatureVector, label) triples."""
-        ids = [s[0] for s in samples]
-        fvs = [s[1] for s in samples]
-        labels = [s[2] for s in samples]
+        ids, fvs, labels = ([s[i] for s in samples] for i in range(3))
         return cls(ids, fvs, labels, classes=classes)
 
     def __len__(self):
@@ -182,6 +182,7 @@ class Prediction:
         return dict(zip(self.classes, self.scores.tolist()))
 
 
+@dataclass(frozen=True, eq=False)
 class FitModel:
     """Memorized training data plus per-sample class memberships.
 
@@ -189,24 +190,24 @@ class FitModel:
     against one model are safe.
     """
 
-    def __init__(self, config, ids, X, labels, label_index, id_rank, classes, feature_names,
-                 norm_lo, norm_hi, memberships, k_init_used, k_init_clamped):
-        self.config = config
-        self.ids = ids
-        self.X = X
-        self.labels = labels
-        self.classes = classes
-        self.feature_names = feature_names
-        self.norm_lo = norm_lo
-        self.norm_hi = norm_hi
-        self.memberships = memberships
-        self.k_init_used = k_init_used
-        self.k_init_clamped = k_init_clamped
-        self.label_index = label_index
-        self._class_pools = tuple(
-            np.flatnonzero(self.label_index == ci) for ci in range(len(classes))
-        )
-        self._id_rank = id_rank
+    config: ClassifierConfig
+    ids: tuple[str, ...]
+    X: np.ndarray
+    labels: tuple[str, ...]
+    label_index: np.ndarray
+    _id_rank: np.ndarray
+    classes: tuple[str, ...]
+    feature_names: tuple[str, ...]
+    norm_lo: np.ndarray | None
+    norm_hi: np.ndarray | None
+    memberships: np.ndarray
+    k_init_used: int
+    k_init_clamped: bool
+    _class_pools: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_class_pools", tuple(
+            np.flatnonzero(self.label_index == ci) for ci in range(len(self.classes))))
 
     def __len__(self):
         return len(self.ids)
@@ -222,7 +223,7 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 
 # Exact neighbour engine. Every search -- one query or many, each class
-# pool, Keller initialization -- goes through the two helpers below, so all
+# pool, Keller initialization, leave-one-out -- goes through _search, so all
 # of them order neighbours the same way. The k nearest overall are merged
 # from the per-class lists (_nearest), never searched a second time.
 
@@ -272,6 +273,33 @@ def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
     return sel, d
 
 
+def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
+    """For each (pool, k) pair, the (indices, distances) of the
+    min(k, pool size) nearest rows of X in that pool, for each row of V,
+    nearest first by (distance, rank). Indices are rows of X, and any
+    smaller k reads a prefix of every row.
+
+    With V None, X is searched against itself, each row's own entry set to
+    -1 so that the row sorts first in every pool that holds it. Distances
+    that overflow to inf still rank, last. Only these O(n * k) lists are
+    kept, never the full distance matrix."""
+    own = V is None
+    V = X if own else V
+    # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
+    cols = [slice(None) if len(p) == len(X) else p for p in pools]
+    found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
+                   np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
+    with np.errstate(over="ignore"):
+        for s, D in _distance_blocks(X, V):
+            if own:
+                rows = np.arange(len(D))
+                D[rows, s + rows] = -1.0
+            for pool, col, k, (idx, dist) in zip(pools, cols, ks, found):
+                sel, dist[s:s + len(D)] = _k_smallest(D[:, col], rank[col], k)
+                idx[s:s + len(D)] = pool[sel]
+    return found
+
+
 def neighbour_table(model: FitModel, queries, k: int):
     """Search the k nearest training samples of each query in every class
     pool. Queries are FeatureVectors, vectors or the rows of a 2-D array,
@@ -286,13 +314,8 @@ def neighbour_table(model: FitModel, queries, k: int):
     # Overflow is allowed here and caught below, by each pool's nearest distance.
     with np.errstate(over="ignore"):
         V = _query_matrix(model, queries)
-        table = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
-                       np.empty((len(V), min(k, len(p))))) for p in model._class_pools)
-        for s, D in _distance_blocks(model.X, V):
-            for pool, (idx, dist) in zip(model._class_pools, table):
-                sel, dist[s:s + len(D)] = _k_smallest(D[:, pool], model._id_rank[pool], k)
-                idx[s:s + len(D)] = pool[sel]
-    return check_reach(table)
+    pools = model._class_pools
+    return check_reach(_search(model.X, model._id_rank, V, pools, [k] * len(pools)))
 
 
 def check_reach(table):
@@ -321,15 +344,6 @@ def _nearest(model: FitModel, pools, k: int):
     return idx[rows, order], d[rows, order]
 
 
-def _self_distance_blocks(X: np.ndarray):
-    """_distance_blocks of X against itself, with each row's own entry set
-    to -1 so that the row sorts first among its neighbours."""
-    for s, D in _distance_blocks(X, X):
-        rows = np.arange(len(D))
-        D[rows, s + rows] = -1.0
-        yield s, D
-
-
 def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
                            one_hot: np.ndarray) -> np.ndarray:
     """0.49 * (class shares among each row's neighbours ``nbrs``), plus
@@ -337,42 +351,6 @@ def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
     memberships = 0.49 * one_hot[nbrs].sum(axis=1) / nbrs.shape[1]
     memberships[np.arange(len(nbrs)), label_index] += 0.51
     return memberships
-
-
-def _keller_memberships(X: np.ndarray, rank: np.ndarray, label_index: np.ndarray,
-                        one_hot: np.ndarray, k_init: int) -> np.ndarray:
-    """Keller memberships from each sample's k_init nearest others.
-    Distances that overflow to inf still rank, last."""
-    nbrs = np.empty((len(X), k_init), dtype=np.intp)
-    with np.errstate(over="ignore"):
-        for s, D in _self_distance_blocks(X):
-            nbrs[s:s + len(D)] = _k_smallest(D, rank, k_init + 1)[0][:, 1:]
-    return keller_from_neighbours(nbrs, label_index, one_hot)
-
-
-def self_search(model: FitModel, k_others: int, k: int):
-    """Every training sample's neighbours among the training samples, from
-    one blockwise search of the model's rows against themselves.
-
-    Returns ``(others, table)``. ``others`` holds each row's ``k_others``
-    nearest other rows, nearest first (no columns when ``k_others`` is 0).
-    ``table`` is laid out like a ``neighbour_table`` at k + 1 of the
-    training rows, except that each row's own entry sorts first in its own
-    class pool, so that dropping it leaves that pool's k nearest others.
-    Only these O(n * k) lists are kept, never the n x n distances."""
-    n = len(model)
-    others = np.empty((n, k_others), dtype=np.intp)
-    pools = model._class_pools
-    table = tuple((np.empty((n, min(k + 1, len(p))), dtype=np.intp),
-                   np.empty((n, min(k + 1, len(p))))) for p in pools)
-    with np.errstate(over="ignore"):
-        for s, D in _self_distance_blocks(model.X):
-            if k_others:
-                others[s:s + len(D)] = _k_smallest(D, model._id_rank, k_others + 1)[0][:, 1:]
-            for pool, (idx, dist) in zip(pools, table):
-                sel, dist[s:s + len(D)] = _k_smallest(D[:, pool], model._id_rank[pool], k + 1)
-                idx[s:s + len(D)] = pool[sel]
-    return others, table
 
 
 def keller_k_init(cfg: ClassifierConfig, n: int) -> tuple[int, bool]:
@@ -429,10 +407,11 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
 
     k_init, clamped = keller_k_init(cfg, n)
     memberships = one_hot
-    if cfg.init == "keller":
-        # A lone training sample has nothing to vote and stays one-hot.
-        if k_init > 0:
-            memberships = _keller_memberships(X, id_rank, label_index, one_hot, k_init)
+    # A lone training sample has nothing to vote and stays one-hot.
+    if cfg.init == "keller" and k_init > 0:
+        # Column 0 of each row is the row itself.
+        nbrs = _search(X, id_rank, None, [np.arange(n)], [k_init + 1])[0][0][:, 1:]
+        memberships = keller_from_neighbours(nbrs, label_index, one_hot)
     memberships.flags.writeable = False
 
     return FitModel(
@@ -441,7 +420,7 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
         X=X,
         labels=data.labels,
         label_index=label_index,
-        id_rank=id_rank,
+        _id_rank=id_rank,
         classes=data.classes,
         feature_names=data.feature_names,
         norm_lo=lo,
@@ -503,6 +482,11 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
 # a contiguous last axis, or along axis 1 of a (Q, k, C) array.
 
 def _knn(model: FitModel, pools, cfg: ClassifierConfig):
+    """Plurality vote among the k nearest samples.
+
+    Scores are vote fractions. A vote tie goes to the tied class whose
+    voters are closest in summed distance, then to class order.
+    """
     idx, d = _nearest(model, pools, cfg.k)
     voter = model.label_index[idx][:, :, None] == np.arange(len(model.classes))
     votes = voter.sum(axis=1)
@@ -539,12 +523,24 @@ def _membership_mean(model: FitModel, idx: np.ndarray, w: np.ndarray) -> np.ndar
 
 
 def _fknn(model: FitModel, pools, cfg: ClassifierConfig):
+    """Fuzzy vote: memberships of the k nearest samples weighted by
+    d^(-2/(m-1)) and renormalized.
+
+    A query that coincides with training samples takes the average
+    membership of the exact matches instead.
+    """
     idx, d = _nearest(model, pools, cfg.k)
     scores = _membership_mean(model, idx, _fuzzy_weights(d, cfg.m)[0])
     return np.argmax(scores, axis=1), scores
 
 
 def _knne(model: FitModel, pools, cfg: ClassifierConfig):
+    """Nearest-neighbour equality: the class whose k nearest samples have
+    the smallest mean distance wins.
+
+    Scores are normalized inverse mean distances; classes at mean
+    distance zero share all the mass uniformly.
+    """
     means = np.column_stack([d.mean(axis=1) for _, d in pools])
     zero = means == 0.0
     with np.errstate(divide="ignore"):
@@ -553,6 +549,15 @@ def _knne(model: FitModel, pools, cfg: ClassifierConfig):
 
 
 def _fknne(model: FitModel, pools, cfg: ClassifierConfig):
+    """Fuzzy nearest-neighbour equality.
+
+    Each class pools its k nearest samples; inside a pool the neighbours'
+    memberships in that class are weighted by d^(-2/(m-1)) and summed, and
+    the per-class masses are normalized across classes. With crisp
+    memberships the ranking reduces to pure inverse-distance mass per
+    pool; with Keller memberships the neighbours' soft labels shift it.
+    The exact-match rule applies to the union of all pools.
+    """
     idx, d = _joined(pools)
     w, exact = _fuzzy_weights(d, cfg.m)
     bounds = list(accumulate([i.shape[1] for i, _ in pools], initial=0))
@@ -572,67 +577,22 @@ def predict_table(model: FitModel, table, cfg: ClassifierConfig):
     """Score every query of a table built at a k of at least ``cfg.k``
     with the rule, k and m of ``cfg`` and the model's memberships. Returns
     the winning class index of each query and its Q x C scores."""
-    k = cfg.k
-    return _RULES[cfg.kind](model, [(idx[:, :k], d[:, :k]) for idx, d in table], cfg)
+    return _RULES[cfg.kind](model, [(idx[:, :cfg.k], d[:, :cfg.k]) for idx, d in table], cfg)
 
 
-def _predictions(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:
+def predict_many(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:
+    """Predict a batch of queries with the decision rule ``kind``, by
+    default the model's own; another kind keeps the config's k and m.
+
+    One neighbour search serves the whole batch; each result equals what
+    ``predict`` returns for that query alone.
+    """
     cfg = model.config if kind is None else replace(model.config, kind=kind)
     winners, scores = predict_table(model, neighbour_table(model, queries, cfg.k), cfg)
     return [Prediction(model.classes[w], model.classes, s) for w, s in zip(winners, scores)]
 
 
-def predict_many(model: FitModel, queries) -> list[Prediction]:
-    """Predict a batch of queries with the model's decision rule.
-
-    One neighbour search serves the whole batch; each result equals what
-    ``predict`` returns for that query alone.
-    """
-    return _predictions(model, queries)
-
-
-def predict_knn(model: FitModel, x) -> Prediction:
-    """Plurality vote among the k nearest samples.
-
-    Scores are vote fractions. A vote tie goes to the tied class whose
-    voters are closest in summed distance, then to class order.
-    """
-    return _predictions(model, [x], "knn")[0]
-
-
-def predict_fknn(model: FitModel, x) -> Prediction:
-    """Fuzzy vote: memberships of the k nearest samples weighted by
-    d^(-2/(m-1)) and renormalized.
-
-    A query that coincides with training samples takes the average
-    membership of the exact matches instead.
-    """
-    return _predictions(model, [x], "fknn")[0]
-
-
-def predict_knne(model: FitModel, x) -> Prediction:
-    """Nearest-neighbour equality: the class whose k nearest samples have
-    the smallest mean distance wins.
-
-    Scores are normalized inverse mean distances; classes at mean
-    distance zero share all the mass uniformly.
-    """
-    return _predictions(model, [x], "knne")[0]
-
-
-def predict_fknne(model: FitModel, x) -> Prediction:
-    """Fuzzy nearest-neighbour equality.
-
-    Each class pools its k nearest samples; inside a pool the neighbours'
-    memberships in that class are weighted by d^(-2/(m-1)) and summed, and
-    the per-class masses are normalized across classes. With crisp
-    memberships the ranking reduces to pure inverse-distance mass per
-    pool; with Keller memberships the neighbours' soft labels shift it.
-    The exact-match rule applies to the union of all pools.
-    """
-    return _predictions(model, [x], "fknne")[0]
-
-
-def predict(model: FitModel, x) -> Prediction:
-    """Dispatch to the decision rule named by the model's config."""
-    return predict_many(model, [x])[0]
+def predict(model: FitModel, x, kind: str | None = None) -> Prediction:
+    """Predict one query with the decision rule ``kind``, by default the
+    model's own: a batch of one."""
+    return predict_many(model, [x], kind)[0]

@@ -112,10 +112,14 @@ def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
 
 
 def _protocol(args):
-    if args.protocol == "kfold":
-        return KFold(k=args.folds, seed=args.seed)
     if args.protocol == "loocv":
         return Loocv()
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
+    if args.protocol == "kfold":
+        if args.folds < 2:
+            raise ValueError("--folds must be >= 2")
+        return KFold(k=args.folds, seed=args.seed)
     return Holdout(fraction=args.fraction, seed=args.seed)
 
 
@@ -157,10 +161,14 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in KINDS:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(KINDS)}")
+    ks = [args.k]
     if args.k_sweep:
-        ks = [int(v) for v in args.k_sweep.split(",") if v.strip()]
-    else:
-        ks = [args.k]
+        ks = []
+        for v in filter(None, (v.strip() for v in args.k_sweep.split(","))):
+            try:
+                ks.append(int(v))
+            except ValueError:
+                raise ValueError(f"--k-sweep: {v!r} is not an integer") from None
     configs = [_classifier_config(args, m, k) for m in methods for k in ks]
     table = compare_classifiers(data, configs, _protocol(args),
                                 positive_class=args.positive)

@@ -10,7 +10,6 @@ agree.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from .classifiers import (
     ClassifierConfig,
     Dataset,
     FitModel,
+    _search,
     check_reach,
     fit,
     fit_key,
@@ -27,7 +27,6 @@ from .classifiers import (
     neighbour_table,
     predict,  # noqa: F401 -- re-exported; perfbench/worker.py wraps fknne.evaluation.predict
     predict_table,
-    self_search,
 )
 
 
@@ -305,16 +304,10 @@ def _report(cfg, protocol, positive, ids, truth, predicted, scores,
     pooled = confusion(predicted, truth, positive)
     sens, spec, acc = rates(pooled)
     roc = roc_curve(scores, truth, positive)
-
-    def _mean_defined(vals):
-        defined = [v for v in vals if v is not None]
-        return sum(defined) / len(defined) if defined else None
-
-    averaged = {
-        "sensitivity": _mean_defined([f.sensitivity for f in fold_results]),
-        "specificity": _mean_defined([f.specificity for f in fold_results]),
-        "accuracy": _mean_defined([f.accuracy for f in fold_results]),
-    }
+    averaged = {}
+    for key in ("sensitivity", "specificity", "accuracy"):
+        defined = [getattr(f, key) for f in fold_results if getattr(f, key) is not None]
+        averaged[key] = sum(defined) / len(defined) if defined else None
     return EvaluationReport(
         config=cfg,
         protocol=protocol,
@@ -373,7 +366,12 @@ class _LeaveOneOut:
         self.model = fit(data, replace(configs[0], init="crisp"))
         self.one_hot = self.model.memberships  # crisp memberships are one-hot
         k_inits = {fit_key(c, n - 1)[2] for c in configs if c.init == "keller"}
-        self.others, self.table = self_search(self.model, max(k_inits) + 1 if k_inits else 0, k)
+        # Own rows sort first, so each pool is searched one row deeper.
+        pools = self.model._class_pools + ((np.arange(n),) if k_inits else ())
+        ks = [k + 1] * len(self.model.classes) + ([max(k_inits) + 2] if k_inits else [])
+        found = _search(self.model.X, self.model._id_rank, None, pools, ks)
+        self.table = found[:len(self.model.classes)]
+        self.others = found[-1][0][:, 1:] if k_inits else None
         self.k = k
         label_index = self.model.label_index
         self.keller = {
@@ -433,9 +431,7 @@ class _LeaveOneOut:
             memberships[lost] = keller_from_neighbours(
                 nbrs[nbrs != i].reshape(len(lost), k_init),
                 self.model.label_index[lost], self.one_hot)
-        model = copy.copy(self.model)
-        model.memberships = memberships
-        return model
+        return replace(self.model, memberships=memberships)
 
 
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):

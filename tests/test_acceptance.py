@@ -30,10 +30,7 @@ from fknne import (
     haralick_features,
     kneighbors,
     parse_mias_index,
-    predict_fknn,
-    predict_fknne,
-    predict_knn,
-    predict_knne,
+    predict,
     read_feature_csv,
     runlength_features,
     two_cluster_dataset,
@@ -82,8 +79,8 @@ def test_criterion_02_fuzzy_scores_are_normalized_distributions():
     data = Dataset([f"s{i:03d}" for i in range(100)], X, labels)
     model = fit(data, ClassifierConfig(k=5, init="keller"))
     for q in rng.normal(size=(1000, 4)):
-        for pred in (predict_fknn, predict_fknne):
-            s = pred(model, q).scores
+        for kind in ("fknn", "fknne"):
+            s = predict(model, q, kind).scores
             assert abs(s.sum() - 1.0) <= 1e-9
             assert (s >= 0.0).all() and (s <= 1.0).all()
     _report(2, "membership normalization")
@@ -99,10 +96,10 @@ def test_criterion_03_uniform_scaling_invariance():
         base = fit(Dataset(ids, X, labels), cfg)
         scaled = fit(Dataset(ids, X * 7.3, labels), cfg)
         for q in rng.normal(size=(200, 4)):
-            assert predict_knn(base, q).label == predict_knn(scaled, q * 7.3).label
-            assert predict_knne(base, q).label == predict_knne(scaled, q * 7.3).label
-            for pred in (predict_fknn, predict_fknne):
-                delta = pred(base, q).scores - pred(scaled, q * 7.3).scores
+            assert predict(base, q, "knn").label == predict(scaled, q * 7.3, "knn").label
+            assert predict(base, q, "knne").label == predict(scaled, q * 7.3, "knne").label
+            for kind in ("fknn", "fknne"):
+                delta = predict(base, q, kind).scores - predict(scaled, q * 7.3, kind).scores
                 assert np.abs(delta).max() <= 1e-9
     _report(3, "scaling invariance")
 
@@ -163,7 +160,7 @@ def test_criterion_06_hand_fixtures_reproduce_exactly():
                    np.array([[0.0], [1.0], [3.0], [5.0]]),
                    ["A", "A", "B", "B"])
     model = fit(data, ClassifierConfig(kind="knne", k=2, normalize=False))
-    p = predict_knne(model, np.array([2.0]))
+    p = predict(model, np.array([2.0]), "knne")
     assert p.label == "A"
     assert abs(p.scores[0] - 4 / 7) <= 1e-12
     assert abs(p.scores[1] - 3 / 7) <= 1e-12

@@ -15,10 +15,6 @@ from fknne import (
     fit,
     kneighbors,
     predict,
-    predict_fknn,
-    predict_fknne,
-    predict_knn,
-    predict_knne,
     predict_many,
     two_cluster_dataset,
 )
@@ -73,6 +69,12 @@ class TestFit:
         model = fit(data, ClassifierConfig(init="keller", k_init=99))
         assert model.k_init_clamped
         assert model.k_init_used == 2
+
+    def test_model_is_immutable(self):
+        model = fit(dataset_1d([0.0, 1.0], ["A", "B"]))
+        with pytest.raises(AttributeError):
+            model.memberships = np.eye(2)
+        assert model.memberships.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -146,21 +148,21 @@ class TestPredictKnn:
     def test_single_nearest_neighbour(self):
         data = dataset_1d([0.0, 10.0], ["benign", "malignant"])
         model = fit(data, ClassifierConfig(kind="knn", k=1, **NO_NORM))
-        p = predict_knn(model, np.array([1.0]))
+        p = predict(model, np.array([1.0]), "knn")
         assert p.label == "benign"
         assert p.scores.tolist() == [1.0, 0.0]
 
     def test_vote_fractions(self):
         data = dataset_1d([0.0, 0.5, 5.0], ["A", "A", "B"])
         model = fit(data, ClassifierConfig(k=3, **NO_NORM))
-        p = predict_knn(model, np.array([1.0]))
+        p = predict(model, np.array([1.0]), "knn")
         assert p.label == "A"
         assert p.scores.tolist() == [2 / 3, 1 / 3]
 
     def test_vote_tie_goes_to_closer_class(self):
         data = dataset_1d([1.5, 3.0], ["A", "B"])
         model = fit(data, ClassifierConfig(k=2, **NO_NORM))
-        p = predict_knn(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "knn")
         assert p.label == "A"
         assert p.scores.tolist() == [0.5, 0.5]
 
@@ -184,7 +186,7 @@ class TestPredictKnn:
                 key=lambda c: (sum(d[i] for i in order if labels[i] == c),
                                data.classes.index(c)),
             )
-            assert predict_knn(model, q).label == expected
+            assert predict(model, q, "knn").label == expected
 
 
 class TestPredictFknn:
@@ -192,7 +194,7 @@ class TestPredictFknn:
         # neighbours at d=1 (A) and d=2 (B), m=2: weights 1 and 1/4
         data = dataset_1d([1.0, 4.0], ["A", "B"])
         model = fit(data, ClassifierConfig(kind="fknn", k=2, m=2.0, **NO_NORM))
-        p = predict_fknn(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "fknn")
         assert p.scores == pytest.approx([0.8, 0.2], abs=1e-12)
         assert p.label == "A"
 
@@ -200,7 +202,7 @@ class TestPredictFknn:
         data = dataset_1d([0.0, 1.0, 2.0, 3.0, 10.0], ["A", "A", "A", "B", "B"])
         cfg = ClassifierConfig(kind="fknn", k=3, init="keller", k_init=3, **NO_NORM)
         model = fit(data, cfg)
-        p = predict_fknn(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "fknn")
         assert np.allclose(p.scores, model.memberships[2], atol=1e-12)
 
     def test_scores_form_a_distribution(self):
@@ -208,7 +210,7 @@ class TestPredictFknn:
         data = random_dataset(rng, n=60)
         model = fit(data, ClassifierConfig(kind="fknn", k=7, init="keller"))
         for _ in range(100):
-            p = predict_fknn(model, rng.normal(size=3))
+            p = predict(model, rng.normal(size=3), "fknn")
             assert abs(p.scores.sum() - 1.0) < 1e-9
             assert (p.scores >= 0).all() and (p.scores <= 1).all()
 
@@ -217,7 +219,7 @@ class TestPredictKnne:
     def test_mean_distance_hand_case(self):
         data = dataset_1d([0.0, 1.0, 3.0, 5.0], ["A", "A", "B", "B"])
         model = fit(data, ClassifierConfig(kind="knne", k=2, **NO_NORM))
-        p = predict_knne(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "knne")
         # mean_A = (2+1)/2 = 1.5, mean_B = (1+3)/2 = 2.0
         assert p.label == "A"
         assert p.scores == pytest.approx([4 / 7, 3 / 7], abs=1e-12)
@@ -225,21 +227,21 @@ class TestPredictKnne:
     def test_zero_mean_takes_all_mass(self):
         data = dataset_1d([1.0, 4.0], ["A", "B"])
         model = fit(data, ClassifierConfig(kind="knne", k=1, **NO_NORM))
-        p = predict_knne(model, np.array([1.0]))
+        p = predict(model, np.array([1.0]), "knne")
         assert p.label == "A"
         assert p.scores.tolist() == [1.0, 0.0]
 
     def test_symmetric_fixture_ties_to_first_class(self):
         data = dataset_1d([1.0, 3.0], ["A", "B"])
         model = fit(data, ClassifierConfig(kind="knne", k=1, **NO_NORM))
-        p = predict_knne(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "knne")
         assert p.label == "A"
         assert p.scores.tolist() == [0.5, 0.5]
 
     def test_small_class_uses_all_available(self):
         data = dataset_1d([0.0, 1.0, 2.0, 9.0], ["A", "A", "A", "B"])
         model = fit(data, ClassifierConfig(kind="knne", k=3, **NO_NORM))
-        p = predict_knne(model, np.array([1.0]))  # class B has one sample
+        p = predict(model, np.array([1.0]), "knne")  # class B has one sample
         assert abs(p.scores.sum() - 1.0) < 1e-12
 
 
@@ -247,14 +249,14 @@ class TestPredictFknne:
     def test_inverse_square_weighting_hand_case(self):
         data = dataset_1d([1.0, 4.0], ["A", "B"])
         model = fit(data, ClassifierConfig(kind="fknne", k=1, m=2.0, **NO_NORM))
-        p = predict_fknne(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "fknne")
         assert p.scores == pytest.approx([0.8, 0.2], abs=1e-12)
         assert p.label == "A"
 
     def test_symmetric_fixture_ties_to_first_class(self):
         data = dataset_1d([1.0, 3.0], ["A", "B"])
         model = fit(data, ClassifierConfig(kind="fknne", k=1, **NO_NORM))
-        p = predict_fknne(model, np.array([2.0]))
+        p = predict(model, np.array([2.0]), "fknne")
         assert p.label == "A"
         assert p.scores == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -271,13 +273,13 @@ class TestPredictFknne:
                 d = np.sort(np.sqrt(((X[pool] - q) ** 2).sum(axis=1)))[:3]
                 masses.append((d ** -2.0).sum())
             expected = data.classes[int(np.argmax(masses))]
-            assert predict_fknne(model, q).label == expected
+            assert predict(model, q, "fknne").label == expected
 
     def test_exact_match_rule_on_pool_union(self):
         data = dataset_1d([0.0, 1.0, 2.0, 3.0, 10.0], ["A", "A", "A", "B", "B"])
         cfg = ClassifierConfig(kind="fknne", k=2, init="keller", k_init=3, **NO_NORM)
         model = fit(data, cfg)
-        p = predict_fknne(model, np.array([3.0]))
+        p = predict(model, np.array([3.0]), "fknne")
         assert np.allclose(p.scores, model.memberships[3], atol=1e-12)
 
     def test_keller_can_disagree_with_knne(self):
@@ -287,21 +289,19 @@ class TestPredictFknne:
         crisp = fit(data, ClassifierConfig(kind="knne", k=5))
         fuzzy = fit(data, ClassifierConfig(kind="fknne", k=5, init="keller"))
         queries = rng.normal(size=(200, 3))
-        labels_crisp = [predict_knne(crisp, q).label for q in queries]
-        labels_fuzzy = [predict_fknne(fuzzy, q).label for q in queries]
+        labels_crisp = [predict(crisp, q, "knne").label for q in queries]
+        labels_fuzzy = [predict(fuzzy, q, "fknne").label for q in queries]
         assert labels_crisp != labels_fuzzy
 
 
 class TestSharedInvariants:
-    PREDICTORS = (predict_knn, predict_fknn, predict_knne, predict_fknne)
-
     def test_scores_are_distributions_and_label_is_argmax(self):
         rng = np.random.default_rng(7)
         data = random_dataset(rng, n=50)
         model = fit(data, ClassifierConfig(k=5, init="keller"))
-        for pred in self.PREDICTORS:
+        for kind in KINDS:
             for _ in range(50):
-                p = pred(model, rng.normal(size=3))
+                p = predict(model, rng.normal(size=3), kind)
                 assert abs(p.scores.sum() - 1.0) < 1e-9
                 assert (p.scores >= 0).all() and (p.scores <= 1).all()
                 assert p.scores[p.classes.index(p.label)] == p.scores.max()
@@ -315,11 +315,11 @@ class TestSharedInvariants:
         scaled = fit(Dataset(ids, X * 7.3, labels), ClassifierConfig(k=5, **NO_NORM))
         for _ in range(50):
             q = rng.normal(size=3)
-            assert predict_knn(base, q).label == predict_knn(scaled, q * 7.3).label
-            assert predict_knne(base, q).label == predict_knne(scaled, q * 7.3).label
-            for pred in (predict_fknn, predict_fknne):
-                s0 = pred(base, q).scores
-                s1 = pred(scaled, q * 7.3).scores
+            assert predict(base, q, "knn").label == predict(scaled, q * 7.3, "knn").label
+            assert predict(base, q, "knne").label == predict(scaled, q * 7.3, "knne").label
+            for kind in ("fknn", "fknne"):
+                s0 = predict(base, q, kind).scores
+                s1 = predict(scaled, q * 7.3, kind).scores
                 assert np.allclose(s0, s1, atol=1e-9)
 
     def test_training_order_invariance(self):
@@ -330,10 +330,10 @@ class TestSharedInvariants:
                            [data.labels[i] for i in perm])
         cfg = ClassifierConfig(k=3, init="keller")
         m1, m2 = fit(data, cfg), fit(shuffled, cfg)
-        for pred in self.PREDICTORS:
+        for kind in KINDS:
             for _ in range(25):
                 q = rng.normal(size=3)
-                p1, p2 = pred(m1, q), pred(m2, q)
+                p1, p2 = predict(m1, q, kind), predict(m2, q, kind)
                 assert p1.label == p2.label
                 assert np.allclose(p1.scores, p2.scores, atol=1e-12)
 
@@ -351,16 +351,23 @@ class TestSharedInvariants:
             if np.sum(d == d.min()) > 1:
                 continue
             expected = data.labels[int(np.argmin(d))]
-            for pred in self.PREDICTORS:
-                assert pred(model, q_raw).label == expected
+            for kind in KINDS:
+                assert predict(model, q_raw, kind).label == expected
 
     def test_dispatch_follows_config_kind(self):
         rng = np.random.default_rng(11)
         data = random_dataset(rng, n=20)
         q = rng.normal(size=3)
-        for kind, pred in zip(("knn", "fknn", "knne", "fknne"), self.PREDICTORS):
+        for kind in KINDS:
             model = fit(data, ClassifierConfig(kind=kind, k=3))
-            assert predict(model, q).scores.tolist() == pred(model, q).scores.tolist()
+            assert predict(model, q).scores.tolist() == predict(model, q, kind).scores.tolist()
+
+    def test_unknown_kind_is_rejected(self):
+        model = fit(dataset_1d([0.0, 1.0], ["A", "B"]))
+        with pytest.raises(ValueError, match="kind must be one of"):
+            predict(model, [0.5], kind="bogus")
+        with pytest.raises(ValueError, match="kind must be one of"):
+            predict_many(model, [[0.5]], kind="bogus")
 
 
 class TestSmallFuzzifier:
@@ -380,7 +387,7 @@ class TestSmallFuzzifier:
         model = fit(data, ClassifierConfig(kind="fknn", k=3, m=m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = predict_fknn(model, np.array([1000.0]))
+            p = predict(model, np.array([1000.0]), "fknn")
         d = np.abs(1000.0 / 3.0 - np.array([1.0, 2 / 3, 1 / 3]))
         expected = self.expected_scores(d, np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), m)
         assert np.isfinite(p.scores).all()
@@ -393,7 +400,7 @@ class TestSmallFuzzifier:
         model = fit(data, ClassifierConfig(kind="fknne", k=2, m=m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = predict_fknne(model, np.array([-1000.0]))
+            p = predict(model, np.array([-1000.0]), "fknne")
         assert np.isfinite(p.scores).all()
         assert abs(p.scores.sum() - 1.0) < 1e-12
         assert p.label == "benign"
@@ -401,7 +408,7 @@ class TestSmallFuzzifier:
     def test_scores_unchanged_when_weights_do_not_underflow(self):
         data = dataset_1d([0.0, 1.0, 2.0, 3.0], ["A", "A", "B", "B"])
         model = fit(data, ClassifierConfig(kind="fknn", k=3, m=1.01, **NO_NORM))
-        p = predict_fknn(model, np.array([1.5]))
+        p = predict(model, np.array([1.5]), "fknn")
         w = np.array([0.5, 0.5, 1.5]) ** (-2.0 / 0.01)
         assert p.scores.tolist() == ((w[:, None] * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
                                      .sum(axis=0) / w.sum()).tolist()

@@ -314,6 +314,17 @@ class TestEval:
         assert main(["eval", "--features", str(p), "--protocol", "loocv"]) == 2
         assert "feature 'wide': max - min overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--folds", "-3"], "error: --folds must be >= 2"),
+        (["--seed", "-1"], "error: --seed must be >= 0"),
+    ])
+    def test_bad_protocol_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
+                                                 flags, message):
+        assert main(["eval", "--features", str(synthetic_csv), *flags,
+                     "--out-json", str(tmp_path / "r.json"),
+                     "--out-roc", str(tmp_path / "roc.csv")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     def test_roc_csv_header(self, tmp_path, synthetic_csv):
         roc = tmp_path / "roc.csv"
         assert main(["eval", "--features", str(synthetic_csv),
@@ -367,6 +378,12 @@ class TestCompare:
             ("knn[k=1]", 1), ("knn[k=3]", 3), ("knn[k=5]", 5),
             ("fknne[k=1]", 1), ("fknne[k=3]", 3), ("fknne[k=5]", 5),
         ]
+
+    def test_non_integer_k_sweep_exits_2_naming_the_flag(self, tmp_path, synthetic_csv,
+                                                         capsys):
+        assert main(["compare", "--features", str(synthetic_csv), "--k-sweep", "3,x",
+                     "--out-json", str(tmp_path / "cmp.json")]) == 2
+        assert capsys.readouterr().err == "error: --k-sweep: 'x' is not an integer\n"
 
     def test_unknown_method_exits_2(self, synthetic_csv, capsys):
         assert main(["compare", "--features", str(synthetic_csv),

@@ -30,10 +30,6 @@ from fknne import (
     fit,
     kneighbors,
     predict,
-    predict_fknn,
-    predict_fknne,
-    predict_knn,
-    predict_knne,
     predict_many,
     roc_curve,
     stratified_kfold,
@@ -241,9 +237,6 @@ configs = st.builds(
     normalize=st.booleans(),
 )
 
-PREDICTORS = {"knn": predict_knn, "fknn": predict_fknn, "knne": predict_knne,
-              "fknne": predict_fknne}
-
 
 class TestAgainstScalarOracle:
     @settings(max_examples=150, deadline=None)
@@ -251,7 +244,8 @@ class TestAgainstScalarOracle:
     def test_every_rule_and_entry_point_matches_oracle(self, problem, cfg):
         data, queries = problem
         model = fit(data, cfg)
-        batch = predict_many(model, np.array(queries).reshape(-1, data.X.shape[1]))
+        matrix = np.array(queries).reshape(-1, data.X.shape[1])
+        batch = predict_many(model, matrix)
         assert len(batch) == len(queries)
         for q, p in zip(queries, batch):
             label, scores = ORACLES[cfg.kind](model, q)
@@ -260,11 +254,16 @@ class TestAgainstScalarOracle:
                 assert isinstance(got, Prediction)
                 assert got.label == label
                 assert same_bits(got.scores, scores)
-            for kind, rule in PREDICTORS.items():
+        # Every rule through both entry points: each batch row is the
+        # single-query result, and both are the oracle's, bit for bit.
+        for kind in KINDS:
+            kind_batch = predict_many(model, matrix, kind)
+            assert len(kind_batch) == len(queries)
+            for q, p in zip(queries, kind_batch):
                 label, scores = ORACLES[kind](model, q)
-                got = rule(model, q)
-                assert got.label == label
-                assert same_bits(got.scores, scores)
+                for got in (p, predict(model, q, kind)):
+                    assert got.label == label
+                    assert same_bits(got.scores, scores)
 
     @settings(max_examples=150, deadline=None)
     @given(problems(), st.integers(1, 30), st.booleans(), st.data())
@@ -346,7 +345,7 @@ class TestBatchedScoring:
         model = fit(data, ClassifierConfig(kind=kind, k=2, m=1.01, init=init, normalize=False))
         batch = predict_many(model, self.MIXED)
         for q, p in zip(self.MIXED, batch):
-            single = PREDICTORS[kind](model, q)
+            single = predict(model, q, kind)
             assert p.label == single.label
             assert same_bits(p.scores, single.scores)
         if kind in ("fknn", "fknne"):
