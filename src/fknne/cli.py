@@ -101,6 +101,12 @@ def cmd_extract(args) -> int:
 
 
 def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
+    if k < 1:
+        raise ValueError("--k must be >= 1")
+    if not args.m > 1.0:
+        raise ValueError("--m must be > 1")
+    if args.k_init is not None and args.k_init < 1:
+        raise ValueError("--k-init must be >= 1")
     return ClassifierConfig(
         kind=kind,
         k=k,
@@ -169,6 +175,8 @@ def cmd_compare(args) -> int:
                 ks.append(int(v))
             except ValueError:
                 raise ValueError(f"--k-sweep: {v!r} is not an integer") from None
+            if ks[-1] < 1:
+                raise ValueError(f"--k-sweep: {v!r} is below 1")
     configs = [_classifier_config(args, m, k) for m in methods for k in ks]
     table = compare_classifiers(data, configs, _protocol(args),
                                 positive_class=args.positive)
@@ -182,6 +190,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     data = two_cluster_dataset(n_per_class=args.n_per_class, n_features=args.dim,
                                separation=args.separation, spread=args.spread,
                                seed=args.seed)

@@ -57,43 +57,35 @@ class RocCurve:
     auc: float
 
     def __post_init__(self):
-        pts = tuple((float(f), float(t), float(th)) for f, t, th in self.points)
-        if pts[0][:2] != (0.0, 0.0) or pts[-1][:2] != (1.0, 1.0):
+        pts = np.array(self.points, dtype=np.float64).reshape(len(self.points), 3)
+        if not len(pts) or (pts[[0, -1], :2] != [[0.0, 0.0], [1.0, 1.0]]).any():
             raise ValueError("ROC points must run from (0,0) to (1,1)")
-        for (f0, t0, _), (f1, t1, _) in zip(pts, pts[1:]):
-            if f1 < f0 or t1 < t0:
-                raise ValueError("ROC points must be monotone non-decreasing")
-        object.__setattr__(self, "points", pts)
+        if (pts[1:, :2] < pts[:-1, :2]).any():
+            raise ValueError("ROC points must be monotone non-decreasing")
+        object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
 
 
-def confusion(predictions, truth, positive: str = "malignant", classes=None) -> ConfusionCounts:
+def _counts(y: np.ndarray, hit: np.ndarray) -> ConfusionCounts:
+    """Tally truth ``y`` against ``hit``, both boolean: positive, predicted positive."""
+    tn, fp, fn, tp = np.bincount(2 * y + hit, minlength=4).tolist()
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
+def confusion(predictions, truth, positive: str = "malignant") -> ConfusionCounts:
     """Tally predictions (labels or Prediction objects) against the truth.
 
-    ``classes`` widens the known class set; without it the set is inferred
-    from the inputs, and a positive class outside it is an error.
+    The class set is inferred from the inputs, including every Prediction's
+    classes; a positive class outside it is an error.
     """
     if len(predictions) != len(truth):
         raise ValueError("predictions and truth must have equal length")
     predicted = [p if isinstance(p, str) else p.label for p in predictions]
-    known = set(truth) | set(predicted) | set(classes or ())
-    for p in predictions:
-        if not isinstance(p, str):
-            known.update(p.classes)
-    if positive not in known:
+    y = np.asarray(truth, dtype=object) == positive
+    hit = np.asarray(predicted, dtype=object) == positive
+    if not (y.any() or hit.any() or any(
+            positive in p.classes for p in predictions if not isinstance(p, str))):
         raise ValueError(f"positive class {positive!r} absent from the class set")
-    tp = fp = tn = fn = 0
-    for pred, true in zip(predicted, truth):
-        if true == positive:
-            if pred == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == positive:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, tn, fn)
+    return _counts(y, hit)
 
 
 def rates(c: ConfusionCounts) -> tuple[float, float, float]:
@@ -110,6 +102,24 @@ def rates(c: ConfusionCounts) -> tuple[float, float, float]:
     )
 
 
+def _roc(s: np.ndarray, y: np.ndarray) -> RocCurve:
+    """The ROC curve of float64 scores ``s`` against boolean truth ``y``."""
+    n_pos = int(np.count_nonzero(y))
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC requires both classes in the truth")
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    last = np.r_[np.flatnonzero(np.diff(s_sorted) != 0), len(s) - 1]
+    fpr = np.r_[0.0, np.cumsum(~y_sorted)[last] / n_neg]
+    tpr = np.r_[0.0, np.cumsum(y_sorted)[last] / n_pos]
+    # The trapezoids summed left to right: accumulate keeps that order,
+    # where np.sum pairs terms and Python 3.12's sum() compensates.
+    area = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
+    return RocCurve(points=np.column_stack((fpr, tpr, np.r_[np.inf, s_sorted[last]])),
+                    auc=float(area))
+
+
 def roc_curve(scores, truth, positive: str = "malignant") -> RocCurve:
     """Sweep thresholds over the distinct scores, descending.
 
@@ -118,25 +128,10 @@ def roc_curve(scores, truth, positive: str = "malignant") -> RocCurve:
     curve starts at (0,0) (threshold +inf) and ends at (1,1).
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.array([t == positive for t in truth])
+    y = np.asarray(truth, dtype=object) == positive
     if len(s) != len(y):
         raise ValueError("scores and truth must have equal length")
-    n_pos = int(y.sum())
-    n_neg = int(len(y) - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC requires both classes in the truth")
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    tps = np.cumsum(y_sorted)
-    fps = np.cumsum(~y_sorted)
-    last = np.r_[np.flatnonzero(np.diff(s_sorted) != 0), len(s) - 1]
-    points = [(0.0, 0.0, float("inf"))]
-    for i in last:
-        points.append((fps[i] / n_neg, tps[i] / n_pos, float(s_sorted[i])))
-    area = 0.0
-    for (f0, t0, _), (f1, t1, _) in zip(points, points[1:]):
-        area += (f1 - f0) * (t0 + t1) / 2.0
-    return RocCurve(points=tuple(points), auc=float(area))
+    return _roc(s, y)
 
 
 def auc(scores, truth, positive: str = "malignant") -> float:
@@ -244,8 +239,14 @@ class FoldResult:
     accuracy: float
 
 
-def _safe_rate(num: int, den: int) -> float | None:
-    return num / den if den > 0 else None
+def _fold_result(counts: ConfusionCounts) -> FoldResult:
+    pos, neg = counts.tp + counts.fn, counts.tn + counts.fp
+    return FoldResult(
+        counts=counts,
+        sensitivity=counts.tp / pos if pos else None,
+        specificity=counts.tn / neg if neg else None,
+        accuracy=(counts.tp + counts.tn) / counts.total,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,35 +294,6 @@ class EvaluationReport:
                 for f in self.folds
             ],
         }
-
-
-def _default_positive(classes) -> str:
-    return "malignant" if "malignant" in classes else classes[-1]
-
-
-def _report(cfg, protocol, positive, ids, truth, predicted, scores,
-            fold_results) -> EvaluationReport:
-    pooled = confusion(predicted, truth, positive)
-    sens, spec, acc = rates(pooled)
-    roc = roc_curve(scores, truth, positive)
-    averaged = {}
-    for key in ("sensitivity", "specificity", "accuracy"):
-        defined = [getattr(f, key) for f in fold_results if getattr(f, key) is not None]
-        averaged[key] = sum(defined) / len(defined) if defined else None
-    return EvaluationReport(
-        config=cfg,
-        protocol=protocol,
-        positive_class=positive,
-        pooled=pooled,
-        sensitivity=sens,
-        specificity=spec,
-        accuracy=acc,
-        roc=roc,
-        auc=roc.auc,
-        averaged=averaged,
-        folds=tuple(fold_results),
-        predictions=tuple(zip(ids, truth, predicted, scores)),
-    )
 
 
 class _Refit:
@@ -449,13 +421,16 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
         raise ValueError(
             f"evaluation requires a binary task, got classes {data.classes}"
         )
-    positive = positive_class if positive_class is not None else _default_positive(data.classes)
+    positive = positive_class
+    if positive is None:
+        positive = "malignant" if "malignant" in data.classes else data.classes[-1]
     if positive not in data.classes:
         raise ValueError(f"positive class {positive!r} not in {data.classes}")
     if not isinstance(protocol, (KFold, Holdout, Loocv)):
         raise ValueError(f"unknown protocol {protocol!r}")
 
     index_of = {sid: i for i, sid in enumerate(data.ids)}
+    is_pos = np.array(data.labels) == positive
     k_max: dict[bool, int] = {}
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
@@ -464,20 +439,16 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
         for normalize, k in k_max.items():
             reuse[normalize] = _LeaveOneOut.build(
                 data, [c for c in configs if c.normalize == normalize], k)
-    # Test ids and their labels in fold order, the same for every config.
-    tested: list[str] = []
-    tested_truth: list[str] = []
-    predicted: list[list[str]] = [[] for _ in configs]
-    scores: list[list[float]] = [[] for _ in configs]
-    fold_results: list[list[FoldResult]] = [[] for _ in configs]
+    # Tested rows in fold order; per config, each fold's (hit, scores, result).
+    tested: list[int] = []
+    per_config: list[list[tuple]] = [[] for _ in configs]
     for train_ids, test_ids in protocol.splits(data):
         test = [index_of[sid] for sid in test_ids]
-        truth = [data.labels[i] for i in test]
-        tested.extend(test_ids)
-        tested_truth.extend(truth)
+        y = is_pos[test]
+        tested.extend(test)
         train = None
         sources = {}
-        for cfg, labels, cfg_scores, folds in zip(configs, predicted, scores, fold_results):
+        for cfg, cfg_folds in zip(configs, per_config):
             source = sources.get(cfg.normalize)
             if source is None:
                 source = reuse[cfg.normalize].fold(test[0]) if reuse.get(cfg.normalize) else None
@@ -488,21 +459,40 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
                 sources[cfg.normalize] = source
             model, table = source(cfg)
             winners, fold_scores = predict_table(model, table, cfg)
-            fold_labels = [model.classes[w] for w in winners]
-            labels.extend(fold_labels)
-            cfg_scores.extend(fold_scores[:, model.classes.index(positive)].tolist()
-                              if positive in model.classes else [0.0] * len(test))
-            counts = confusion(fold_labels, truth, positive, classes=data.classes)
-            folds.append(
-                FoldResult(
-                    counts=counts,
-                    sensitivity=_safe_rate(counts.tp, counts.tp + counts.fn),
-                    specificity=_safe_rate(counts.tn, counts.tn + counts.fp),
-                    accuracy=(counts.tp + counts.tn) / counts.total,
-                )
-            )
-    for cfg, labels, cfg_scores, folds in zip(configs, predicted, scores, fold_results):
-        yield _report(cfg, protocol, positive, tested, tested_truth, labels, cfg_scores, folds)
+            # A fold model without the positive class predicts it nowhere, scoring 0.
+            p = model.classes.index(positive) if positive in model.classes else -1
+            hit = winners == p
+            cfg_folds.append((hit, fold_scores[:, p] if p >= 0 else np.zeros(len(test)),
+                              _fold_result(_counts(y, hit))))
+    negative = data.classes[1 - data.classes.index(positive)]
+    ids = [data.ids[i] for i in tested]
+    truth = [data.labels[i] for i in tested]
+    y = is_pos[tested]
+    for cfg, cfg_folds in zip(configs, per_config):
+        hits, scores, folds = zip(*cfg_folds)
+        hit, s = np.concatenate(hits), np.concatenate(scores)
+        pooled = _counts(y, hit)
+        sens, spec, acc = rates(pooled)
+        roc = _roc(s, y)
+        averaged = {}
+        for key in ("sensitivity", "specificity", "accuracy"):
+            defined = [getattr(f, key) for f in folds if getattr(f, key) is not None]
+            averaged[key] = sum(defined) / len(defined) if defined else None
+        predicted = np.where(hit, positive, negative).tolist()
+        yield EvaluationReport(
+            config=cfg,
+            protocol=protocol,
+            positive_class=positive,
+            pooled=pooled,
+            sensitivity=sens,
+            specificity=spec,
+            accuracy=acc,
+            roc=roc,
+            auc=roc.auc,
+            averaged=averaged,
+            folds=folds,
+            predictions=tuple(zip(ids, truth, predicted, s.tolist())),
+        )
 
 
 def evaluate(data: Dataset, cfg: ClassifierConfig, protocol,
@@ -543,18 +533,13 @@ class ComparisonTable:
         return [asdict(r) for r in self.rows]
 
     def render_text(self) -> str:
-        header = ("method", "sensitivity", "specificity", "accuracy", "auc")
-        body = [
-            (r.method, f"{r.sensitivity:.4f}", f"{r.specificity:.4f}",
-             f"{r.accuracy:.4f}", f"{r.auc:.4f}")
-            for r in self.rows
-        ]
-        widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
-                  for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-        for row in body:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        return "\n".join(lines)
+        cells = [("method", "sensitivity", "specificity", "accuracy", "auc")]
+        for r in self.rows:
+            cells.append((r.method, f"{r.sensitivity:.4f}", f"{r.specificity:.4f}",
+                          f"{r.accuracy:.4f}", f"{r.auc:.4f}"))
+        widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+        return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                         for row in cells)
 
 
 def compare_classifiers(data: Dataset, configs, protocol,

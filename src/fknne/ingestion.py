@@ -145,6 +145,8 @@ def _p2_raster(body: bytes, count: int, max_val: int) -> np.ndarray:
     edges = np.flatnonzero(np.diff(np.concatenate(([True], ws, [True]))))
     starts, ends = edges[0::2], edges[1::2]
     if len(starts) < count:
+        if (buf - 28 <= 3).any():  # str.split() split at bytes 28-31; here they are in tokens
+            raise ValueError("malformed P2 raster: non-numeric pixel value")
         raise ValueError(f"truncated P2 pixel data: expected {count} values, got {len(starts)}")
     starts, ends = starts[:count], ends[:count]
 

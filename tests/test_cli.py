@@ -317,6 +317,9 @@ class TestEval:
     @pytest.mark.parametrize("flags, message", [
         (["--folds", "-3"], "error: --folds must be >= 2"),
         (["--seed", "-1"], "error: --seed must be >= 0"),
+        (["--k", "0"], "error: --k must be >= 1"),
+        (["--init", "keller", "--k-init", "0"], "error: --k-init must be >= 1"),
+        (["--m", "1"], "error: --m must be > 1"),
     ])
     def test_bad_protocol_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
                                                  flags, message):
@@ -385,6 +388,17 @@ class TestCompare:
                      "--out-json", str(tmp_path / "cmp.json")]) == 2
         assert capsys.readouterr().err == "error: --k-sweep: 'x' is not an integer\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "error: --k must be >= 1"),
+        (["--k-sweep", "3,0"], "error: --k-sweep: '0' is below 1"),
+        (["--m", "0.5"], "error: --m must be > 1"),
+    ])
+    def test_bad_classifier_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
+                                                   flags, message):
+        assert main(["compare", "--features", str(synthetic_csv), *flags,
+                     "--out-json", str(tmp_path / "cmp.json")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     def test_unknown_method_exits_2(self, synthetic_csv, capsys):
         assert main(["compare", "--features", str(synthetic_csv),
                      "--methods", "svm"]) == 2
@@ -404,6 +418,10 @@ class TestSynth:
         out = tmp_path / "synthetic.csv"
         assert main(["synth", "--out", str(out)]) == 0
         assert out.read_bytes() == synthetic_csv.read_bytes()
+
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
 
 
 class TestFeatureCsv:

@@ -18,6 +18,7 @@ import fknne.evaluation
 from fknne import (
     KINDS,
     ClassifierConfig,
+    ConfusionCounts,
     Dataset,
     FoldResult,
     Holdout,
@@ -25,7 +26,6 @@ from fknne import (
     Loocv,
     Prediction,
     compare_classifiers,
-    confusion,
     evaluate,
     fit,
     kneighbors,
@@ -166,6 +166,24 @@ def oracle_keller(data, X, k_init):
     return memberships
 
 
+def oracle_confusion(predicted, truth, positive):
+    """The label-at-a-time tally that cross-validation ran per fold before
+    it counted class-index arrays."""
+    tp = fp = tn = fn = 0
+    for pred, true in zip(predicted, truth):
+        if true == positive:
+            if pred == positive:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == positive:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
 def oracle_cross_validate(data, cfg, protocol, positive="malignant"):
     """Per-fold subset and fit: (id, truth, label, score) rows, fold
     results and AUC, as cross-validation computed them before fits were
@@ -179,7 +197,7 @@ def oracle_cross_validate(data, cfg, protocol, positive="malignant"):
         for sid, true, p in zip(test_ids, truth, preds):
             rows.append((sid, true, p.label,
                          p.score(positive) if positive in model.classes else 0.0))
-        c = confusion([p.label for p in preds], truth, positive, classes=data.classes)
+        c = oracle_confusion([p.label for p in preds], truth, positive)
         folds.append(FoldResult(
             c,
             c.tp / (c.tp + c.fn) if c.tp + c.fn else None,

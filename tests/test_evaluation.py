@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fknne import (
     ClassifierConfig,
@@ -15,6 +17,8 @@ from fknne import (
     Holdout,
     KFold,
     Loocv,
+    Prediction,
+    RocCurve,
     auc,
     compare_classifiers,
     confusion,
@@ -43,6 +47,105 @@ def mann_whitney_auc(scores, truth, positive="malignant"):
     return wins / (len(pos) * len(neg))
 
 
+def oracle_confusion(predictions, truth, positive="malignant"):
+    """The label-at-a-time ``confusion`` that class-index counting replaced."""
+    if len(predictions) != len(truth):
+        raise ValueError("predictions and truth must have equal length")
+    predicted = [p if isinstance(p, str) else p.label for p in predictions]
+    known = set(truth) | set(predicted)
+    for p in predictions:
+        if not isinstance(p, str):
+            known.update(p.classes)
+    if positive not in known:
+        raise ValueError(f"positive class {positive!r} absent from the class set")
+    tp = fp = tn = fn = 0
+    for pred, true in zip(predicted, truth):
+        if true == positive:
+            if pred == positive:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == positive:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
+def oracle_roc_curve(scores, truth, positive="malignant"):
+    """The point-at-a-time ``roc_curve`` that the cumsum arrays replaced:
+    its (fpr, tpr, threshold) points and its trapezoid sum, left to right."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.array([t == positive for t in truth])
+    if len(s) != len(y):
+        raise ValueError("scores and truth must have equal length")
+    n_pos = int(y.sum())
+    n_neg = int(len(y) - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC requires both classes in the truth")
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    tps = np.cumsum(y_sorted)
+    fps = np.cumsum(~y_sorted)
+    last = np.r_[np.flatnonzero(np.diff(s_sorted) != 0), len(s) - 1]
+    points = [(0.0, 0.0, float("inf"))]
+    for i in last:
+        points.append((fps[i] / n_neg, tps[i] / n_pos, float(s_sorted[i])))
+    area = 0.0
+    for (f0, t0, _), (f1, t1, _) in zip(points, points[1:]):
+        area += (f1 - f0) * (t0 + t1) / 2.0
+    return tuple((float(f), float(t), float(th)) for f, t, th in points), float(area)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+LABELS = ("malignant", "benign", "other")
+# Few distinct values, so ties are common; both zeros, so their sign must
+# survive the sweep; the unit interval's fine structure, so rounding matters.
+SCORES = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def predictions(draw):
+    """A label, or a Prediction whose classes may hold a label that no
+    truth and no winning label names."""
+    classes = tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3,
+                                  unique=True)))
+    label = draw(st.sampled_from(classes))
+    if draw(st.booleans()):
+        return label
+    return Prediction(label, classes, np.full(len(classes), 1.0 / len(classes)))
+
+
+@st.composite
+def tallies(draw):
+    """(predictions, truth, scores, positive): lengths that sometimes
+    disagree, truth that sometimes holds one class, scores that are
+    sometimes all one value."""
+    n = draw(st.integers(0, 40))
+    truth = draw(st.lists(st.sampled_from(LABELS[:draw(st.integers(1, 3))]),
+                          min_size=n, max_size=n))
+    n_pred = n + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    preds = draw(st.lists(predictions(), min_size=max(n_pred, 0), max_size=max(n_pred, 0)))
+    n_scores = n + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    if draw(st.booleans()):
+        scores = [draw(SCORES)] * max(n_scores, 0)
+    else:
+        scores = draw(st.lists(SCORES, min_size=max(n_scores, 0), max_size=max(n_scores, 0)))
+    return preds, truth, scores, draw(st.sampled_from(LABELS + ("absent",)))
+
+
 def clusters_1d(n_per_class=5, margin=100.0):
     xs = list(np.arange(n_per_class, dtype=float)) + [
         margin + i for i in range(n_per_class)
@@ -50,6 +153,24 @@ def clusters_1d(n_per_class=5, margin=100.0):
     labels = ["benign"] * n_per_class + ["malignant"] * n_per_class
     ids = [f"s{i:02d}" for i in range(2 * n_per_class)]
     return Dataset(ids, np.array(xs).reshape(-1, 1), labels)
+
+
+class TestAgainstScalarOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tallies())
+    def test_confusion_and_roc_match_the_oracles(self, case):
+        preds, truth, scores, positive = case
+        assert outcome(confusion, preds, truth, positive) == outcome(
+            oracle_confusion, preds, truth, positive)
+        got = outcome(roc_curve, scores, truth, positive)
+        want = outcome(oracle_roc_curve, scores, truth, positive)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, RocCurve), got
+            assert all(type(v) is float for point in got.points for v in point)
+            assert float_bits(got.points) == float_bits(want[0])
+            assert type(got.auc) is float and float_bits(got.auc) == float_bits(want[1])
 
 
 class TestConfusion:
@@ -128,6 +249,10 @@ class TestRocCurve:
     def test_one_class_truth_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             roc_curve([0.1, 0.2], ["benign", "benign"])
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match=r"^ROC points must run from \(0,0\) to \(1,1\)$"):
+            RocCurve(points=(), auc=0.0)
 
     def test_points_are_monotone(self):
         rng = np.random.default_rng(1)

@@ -464,6 +464,8 @@ class TestP2Raster:
         (b"#c\n1#c\n2 3# 4\r4", 255),    # comments end at \r or \n
         (b" 1 2 3 4 \xc3\xa9", 255),     # non-ASCII anywhere in the raster
         (b" 1 2 3 4\x1c", 255),          # after the last pixel, both agree
+        (b" 1 2 3\x1c4", 255),           # short here, but the oracle splits at 0x1c
+        (b" 1 2 x", 255),                # the oracle counts before it converts
     ])
     def test_edge_cases_match_the_oracle(self, raster, max_val):
         assert_p2_parse_matches_oracle(b"P2 2 2 %d" % max_val + raster)
