@@ -227,9 +227,20 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 # of them order neighbours the same way. The k nearest overall are merged
 # from the per-class lists (_nearest), never searched a second time.
 
-# Queries are processed in blocks whose (block x n x d) difference
-# temporary stays near this many bytes.
+# Queries are processed in blocks whose largest temporary -- (block x n)
+# approximate distances, or the fallback's (block x n x d) differences --
+# stays near this many bytes. Candidates are re-ranked in chunks whose
+# differences stay within twice that.
 _BLOCK_BYTES = 1 << 20
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = np.finfo(np.float64).tiny
+_FMAX = np.finfo(np.float64).max
+
+
+def _gamma(j: int) -> float:
+    """gamma_j = j*u / (1 - j*u): the relative error bound of j roundings."""
+    return j * _UNIT_ROUNDOFF / (1 - j * _UNIT_ROUNDOFF)
 
 
 def _id_rank(ids) -> np.ndarray:
@@ -249,6 +260,18 @@ def _distance_blocks(X: np.ndarray, V: np.ndarray):
     step = max(1, _BLOCK_BYTES // (8 * max(1, n * dim)))
     for s in range(0, len(V), step):
         yield s, np.sqrt(((V[s:s + step, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+
+
+def _gram_blocks(X: np.ndarray, V: np.ndarray, nx: np.ndarray, nv: np.ndarray):
+    """Yield (first query row, block) covering all rows of V, each entry
+    the approximate squared distance ||v||^2 + ||x||^2 - 2 v.x, from the
+    squared row norms nv and nx and one matrix product per block."""
+    step = max(1, _BLOCK_BYTES // (8 * max(1, len(X))))
+    for s in range(0, len(V), step):
+        A = (-2.0 * V[s:s + step]) @ X.T
+        A += nx
+        A += nv[s:s + step, None]
+        yield s, A
 
 
 def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
@@ -273,6 +296,49 @@ def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
     return sel, d
 
 
+def _rerank(Xp, pool, V, A, k, margin, own):
+    """(columns, distances) of the min(k, pool size) nearest rows of
+    Xp = X[pool] to each row of V, nearest first, where X holds rows in
+    rank order and ``pool`` ascends: tied distances go to the smaller
+    column, as they would to the smaller rank.
+
+    A holds approximate squared distances from V to Xp. Only the entries
+    within ``margin`` of their row's k-th smallest are candidates, and only
+    their distances are computed, with the arithmetic of _distance_blocks.
+    When ``own`` is not None, own[r] is the row of X that row r of V is,
+    and its distance is -1."""
+    n, k = A.shape[1], min(k, A.shape[1])
+    cand = A <= (np.partition(A, k - 1, axis=1)[:, k - 1] + margin)[:, None]
+    count = cand.sum(axis=1)
+    # Rows go in chunks whose differences take at most _BLOCK_BYTES when
+    # gathered, twice that when the pool is read in place.
+    step = max(1, _BLOCK_BYTES // (8 * max(1, Xp.shape[1]) * count.max()))
+    sel = np.empty((len(A), k), dtype=np.intp)
+    dist = np.empty((len(A), k))
+    for a in range(0, len(A), step):
+        held = count[a:a + step]
+        if 2 * held.max() > n:
+            # Most of the pool is a candidate: it is read in place, which
+            # costs less than gathering the candidates.
+            J, near, rows_of_x, keep = None, Xp[None, :, :], pool, cand[a:a + step]
+        else:
+            # Each row's candidates in rank order, left-aligned in a row of
+            # J and padded with column 0.
+            r, c = np.nonzero(cand[a:a + step])
+            J = np.zeros((len(held), held.max()), dtype=np.intp)
+            J[r, np.arange(len(r)) - (np.cumsum(held) - held)[r]] = c
+            near, rows_of_x = Xp[J], pool[J]
+            keep = np.arange(J.shape[1]) < held[:, None]
+        D = np.sqrt(((V[a:a + step, None, :] - near) ** 2).sum(axis=2))
+        if own is not None:
+            D[rows_of_x == own[a:a + step, None]] = -1.0
+        D[~keep] = np.inf
+        # Columns are in rank order, so they break ties as rank does.
+        order, dist[a:a + step] = _k_smallest(D, np.arange(D.shape[1]), k)
+        sel[a:a + step] = order if J is None else J[np.arange(len(J))[:, None], order]
+    return sel, dist
+
+
 def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     """For each (pool, k) pair, the (indices, distances) of the
     min(k, pool size) nearest rows of X in that pool, for each row of V,
@@ -282,13 +348,87 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     With V None, X is searched against itself, each row's own entry set to
     -1 so that the row sorts first in every pool that holds it. Distances
     that overflow to inf still rank, last. Only these O(n * k) lists are
-    kept, never the full distance matrix."""
+    kept, never the full distance matrix.
+
+    Each distance is sqrt(S), S = sum((v - x)^2) reduced over the
+    contiguous feature axis as _distance_blocks does, but few are computed.
+    One matrix product per block of V gives approximate squared distances
+    A = ||v||^2 + ||x||^2 - 2 v.x. A row's candidates in a pool are the
+    entries with A <= A_k + margin, A_k its k-th smallest A there, and
+    only their S are computed and ranked (_rerank). The margin keeps every
+    entry that can rank among the k nearest, whatever order the product
+    sums in, with or without fused multiply-adds and on any number of
+    threads, so the result is bit for bit that of ranking every distance.
+
+    The margin. Let u = 2^-53 and gamma_j = j*u / (1 - j*u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1):
+    a float sum of j terms, or a dot product of length j, is off by at
+    most gamma_j times the sum of the terms' magnitudes, in any order. For
+    a row v of V and x of the pool, with d features, T = sum((v - x)^2)
+    exactly and N = ||v||^2 + ||x||^2 (so T <= 2N), to first order in u:
+    * the two squared norms and 2 v.x are each off by at most gamma_d N
+      (2 sum |v_j x_j| <= N), and the two additions that form A round
+      partial sums below 3N: |A - T| <= E = gamma_{2d+6} N;
+    * S rounds a difference and a square per term, then d - 1 sums:
+      |S - T| <= gamma_{d+2} T;
+    * sqrt rounds correctly, so S that round to one distance differ by a
+      factor below 1 + gamma_4, and rank settles their order.
+    The k entries with A <= A_k have S <= (1 + gamma_{d+2})(A_k + E). An
+    entry c whose distance is at most theirs has S_c below
+    (1 + gamma_{d+6})(A_k + E), T_c <= S_c / (1 - gamma_{d+2}) and
+    A_c <= T_c + E <= A_k + 2E + gamma_{2d+9}(A_k + E), with A_k + E <= 3N:
+    A_c <= A_k + (10d + 36) u N. The margin is gamma_{12d+48} times the
+    computed ||v||^2 plus the pool's largest computed ||x||^2. The excess
+    covers the second-order terms, the error of the norms themselves and
+    the four roundings that form A_k + margin, for any d below 10^6.
+    Under IEEE arithmetic a product that underflows, gradually or flushed
+    to zero, is off by at most the smallest normal float more. A rests on
+    3d products (those of 2 v.x counting twice) and S on d, which adds at
+    most 10d smallest normal floats to the bound; the margin adds
+    12d + 12. Own entries are -1, exactly, in both A and S.
+
+    When a squared norm may reach a quarter of the largest float, a
+    product, an A or an S could overflow, and every distance is computed
+    and ranked instead (_search_blocks).
+    """
     own = V is None
     V = X if own else V
-    # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
-    cols = [slice(None) if len(p) == len(X) else p for p in pools]
     found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
                    np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
+    with np.errstate(over="ignore"):
+        nx = np.einsum("ij,ij->i", X, X)
+        nv = nx if own else np.einsum("ij,ij->i", V, V)
+        gram = nx.max(initial=0.0) + nv.max(initial=0.0) <= _FMAX / 4
+    if not gram:
+        _search_blocks(X, rank, V, own, pools, ks, found)
+        return found
+    # X's rows in rank order, and each pool as ascending places in it.
+    order = np.argsort(rank, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    Xr, nxr = X[order], nx[order]
+    places = [np.sort(place[p]) for p in pools]
+    # A pool of every row reads each block and Xr in place.
+    cols = [slice(None) if len(p) == len(X) else p for p in places]
+    pool_rows = [(Xr[c], nxr[c].max()) for c in cols]
+    dim = X.shape[1]
+    gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
+    for s, A in _gram_blocks(Xr, V, nxr, nv):
+        b = len(A)
+        if own:
+            A[np.arange(b), place[s:s + b]] = -1.0
+        for p, col, (Xp, reach), k, (idx, dist) in zip(places, cols, pool_rows, ks, found):
+            sel, dist[s:s + b] = _rerank(Xp, p, V[s:s + b], A[:, col], k,
+                                         gamma * (nv[s:s + b] + reach) + tiny,
+                                         place[s:s + b] if own else None)
+            idx[s:s + b] = order[p[sel]]
+    return found
+
+
+def _search_blocks(X, rank, V, own, pools, ks, found):
+    """Fill ``found`` as _search does, ranking every distance."""
+    # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
+    cols = [slice(None) if len(p) == len(X) else p for p in pools]
     with np.errstate(over="ignore"):
         for s, D in _distance_blocks(X, V):
             if own:
@@ -297,7 +437,6 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
             for pool, col, k, (idx, dist) in zip(pools, cols, ks, found):
                 sel, dist[s:s + len(D)] = _k_smallest(D[:, col], rank[col], k)
                 idx[s:s + len(D)] = pool[sel]
-    return found
 
 
 def neighbour_table(model: FitModel, queries, k: int):

@@ -35,7 +35,7 @@ from .formats import (
 )
 from .ingestion import crop_roi, parse_mias_index, read_pgm
 from .synthetic import two_cluster_dataset
-from .texture import FEATURE_NAMES, ExtractionConfig, extract_all
+from .texture import _MAX_LEVELS, FEATURE_NAMES, ExtractionConfig, extract_all
 
 
 def _out_path(explicit, default_name: str) -> Path:
@@ -61,15 +61,25 @@ def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
     return results
 
 
+def _extraction_config(args) -> ExtractionConfig:
+    if not 2 <= args.levels <= _MAX_LEVELS:
+        raise ValueError(f"--levels must be in [2, {_MAX_LEVELS}]")
+    if args.distance < 1:
+        raise ValueError("--distance must be >= 1")
+    if args.side is not None and args.side < 1:
+        raise ValueError("--side must be >= 1")
+    return ExtractionConfig(levels=args.levels, distance=args.distance,
+                            symmetric=args.symmetric)
+
+
 def cmd_extract(args) -> int:
+    cfg = _extraction_config(args)
     index_text = read_utf8(args.index)
     rois = sorted(parse_mias_index(index_text, image_height=args.image_height),
                   key=lambda r: r.id)
     if not rois:
         print("index contains no coordinate-bearing records", file=sys.stderr)
         return 2
-    cfg = ExtractionConfig(levels=args.levels, distance=args.distance,
-                           symmetric=args.symmetric)
     by_image: dict[str, list] = {}
     for roi in rois:
         by_image.setdefault(roi.reference, []).append(roi)
@@ -126,6 +136,8 @@ def _protocol(args):
         if args.folds < 2:
             raise ValueError("--folds must be >= 2")
         return KFold(k=args.folds, seed=args.seed)
+    if not 0.0 < args.fraction < 1.0:
+        raise ValueError("--fraction must be in (0, 1)")
     return Holdout(fraction=args.fraction, seed=args.seed)
 
 
@@ -192,6 +204,10 @@ def cmd_compare(args) -> int:
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    if args.n_per_class < 1:
+        raise ValueError("--n-per-class must be >= 1")
+    if args.dim < 1:
+        raise ValueError("--dim must be >= 1")
     data = two_cluster_dataset(n_per_class=args.n_per_class, n_features=args.dim,
                                separation=args.separation, spread=args.spread,
                                seed=args.seed)

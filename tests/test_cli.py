@@ -129,6 +129,23 @@ class TestExtract:
         assert main(extract_args(image_dir, index, tmp_path / "f.csv")) == 2
         assert capsys.readouterr().err == f"error: {index}:2: not UTF-8 text (byte 0xd8)\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--levels", "1"], "error: --levels must be in [2, 64]"),
+        (["--levels", "65"], "error: --levels must be in [2, 64]"),
+        (["--distance", "0"], "error: --distance must be >= 1"),
+        (["--side", "0"], "error: --side must be >= 1"),
+        (["--side", "-3"], "error: --side must be >= 1"),
+    ])
+    def test_bad_flag_exits_2_naming_it_before_any_image_is_read(
+            self, tmp_path, image_dir, index_file, capsys, monkeypatch, flags, message):
+        def unreachable(data):
+            raise AssertionError("an image was read")
+
+        monkeypatch.setattr(fknne.cli, "read_pgm", unreachable)
+        assert main(extract_args(image_dir, index_file, tmp_path / "f.csv") + flags) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert list(tmp_path.glob("f.csv*")) == []
+
     def test_output_dir_env_override(self, tmp_path, image_dir, index_file,
                                      monkeypatch):
         outdir = tmp_path / "runs"
@@ -320,6 +337,7 @@ class TestEval:
         (["--k", "0"], "error: --k must be >= 1"),
         (["--init", "keller", "--k-init", "0"], "error: --k-init must be >= 1"),
         (["--m", "1"], "error: --m must be > 1"),
+        (["--protocol", "holdout", "--fraction", "1.5"], "error: --fraction must be in (0, 1)"),
     ])
     def test_bad_protocol_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
                                                  flags, message):
@@ -422,6 +440,15 @@ class TestSynth:
     def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-per-class", "0"], "error: --n-per-class must be >= 1"),
+        (["--dim", "0"], "error: --dim must be >= 1"),
+    ])
+    def test_bad_size_flag_exits_2_naming_it(self, tmp_path, capsys, flags, message):
+        assert main(["synth", "--out", str(tmp_path / "s.csv"), *flags]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestFeatureCsv:

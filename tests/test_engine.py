@@ -1,19 +1,31 @@
-"""The batched neighbour engine against the scalar search it replaced.
+"""The batched neighbour engine against the searches it replaced.
 
-The oracle below is the per-query code the engine superseded: a Python
-sort of every training sample by (distance, id) for each query and each
-class pool, the four scoring rules on top of it, and the Keller
+The scalar oracle below is the per-query code the engine superseded: a
+Python sort of every training sample by (distance, id) for each query and
+each class pool, the four scoring rules on top of it, and the Keller
 initialization loop. Batched search must reproduce it exactly: the same
 labels and ids, and bit-identical scores and distances. Cross-validation,
 which shares fits between configs and reads leave-one-out folds from one
 search of the full data, is held to a per-fold subset and fit.
+
+The search itself ranks candidates from a matrix product; it is held to
+``oracle_search``, the block search that computes and ranks every
+distance, for every k, at one and at two BLAS threads.
 """
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fknne.classifiers
 import fknne.evaluation
 from fknne import (
     KINDS,
@@ -34,7 +46,7 @@ from fknne import (
     roc_curve,
     stratified_kfold,
 )
-from fknne.classifiers import fit_key
+from fknne.classifiers import _search, fit_key
 from fknne.evaluation import _cross_validate
 
 # ---------------------------------------------------------------------------
@@ -211,6 +223,61 @@ def same_bits(a, b) -> bool:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search oracle: every distance of a block of queries computed
+# and ranked, as the engine searched before candidates were ranked from a
+# matrix product.
+
+ORACLE_BLOCK_BYTES = 1 << 20
+
+
+def oracle_distance_blocks(X, V):
+    n, dim = X.shape
+    step = max(1, ORACLE_BLOCK_BYTES // (8 * max(1, n * dim)))
+    for s in range(0, len(V), step):
+        yield s, np.sqrt(((V[s:s + step, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+
+
+def oracle_k_smallest(D, rank, k):
+    rows = np.arange(len(D))[:, None]
+    if k >= D.shape[1]:
+        sel = np.lexsort((np.broadcast_to(rank, D.shape), D), axis=1)
+        return sel, D[rows, sel]
+    part = np.argpartition(D, k - 1, axis=1)[:, :k]
+    d = D[rows, part]
+    order = np.lexsort((rank[part], d), axis=1)
+    sel, d = part[rows, order], d[rows, order]
+    straddle = (D <= d[:, -1:]).sum(axis=1) > k
+    if straddle.any():
+        tied = D[straddle]
+        full = np.lexsort((np.broadcast_to(rank, tied.shape), tied), axis=1)[:, :k]
+        sel[straddle] = full
+        d[straddle] = tied[np.arange(len(tied))[:, None], full]
+    return sel, d
+
+
+def oracle_search(X, rank, V, pools, ks):
+    own = V is None
+    V = X if own else V
+    found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
+                   np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
+    with np.errstate(over="ignore"):
+        for s, D in oracle_distance_blocks(X, V):
+            if own:
+                rows = np.arange(len(D))
+                D[rows, s + rows] = -1.0
+            for pool, k, (idx, dist) in zip(pools, ks, found):
+                sel, dist[s:s + len(D)] = oracle_k_smallest(D[:, pool], rank[pool], k)
+                idx[s:s + len(D)] = pool[sel]
+    return found
+
+
+def same_search(got, want) -> bool:
+    return len(got) == len(want) and all(
+        gi.dtype == wi.dtype and gi.shape == wi.shape and gi.tobytes() == wi.tobytes()
+        and same_bits(gd, wd) for (gi, gd), (wi, wd) in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +521,112 @@ class TestEdges:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+
+# Search problems. Grid cells make duplicate rows and distance ties
+# common; cells a few ulps apart make the matrix product's rounding as
+# large as the distances it ranks; tiny cells make products underflow; and
+# one cell of +-1e154, which an unnormalized feature may hold, makes a
+# squared norm overflow. Pools: every row, one row, and each class.
+
+SCALES = ("grid", "fine", "ulp", "tiny", "huge")
+
+
+@st.composite
+def searches(draw):
+    scale = draw(st.sampled_from(SCALES))
+    n = draw(st.integers(1, 16))
+    dim = draw(st.sampled_from((1, 2, 3, 4, 7, 8, 9, 25)))
+    if scale == "ulp":
+        base = draw(st.floats(0.5, 4.0))
+        cells = st.integers(-3, 3).map(lambda i: base + i * float(np.spacing(base)))
+    else:
+        cells = {"grid": COARSE, "fine": FINE, "tiny": FINE.map(lambda v: v * 1e-161),
+                 "huge": st.sampled_from((-1e154, 0.0, 1.0, 1e154))}[scale]
+    X = np.array(draw(st.lists(cells, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    if draw(st.booleans()):
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    if scale == "huge":
+        X[0, 0] = draw(st.sampled_from((-1e154, 1e154)))
+    rank = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    pools = [np.arange(n), np.array([draw(st.integers(0, n - 1))])]
+    pools += [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    V = None
+    if draw(st.booleans()):
+        q = draw(st.integers(0, 4))
+        V = np.array([X[draw(st.integers(0, n - 1))] if draw(st.booleans())
+                      else draw(st.lists(cells, min_size=dim, max_size=dim))
+                      for _ in range(q)], dtype=np.float64).reshape(q, dim)
+    return X, rank, V, pools, scale
+
+
+# One fixed search of 600 rows, Keller-style (every row, V None) and per
+# class with queries, run in a fresh process at a given BLAS thread count.
+THREAD_CASE = """
+import numpy as np
+rng = np.random.default_rng(12)
+n, d = 600, 25
+X = rng.random((n, d))
+X[::9] = X[4]
+rank = rng.permutation(n)
+labels = rng.integers(0, 2, n)
+pools = [np.flatnonzero(labels == c) for c in (0, 1)]
+searches = [(None, pools + [np.arange(n)], [6, 6, 6]), (rng.random((40, d)), pools, [5, 5])]
+"""
+THREAD_SCRIPT = THREAD_CASE + """
+import sys
+from fknne.classifiers import _search
+for V, pools, ks in searches:
+    for idx, dist in _search(X, rank, V, pools, ks):
+        sys.stdout.buffer.write(idx.tobytes() + dist.tobytes())
+"""
+
+
+class TestSearchAgainstExhaustiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(searches())
+    def test_every_k_matches_the_oracle_bit_for_bit(self, case):
+        X, rank, V, pools, scale = case
+        blocks = fknne.classifiers._search_blocks
+        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+            for k in range(1, max(map(len, pools)) + 2):
+                ks = [k] * len(pools)
+                assert same_search(_search(X, rank, V, pools, ks),
+                                   oracle_search(X, rank, V, pools, ks))
+        # Only a squared norm near overflow takes the exhaustive path.
+        assert fallback.called == (scale == "huge")
+
+    def test_one_and_two_blas_threads_give_the_oracle_bytes(self):
+        case = {}
+        exec(THREAD_CASE, case)
+        want = b"".join(idx.tobytes() + dist.tobytes()
+                        for V, pools, ks in case["searches"]
+                        for idx, dist in oracle_search(case["X"], case["rank"], V, pools, ks))
+        src = Path(fknne.__file__).resolve().parents[1]
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            assert done.stdout == want, f"OPENBLAS_NUM_THREADS={threads}"
+
+    @pytest.mark.parametrize("clusters", [1, 2])
+    def test_tied_rows_take_bounded_memory(self, clusters):
+        # Every entry of 2000 equal rows is a candidate, and the pool is read
+        # in place. In two clusters of 1000 equal rows, each row's 1000
+        # candidates are gathered. A 2000 x 2000 distance matrix alone would
+        # take 32 MB.
+        n = 2000
+        X = np.zeros((n, 25))
+        X[::clusters] = 1.0
+        tracemalloc.start()
+        try:
+            _search(X, np.arange(n), None, [np.arange(n)], [6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 # Cross-validation datasets: two classes whose sizes suit the protocol

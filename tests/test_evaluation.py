@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fknne.evaluation
 from fknne import (
     ClassifierConfig,
     ComparisonRow,
     ComparisonTable,
     ConfusionCounts,
     Dataset,
+    KINDS,
     Holdout,
     KFold,
     Loocv,
@@ -467,3 +469,37 @@ class TestCompareClassifiers:
                                     "accuracy", "auc"]
         assert lines[4].split() == ["fknne", "0.9446", "0.9681", "0.9652", "0.9734"]
         assert len(lines) == 5
+
+
+class TestScoredRows:
+    """Every Q x C score row that cross-validation scores is a distribution
+    whose top entry its winner holds; the check perfbench's repetition 0
+    means to make on its classifier workloads."""
+
+    def test_every_row_is_a_distribution_won_by_its_top_score(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 60
+        # Column scales spread over seven decades; rows 40-49 repeat rows 0-9.
+        X = rng.normal(size=(n, 7)) * 10.0 ** np.arange(-3, 4)
+        X[40:50] = X[:10]
+        data = Dataset([f"r{i:02d}" for i in range(n)], X,
+                       ["malignant" if i % 3 == 0 else "benign" for i in range(n)])
+        checked = []
+        scored = fknne.evaluation.predict_table
+
+        def checking(model, table, cfg):
+            winners, scores = scored(model, table, cfg)
+            assert scores.shape == (len(winners), len(model.classes))
+            assert np.isfinite(scores).all()
+            assert ((scores >= 0.0) & (scores <= 1.0 + 1e-9)).all()
+            assert (np.abs(scores.sum(axis=1) - 1.0) <= 1e-9).all()
+            assert (scores[np.arange(len(winners)), winners] == scores.max(axis=1)).all()
+            checked.append(len(scores))
+            return winners, scores
+
+        monkeypatch.setattr(fknne.evaluation, "predict_table", checking)
+        crisp = [ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (1, 3, 5, 7, 9)]
+        compare_classifiers(data, crisp, KFold(10, seed=0))
+        evaluate(data, ClassifierConfig(kind="fknne", k=5, init="keller"), Loocv())
+        # One row per held-out prediction: each config predicts every row once.
+        assert sum(checked) >= (len(crisp) + 1) * n
