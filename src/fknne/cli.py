@@ -68,6 +68,8 @@ def _extraction_config(args) -> ExtractionConfig:
         raise ValueError("--distance must be >= 1")
     if args.side is not None and args.side < 1:
         raise ValueError("--side must be >= 1")
+    if args.side is not None and args.side <= args.distance:
+        raise ValueError("--side must be greater than --distance")
     return ExtractionConfig(levels=args.levels, distance=args.distance,
                             symmetric=args.symmetric)
 

@@ -11,13 +11,19 @@ The GLDM is the |i-j| marginal of the GLCM's integer pair counts, so
 ``glcm.idm`` and ``glcm.diff_entropy`` in exact arithmetic. All three stay:
 the paper's 25-feature schema, and so every distance, includes them.
 
-``extract_all`` composes them over the four standard directions and
-averages, yielding one fixed-schema feature vector per image.
+``extract_all`` averages them over the four standard directions into one
+fixed-schema feature vector per image, in one pass: pixels coded once as uint16
+``gray * levels``, index grids kept per level count, one row of statistics per
+direction. Statistics and runs stay per direction, in the kernels the public
+functions wrap: batching four directions' dot products or row sums changes the
+summation order and so the last bits, and one four-direction run buffer was slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,6 +80,8 @@ class FeatureVector:
         return len(self.names)
 
     def __getitem__(self, name: str) -> float:
+        if name not in self.names:
+            raise KeyError(f"unknown feature {name!r}")
         return float(self.values[self.names.index(name)])
 
     def as_dict(self) -> dict[str, float]:
@@ -94,10 +102,7 @@ class Glcm:
         p = np.asarray(self.p, dtype=np.float64)
         if p.shape != (self.levels, self.levels):
             raise ValueError("p must be a levels x levels matrix")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("p must be a probability matrix summing to 1")
-        if self.symmetric and not np.allclose(p, p.T, atol=1e-12):
-            raise ValueError("symmetric GLCM must equal its transpose")
+        _check_probability(p, self.symmetric)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -114,15 +119,7 @@ class Glrlm:
 
     def __post_init__(self):
         r = np.asarray(self.r)
-        if r.shape != (self.levels, self.max_run) or not np.issubdtype(r.dtype, np.integer):
-            raise ValueError("r must be a levels x max_run integer matrix")
-        if (r < 0).any():
-            raise ValueError("run counts must be non-negative")
-        covered = int((r * np.arange(1, self.max_run + 1)).sum())
-        if covered != self.n_pixels:
-            raise ValueError(
-                f"runs cover {covered} pixels, expected {self.n_pixels}"
-            )
+        _check_runs(r, self.levels, self.max_run, self.n_pixels)
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
@@ -140,10 +137,45 @@ class Gldm:
         d = np.asarray(self.d, dtype=np.float64)
         if d.shape != (self.levels,):
             raise ValueError("d must have one entry per gray level")
-        if (d < 0).any() or abs(d.sum() - 1.0) > 1e-9:
-            raise ValueError("d must be a probability vector summing to 1")
+        _check_probability(d)
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
+
+
+def _check_probability(x: np.ndarray, symmetric: bool = False) -> None:
+    """Check a GLCM's p (2-D) or a GLDM's d (1-D)."""
+    if (x < 0).any() or abs(x.sum() - 1.0) > 1e-9:
+        name = "p must be a probability matrix" if x.ndim == 2 else "d must be a probability vector"
+        raise ValueError(f"{name} summing to 1")
+    if symmetric and not np.allclose(x, x.T, atol=1e-12):
+        raise ValueError("symmetric GLCM must equal its transpose")
+
+
+def _check_runs(r: np.ndarray, levels: int, max_run: int, n_pixels: int) -> None:
+    if r.shape != (levels, max_run) or not np.issubdtype(r.dtype, np.integer):
+        raise ValueError("r must be a levels x max_run integer matrix")
+    if (r < 0).any():
+        raise ValueError("run counts must be non-negative")
+    covered = int((r * np.arange(1, max_run + 1)).sum())
+    if covered != n_pixels:
+        raise ValueError(f"runs cover {covered} pixels, expected {n_pixels}")
+
+
+@cache
+def _grids(g: int) -> SimpleNamespace:
+    """Index grids of a g-level matrix, built on first use of each g."""
+    i = np.arange(g, dtype=np.float64)
+    ii, jj = np.indices((g, g))
+    sq = (ii - jj) ** 2
+    return SimpleNamespace(i=i, sums=(ii + jj).ravel(), diffs=np.abs(ii - jj).ravel(), sq=sq,
+                           prod=ii * jj, idm=1.0 + sq, ks=np.arange(2 * g - 1, dtype=np.float64),
+                           k2=i**2, k2_1=i**2 + 1.0, grays=i + 1.0)
+
+
+def _coded(img: GrayImage) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pixels, their uint16 codes gray * levels (below 4096) and the level count."""
+    levels = _levels(img)
+    return img.pixels, np.multiply(img.pixels, levels, dtype=np.uint16), levels
 
 
 def _levels(img: GrayImage) -> int:
@@ -152,19 +184,23 @@ def _levels(img: GrayImage) -> int:
     return img.max_val + 1
 
 
-def _pair_counts(img: GrayImage, dx: int, dy: int) -> np.ndarray:
-    """levels x levels int64 counts of (gray at p, gray at p + (dx, dy)) in the image."""
+def _glcm(pixels: np.ndarray, codes: np.ndarray, levels: int, dx: int, dy: int, symmetric: bool):
+    """int64 counts of (gray at p, gray at p + (dx, dy)), reversed too if symmetric, and p."""
     if (dx, dy) == (0, 0):
         raise ValueError("offset must be nonzero")
-    levels = _levels(img)
-    h, w = img.pixels.shape
+    h, w = pixels.shape
     x0, x1 = max(0, -dx), w - max(0, dx)
     y0, y1 = max(0, -dy), h - max(0, dy)
     if x1 <= x0 or y1 <= y0:
         raise ValueError("empty co-occurrence: no pixel pair fits the offset")
-    a = img.pixels[y0:y1, x0:x1].astype(np.int64)
-    b = img.pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    return np.bincount((a * levels + b).ravel(), minlength=levels * levels).reshape(levels, levels)
+    # uint16 + uint8 stays uint16 under value-based promotion and NEP 50 alike.
+    pairs = codes[y0:y1, x0:x1] + pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    counts = np.bincount(pairs.ravel(), minlength=levels * levels).reshape(levels, levels)
+    if symmetric:
+        counts = counts + counts.T
+    p = counts / counts.sum()
+    _check_probability(p, symmetric)
+    return counts, p
 
 
 def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> Glcm:
@@ -174,17 +210,63 @@ def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> G
     ``symmetric`` each pair is also counted in reverse, making p its own
     transpose.
     """
-    counts = _pair_counts(img, dx, dy)
-    if symmetric:
-        counts = counts + counts.T
+    counts, p = _glcm(*_coded(img), dx, dy, symmetric)
     counts.flags.writeable = False
-    return Glcm(len(counts), counts / counts.sum(), (dx, dy), symmetric, counts)
+    return Glcm(len(counts), p, (dx, dy), symmetric, counts)
 
 
 def _entropy(q: np.ndarray) -> float:
-    # Natural log with the 0*log(0) = 0 convention.
-    nz = q[q > 0]
+    nz = q[q > 0]  # natural log with the 0*log(0) = 0 convention
     return float(-(nz * np.log(nz)).sum())
+
+
+def _haralick(p: np.ndarray) -> list:
+    G = _grids(len(p))
+    i = G.i
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    mu_x = float(i @ px)
+    mu_y = float(i @ py)
+    var_x = float(((i - mu_x) ** 2) @ px)
+    var_y = float(((i - mu_y) ** 2) @ py)
+
+    psum = np.bincount(G.sums, weights=p.ravel(), minlength=2 * len(p) - 1)
+    pdiff = np.bincount(G.diffs, weights=p.ravel(), minlength=len(p))
+
+    asm = float((p**2).sum())
+    contrast = float((G.sq * p).sum())
+    cov = float((G.prod * p).sum()) - mu_x * mu_y
+    # A marginal on one gray has variance 0, though its float sum may round above 0.
+    degenerate = np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1
+    correlation = 0.0 if degenerate else cov / np.sqrt(var_x * var_y)
+
+    pooled = 0.5 * (px + py)
+    mu = float(i @ pooled)
+    variance = float(((i - mu) ** 2) @ pooled)
+
+    idm = float((p / G.idm).sum())
+
+    sum_average = float(G.ks @ psum)
+    sum_variance = float(((G.ks - sum_average) ** 2) @ psum)
+    sum_entropy = _entropy(psum)
+
+    entropy = _entropy(p)
+
+    diff_mean = float(i @ pdiff)
+    diff_variance = float(((i - diff_mean) ** 2) @ pdiff)
+    diff_entropy = _entropy(pdiff)
+
+    outer = np.outer(px, py)
+    mask = p > 0  # p(i,j) > 0 implies px(i)py(j) > 0
+    hxy1 = float(-(p[mask] * np.log(outer[mask])).sum())
+    hxy2 = _entropy(outer)
+    hx, hy = _entropy(px), _entropy(py)
+    denom = max(hx, hy)
+    imc1 = 0.0 if denom == 0.0 else (entropy - hxy1) / denom
+    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - entropy)))))
+
+    return [asm, contrast, correlation, variance, idm, sum_average, sum_variance, sum_entropy,
+            entropy, diff_variance, diff_entropy, imc1, imc2]
 
 
 def haralick_features(glcm: Glcm) -> FeatureVector:
@@ -207,83 +289,12 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
     All logarithms are natural; the maximal-correlation coefficient is
     deliberately not computed (eigen-solver, fragile on sparse matrices).
     """
-    p = glcm.p
-    g = glcm.levels
-    i = np.arange(g, dtype=np.float64)
-    ii, jj = np.indices((g, g))
-
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mu_x = float(i @ px)
-    mu_y = float(i @ py)
-    var_x = float(((i - mu_x) ** 2) @ px)
-    var_y = float(((i - mu_y) ** 2) @ py)
-
-    psum = np.bincount((ii + jj).ravel(), weights=p.ravel(), minlength=2 * g - 1)
-    pdiff = np.bincount(np.abs(ii - jj).ravel(), weights=p.ravel(), minlength=g)
-
-    asm = float((p**2).sum())
-    contrast = float((((ii - jj) ** 2) * p).sum())
-    cov = float((ii * jj * p).sum()) - mu_x * mu_y
-    # A marginal on one gray has variance 0, though its float sum may round above 0.
-    degenerate = np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1
-    correlation = 0.0 if degenerate else cov / np.sqrt(var_x * var_y)
-
-    pooled = 0.5 * (px + py)
-    mu = float(i @ pooled)
-    variance = float(((i - mu) ** 2) @ pooled)
-
-    idm = float((p / (1.0 + (ii - jj) ** 2)).sum())
-
-    ks = np.arange(2 * g - 1, dtype=np.float64)
-    sum_average = float(ks @ psum)
-    sum_variance = float(((ks - sum_average) ** 2) @ psum)
-    sum_entropy = _entropy(psum)
-
-    entropy = _entropy(p)
-
-    diff_mean = float(i @ pdiff)
-    diff_variance = float(((i - diff_mean) ** 2) @ pdiff)
-    diff_entropy = _entropy(pdiff)
-
-    outer = np.outer(px, py)
-    mask = p > 0  # p(i,j) > 0 implies px(i)py(j) > 0
-    hxy1 = float(-(p[mask] * np.log(outer[mask])).sum())
-    hxy2 = _entropy(outer)
-    hx, hy = _entropy(px), _entropy(py)
-    denom = max(hx, hy)
-    imc1 = 0.0 if denom == 0.0 else (entropy - hxy1) / denom
-    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - entropy)))))
-
-    values = [
-        asm,
-        contrast,
-        correlation,
-        variance,
-        idm,
-        sum_average,
-        sum_variance,
-        sum_entropy,
-        entropy,
-        diff_variance,
-        diff_entropy,
-        imc1,
-        imc2,
-    ]
-    return FeatureVector(HARALICK_NAMES, np.array(values))
+    return FeatureVector(HARALICK_NAMES, _haralick(glcm.p))
 
 
-def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
-    """Count maximal constant-gray runs along one of the four directions.
-
-    Every pixel belongs to exactly one maximal run, so the run lengths
-    weighted by count always sum to the pixel count. The image must already
-    be quantized (max_val + 1 <= 64 levels).
-    """
+def _runs(p: np.ndarray, levels: int, dx: int, dy: int) -> np.ndarray:
     if (dx, dy) not in DIRECTIONS:
         raise ValueError(f"unsupported run direction ({dx},{dy})")
-    levels = _levels(img)
-    p = img.pixels
     h, w = p.shape
     max_run = max(h, w)
     # Each line of (dx, dy) becomes one column of a one-byte buffer, above a row of
@@ -305,7 +316,33 @@ def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     grays = flat[starts[:-1]]
     cells = np.multiply(grays, max_run, dtype=np.int64) + np.diff(starts) - 1
     r = np.bincount(cells[grays != 255], minlength=levels * max_run).reshape(levels, max_run)
-    return Glrlm(levels=levels, max_run=max_run, r=r, direction=(dx, dy), n_pixels=h * w)
+    _check_runs(r, levels, max_run, h * w)
+    return r
+
+
+def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
+    """Count maximal constant-gray runs along one of the four directions.
+
+    Every pixel belongs to exactly one maximal run, so the run lengths
+    weighted by count always sum to the pixel count. The image must already
+    be quantized (max_val + 1 <= 64 levels).
+    """
+    r = _runs(img.pixels, _levels(img), dx, dy)
+    return Glrlm(len(r), r.shape[1], r, (dx, dy), img.pixels.size)
+
+
+def _runlength(r: np.ndarray, n_pixels: int) -> list:
+    r = r.astype(np.float64)
+    n_runs = r.sum()
+    if n_runs == 0:
+        raise ValueError("empty run-length matrix")
+    lengths = np.arange(1, r.shape[1] + 1, dtype=np.float64)
+    grays = _grids(len(r)).grays
+    by_gray = r.sum(axis=1)
+    by_len = r.sum(axis=0)
+    return [(by_len / lengths**2).sum() / n_runs, (by_len * lengths**2).sum() / n_runs,
+            (by_gray**2).sum() / n_runs, (by_len**2).sum() / n_runs, n_runs / n_pixels,
+            (by_gray / grays**2).sum() / n_runs, (by_gray * grays**2).sum() / n_runs]
 
 
 def runlength_features(glrlm: Glrlm) -> FeatureVector:
@@ -316,53 +353,35 @@ def runlength_features(glrlm: Glrlm) -> FeatureVector:
     rp          run percentage: total runs over total pixels
     lgre / hgre low/high gray emphasis, gray levels indexed from 1
     """
-    r = glrlm.r.astype(np.float64)
-    n_runs = r.sum()
-    if n_runs == 0:
-        raise ValueError("empty run-length matrix")
-    lengths = np.arange(1, glrlm.max_run + 1, dtype=np.float64)
-    grays = np.arange(1, glrlm.levels + 1, dtype=np.float64)
-    by_gray = r.sum(axis=1)
-    by_len = r.sum(axis=0)
-    values = [
-        (by_len / lengths**2).sum() / n_runs,
-        (by_len * lengths**2).sum() / n_runs,
-        (by_gray**2).sum() / n_runs,
-        (by_len**2).sum() / n_runs,
-        n_runs / glrlm.n_pixels,
-        (by_gray / grays**2).sum() / n_runs,
-        (by_gray * grays**2).sum() / n_runs,
-    ]
-    return FeatureVector(RUNLENGTH_NAMES, np.array(values))
+    return FeatureVector(RUNLENGTH_NAMES, _runlength(glrlm.r, glrlm.n_pixels))
 
 
-def _gldm_from_counts(counts: np.ndarray, offset: tuple[int, int]) -> Gldm:
+def _gldm(counts: np.ndarray) -> np.ndarray:
     # Integer weights sum exactly in float64, so this equals counting the
     # pixel differences one by one, bit for bit.
-    i, j = np.indices(counts.shape)
-    d = np.bincount(np.abs(i - j).ravel(), weights=counts.ravel(), minlength=len(counts))
-    return Gldm(levels=len(counts), d=d / counts.sum(), offset=offset)
+    d = np.bincount(_grids(len(counts)).diffs, weights=counts.ravel(), minlength=len(counts))
+    d = d / counts.sum()
+    _check_probability(d)
+    return d
 
 
 def compute_gldm(img: GrayImage, dx: int, dy: int) -> Gldm:
     """Distribution of absolute gray differences at offset (dx, dy): the
     |i-j| marginal of the pair counts."""
-    return _gldm_from_counts(_pair_counts(img, dx, dy), (dx, dy))
+    d = _gldm(_glcm(*_coded(img), dx, dy, False)[0])
+    return Gldm(levels=len(d), d=d, offset=(dx, dy))
+
+
+def _gldm_stats(d: np.ndarray) -> list:
+    G = _grids(len(d))
+    return [float(G.i @ d), float(G.k2 @ d), float((d**2).sum()), _entropy(d),
+            float((d / G.k2_1).sum())]
 
 
 def gldm_features(gldm: Gldm) -> FeatureVector:
     """Mean, contrast, angular second moment, entropy and inverse difference
     moment of the gray-difference distribution."""
-    d = gldm.d
-    k = np.arange(gldm.levels, dtype=np.float64)
-    values = [
-        float(k @ d),
-        float((k**2) @ d),
-        float((d**2).sum()),
-        _entropy(d),
-        float((d / (k**2 + 1.0)).sum()),
-    ]
-    return FeatureVector(GLDM_NAMES, np.array(values))
+    return FeatureVector(GLDM_NAMES, _gldm_stats(gldm.d))
 
 
 @dataclass(frozen=True)
@@ -398,11 +417,12 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
     if cfg is None:
         cfg = ExtractionConfig()
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
-    per_direction = []
-    for ux, uy in DIRECTIONS:
+    pixels, codes, levels = _coded(q)
+    rows = np.empty((len(DIRECTIONS), len(FEATURE_NAMES)))
+    for row, (ux, uy) in zip(rows, DIRECTIONS):
         off = (ux * cfg.distance, uy * cfg.distance)
-        glcm = compute_glcm(q, off[0], off[1], symmetric=cfg.symmetric)
-        rl = runlength_features(compute_glrlm(q, ux, uy))
-        gd = gldm_features(_gldm_from_counts(glcm.counts, off))
-        per_direction.append(np.concatenate([haralick_features(glcm).values, rl.values, gd.values]))
-    return FeatureVector(FEATURE_NAMES, np.mean(per_direction, axis=0))
+        counts, p = _glcm(pixels, codes, levels, *off, cfg.symmetric)
+        row[:13] = _haralick(p)
+        row[13:20] = _runlength(_runs(pixels, levels, ux, uy), pixels.size)
+        row[20:] = _gldm_stats(_gldm(counts))
+    return FeatureVector(FEATURE_NAMES, np.mean(rows, axis=0))

@@ -135,6 +135,7 @@ class TestExtract:
         (["--distance", "0"], "error: --distance must be >= 1"),
         (["--side", "0"], "error: --side must be >= 1"),
         (["--side", "-3"], "error: --side must be >= 1"),
+        (["--side", "2", "--distance", "2"], "error: --side must be greater than --distance"),
     ])
     def test_bad_flag_exits_2_naming_it_before_any_image_is_read(
             self, tmp_path, image_dir, index_file, capsys, monkeypatch, flags, message):

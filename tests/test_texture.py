@@ -2,8 +2,10 @@
 enumerations and independent re-implementations.
 
 The oracles below are the per-line run counter and the pixel-difference
-GLDM that the one-pass run counter and the GLCM-count marginal replaced;
-the new code must reproduce them bit for bit.
+GLDM that the one-pass run counter and the GLCM-count marginal replaced,
+and the scalar per-direction pair counts and statistics that the one-pass
+``extract_all`` replaced. They share no code with ``fknne.texture``, and
+the package must reproduce them bit for bit.
 """
 
 import re
@@ -42,6 +44,16 @@ def random_quantized(rng, shape=(8, 8), levels=4) -> GrayImage:
 
 def checkerboard(n=6) -> GrayImage:
     return GrayImage(np.indices((n, n)).sum(axis=0) % 2, 1)
+
+
+def smooth_roi(side, seed) -> GrayImage:
+    """8-bit sum of four slow plane waves plus a little noise: long runs,
+    pairs near the diagonal and many empty co-occurrence cells."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:side, 0:side] / side
+    field = sum(np.sin(2 * np.pi * (a * x + b * y) + c) for a, b, c in rng.uniform(0, 3, (4, 3)))
+    field += rng.normal(0.0, 0.05, field.shape)
+    return GrayImage(np.clip((field + 4.0) * 32.0, 0, 255).astype(np.int64), 255)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +99,135 @@ def oracle_gldm(img, dx, dy):
     return np.bincount(diffs, minlength=img.max_val + 1).astype(np.float64) / diffs.size
 
 
+def oracle_entropy(q):
+    nz = q[q > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def oracle_pair_counts(pixels, levels, dx, dy):
+    """levels x levels int64 counts of (gray at p, gray at p + (dx, dy));
+    None when no pair fits."""
+    h, w = pixels.shape
+    x0, x1 = max(0, -dx), w - max(0, dx)
+    y0, y1 = max(0, -dy), h - max(0, dy)
+    if x1 <= x0 or y1 <= y0:
+        return None
+    a = pixels[y0:y1, x0:x1].astype(np.int64)
+    b = pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    return np.bincount((a * levels + b).ravel(), minlength=levels * levels).reshape(levels, levels)
+
+
+def oracle_glcm(pixels, levels, dx, dy, symmetric):
+    """(counts, p), or None when no pair fits."""
+    counts = oracle_pair_counts(pixels, levels, dx, dy)
+    if counts is None:
+        return None
+    if symmetric:
+        counts = counts + counts.T
+    return counts, counts / counts.sum()
+
+
+def oracle_haralick_features(p):
+    g = len(p)
+    i = np.arange(g, dtype=np.float64)
+    ii, jj = np.indices((g, g))
+
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    mu_x = float(i @ px)
+    mu_y = float(i @ py)
+    var_x = float(((i - mu_x) ** 2) @ px)
+    var_y = float(((i - mu_y) ** 2) @ py)
+
+    psum = np.bincount((ii + jj).ravel(), weights=p.ravel(), minlength=2 * g - 1)
+    pdiff = np.bincount(np.abs(ii - jj).ravel(), weights=p.ravel(), minlength=g)
+
+    asm = float((p**2).sum())
+    contrast = float((((ii - jj) ** 2) * p).sum())
+    cov = float((ii * jj * p).sum()) - mu_x * mu_y
+    degenerate = np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1
+    correlation = 0.0 if degenerate else cov / np.sqrt(var_x * var_y)
+
+    pooled = 0.5 * (px + py)
+    mu = float(i @ pooled)
+    variance = float(((i - mu) ** 2) @ pooled)
+
+    idm = float((p / (1.0 + (ii - jj) ** 2)).sum())
+
+    ks = np.arange(2 * g - 1, dtype=np.float64)
+    sum_average = float(ks @ psum)
+    sum_variance = float(((ks - sum_average) ** 2) @ psum)
+    sum_entropy = oracle_entropy(psum)
+
+    entropy = oracle_entropy(p)
+
+    diff_mean = float(i @ pdiff)
+    diff_variance = float(((i - diff_mean) ** 2) @ pdiff)
+    diff_entropy = oracle_entropy(pdiff)
+
+    outer = np.outer(px, py)
+    mask = p > 0
+    hxy1 = float(-(p[mask] * np.log(outer[mask])).sum())
+    hxy2 = oracle_entropy(outer)
+    hx, hy = oracle_entropy(px), oracle_entropy(py)
+    denom = max(hx, hy)
+    imc1 = 0.0 if denom == 0.0 else (entropy - hxy1) / denom
+    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - entropy)))))
+
+    return np.array([asm, contrast, correlation, variance, idm, sum_average, sum_variance,
+                     sum_entropy, entropy, diff_variance, diff_entropy, imc1, imc2])
+
+
+def oracle_runlength_features(r, n_pixels):
+    levels, max_run = r.shape
+    r = r.astype(np.float64)
+    n_runs = r.sum()
+    lengths = np.arange(1, max_run + 1, dtype=np.float64)
+    grays = np.arange(1, levels + 1, dtype=np.float64)
+    by_gray = r.sum(axis=1)
+    by_len = r.sum(axis=0)
+    return np.array([
+        (by_len / lengths**2).sum() / n_runs,
+        (by_len * lengths**2).sum() / n_runs,
+        (by_gray**2).sum() / n_runs,
+        (by_len**2).sum() / n_runs,
+        n_runs / n_pixels,
+        (by_gray / grays**2).sum() / n_runs,
+        (by_gray * grays**2).sum() / n_runs,
+    ])
+
+
+def oracle_gldm_from_counts(counts):
+    i, j = np.indices(counts.shape)
+    d = np.bincount(np.abs(i - j).ravel(), weights=counts.ravel(), minlength=len(counts))
+    return d / counts.sum()
+
+
+def oracle_gldm_features(d):
+    k = np.arange(len(d), dtype=np.float64)
+    return np.array([
+        float(k @ d),
+        float((k**2) @ d),
+        float((d**2).sum()),
+        oracle_entropy(d),
+        float((d / (k**2 + 1.0)).sum()),
+    ])
+
+
 def oracle_extract_all(img, cfg):
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
+    levels = q.max_val + 1
     rows = []
     for ux, uy in DIRECTIONS:
-        ox, oy = ux * cfg.distance, uy * cfg.distance
-        glcm = haralick_features(compute_glcm(q, ox, oy, symmetric=cfg.symmetric))
-        r = oracle_glrlm(q, ux, uy)
-        rl = runlength_features(Glrlm(q.max_val + 1, r.shape[1], r, (ux, uy), q.pixels.size))
-        gd = gldm_features(Gldm(q.max_val + 1, oracle_gldm(q, ox, oy), (ox, oy)))
-        rows.append(np.concatenate([glcm.values, rl.values, gd.values]))
+        glcm = oracle_glcm(q.pixels, levels, ux * cfg.distance, uy * cfg.distance, cfg.symmetric)
+        if glcm is None:
+            raise ValueError("empty co-occurrence: no pixel pair fits the offset")
+        counts, p = glcm
+        rows.append(np.concatenate([
+            oracle_haralick_features(p),
+            oracle_runlength_features(oracle_glrlm(q, ux, uy), q.pixels.size),
+            oracle_gldm_features(oracle_gldm_from_counts(counts)),
+        ]))
     return np.mean(rows, axis=0)
 
 
@@ -374,6 +505,34 @@ class TestGldmFeatures:
         assert feats["entropy"] == pytest.approx(np.log(2), abs=1e-12)
 
 
+class TestPerDirectionFunctionsAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(quantized_images(), directions, st.integers(1, 3), st.booleans())
+    @example(EDGE_SHAPES[1], (1, 0), 1, True)
+    @example(GRAY_63, (1, -1), 2, False)
+    @example(quantize(smooth_roi(40, seed=3), 32), (1, 1), 1, True)
+    def test_each_matches_its_oracle_bit_for_bit(self, img, direction, distance, symmetric):
+        levels = img.max_val + 1
+        dx, dy = direction[0] * distance, direction[1] * distance
+        expected = oracle_glcm(img.pixels, levels, dx, dy, symmetric)
+        if expected is None:
+            with pytest.raises(ValueError, match="no pixel pair fits"):
+                compute_glcm(img, dx, dy, symmetric=symmetric)
+        else:
+            counts, p = expected
+            glcm = compute_glcm(img, dx, dy, symmetric=symmetric)
+            assert glcm.counts.tobytes() == counts.tobytes()
+            assert glcm.p.tobytes() == p.tobytes()
+            assert haralick_features(glcm).values.tobytes() == oracle_haralick_features(p).tobytes()
+            d = oracle_gldm_from_counts(oracle_pair_counts(img.pixels, levels, dx, dy))
+            gldm = compute_gldm(img, dx, dy)
+            assert gldm.d.tobytes() == d.tobytes()
+            assert gldm_features(gldm).values.tobytes() == oracle_gldm_features(d).tobytes()
+        rl = runlength_features(compute_glrlm(img, *direction)).values
+        r = oracle_glrlm(img, *direction)
+        assert rl.tobytes() == oracle_runlength_features(r, img.pixels.size).tobytes()
+
+
 class TestExtractAll:
     def test_schema_is_stable_across_images(self):
         rng = np.random.default_rng(10)
@@ -443,6 +602,29 @@ class TestExtractAll:
         cfg = ExtractionConfig()
         assert extract_all(img, cfg).values.tobytes() == oracle_extract_all(img, cfg).tobytes()
 
+    @pytest.mark.parametrize("levels", [16, 64])
+    def test_matches_oracle_bitwise_on_a_large_smooth_roi(self, levels):
+        img = smooth_roi(395, seed=levels)
+        for symmetric in (False, True):
+            cfg = ExtractionConfig(levels=levels, symmetric=symmetric)
+            expected = oracle_extract_all(img, cfg)
+            assert extract_all(img, cfg).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 20000), (20000, 2)])
+    def test_thin_images_take_linear_memory(self, shape):
+        # The run matrix is 16 levels x 20000 run lengths, held as int64 and as
+        # float64: about 160 B per pixel of a two-pixel-wide image. Anything
+        # quadratic in the long side would take gigabytes.
+        img = random_quantized(np.random.default_rng(22), shape, 16)
+        extract_all(img)  # the 16-level index grids are built once, outside the bound
+        tracemalloc.start()
+        try:
+            extract_all(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * img.pixels.size, peak
+
     def test_propagates_quantization(self):
         # raw 8-bit input is quantized down to the configured depth
         rng = np.random.default_rng(14)
@@ -459,6 +641,11 @@ class TestFeatureVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureVector(("a",), np.array([np.inf]))
+
+    def test_unknown_name_raises_key_error(self):
+        fv = FeatureVector(("x", "y"), np.array([1.5, -2.0]))
+        with pytest.raises(KeyError, match="unknown feature 'nope'"):
+            fv["nope"]
 
     def test_as_dict_round_trip(self):
         fv = FeatureVector(("x", "y"), np.array([1.5, -2.0]))
