@@ -17,6 +17,20 @@ BENIGN = "benign"
 MALIGNANT = "malignant"
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# Whitespace and '#' comments, which run to the end of their line, then one
+# header token, empty at the end of the data. The match cannot fail, so it
+# never backtracks.
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]+|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
+_SEPARATOR = re.compile(rb"[ \t\r\n\x0b\x0c]")
+# A P2 raster is parsed in blocks of about this many bytes: each block's
+# temporaries are small, so the allocator reuses them instead of mapping
+# fresh pages for every image.
+_BLOCK_BYTES = 1 << 15
+# P2 raster faults in the order they are reported.
+_P2_FAULTS = ("malformed P2 raster: non-numeric pixel value",
+              "P2 pixel value outside [0, {max_val}]",
+              "pixel value exceeds declared max_val",
+              "pixel values must lie in [0, max_val]")
 
 
 def _pixel_dtype(max_val: int) -> np.dtype:
@@ -100,22 +114,10 @@ class RoiSpec:
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # Skips whitespace and '#' comments (to end of line) before the token.
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _HEADER_TOKEN.match(data, pos)
+    if not match.group(1):
         raise ValueError("truncated PGM header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE + b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -126,63 +128,87 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise ValueError(f"malformed PGM {what}: {tok!r}") from None
 
 
-def _p2_raster(body: bytes, count: int, max_val: int) -> np.ndarray:
-    """The first ``count`` values of a P2 raster, as signed int64.
+def _p2_raster(body: bytes | memoryview, count: int, max_val: int) -> np.ndarray:
+    """The first ``count`` values of a P2 raster, read-only, in the image's dtype.
 
     '#' comments run to the end of their line. Tokens are separated by the
     header's six whitespace bytes and match ``[+-]?[0-9]+``; tokens after
-    the ``count``-th are ignored. Per-byte work stays in uint8/bool arrays;
-    only per-token arrays are int64.
+    the ``count``-th are not read. The raster is parsed in blocks that end
+    at the first separator from ``_BLOCK_BYTES`` on, so no token crosses
+    two; the per-byte (uint8, bool) and per-token (int64, int32) arrays are
+    a block's. A block notes the faults it finds, and they are raised after
+    the scan in the order of ``_P2_FAULTS``, whichever block holds them.
     """
-    if b"#" in body:
+    if re.search(rb"#", body):
         body = re.sub(rb"#[^\r\n]*", b"", body)
     buf = np.frombuffer(body, dtype=np.uint8)
     if buf.size and buf.max() >= 128:
         raise ValueError("malformed P2 raster: non-ASCII bytes")
-    # Bytes 9-13 (\t \n \v \f \r) and the space, as in _WHITESPACE; uint8
-    # arithmetic wraps every byte below 9 above 4.
-    ws = (buf == 32) | (buf - 9 <= 4)
-    edges = np.flatnonzero(np.diff(np.concatenate(([True], ws, [True]))))
-    starts, ends = edges[0::2], edges[1::2]
-    if len(starts) < count:
-        if (buf - 28 <= 3).any():  # str.split() split at bytes 28-31; here they are in tokens
-            raise ValueError("malformed P2 raster: non-numeric pixel value")
-        raise ValueError(f"truncated P2 pixel data: expected {count} values, got {len(starts)}")
-    starts, ends = starts[:count], ends[:count]
+    # n bytes hold at most (n+1)//2 tokens, so a larger count is short: its
+    # tokens are only counted.
+    out = np.empty(count, _pixel_dtype(max_val)) if count <= (buf.size + 1) // 2 else None
+    seen, fault, pos = 0, len(_P2_FAULTS), 0
+    while pos < buf.size and seen < count:
+        sep = _SEPARATOR.search(body, pos + _BLOCK_BYTES - 1)
+        end = sep.end() if sep else buf.size
+        raw, pos = buf[pos:end], end
+        # Bytes 9-13 (\t \n \v \f \r) and the space, as in _WHITESPACE; uint8
+        # arithmetic wraps every byte below 9 above 4.
+        ws = (raw == 32) | (raw - 9 <= 4)
+        edges = np.flatnonzero(np.diff(np.concatenate(([True], ws, [True]))))
+        starts, ends = edges[0::2], edges[1::2]
+        filled, seen = seen, seen + len(starts)
+        if out is None or not len(starts) or fault == 0:
+            continue
+        take = min(len(starts), count - filled)
+        starts, ends = starts[:take], ends[:take]
 
-    end = ends[-1]
-    digits = buf[:end] - 48  # '0'-'9' -> 0-9; every other byte wraps above 9
-    stray = np.count_nonzero(~((digits <= 9) | ws[:end]))  # non-digit bytes in tokens
-    first, negative = starts, None
-    if stray:
-        # The only ones allowed are '+' or '-' leading a token that has digits.
-        lead = buf[starts]
-        signed = ((lead == 43) | (lead == 45)) & (ends - starts > 1)
-        if stray != np.count_nonzero(signed):
-            raise ValueError("malformed P2 raster: non-numeric pixel value")
-        first, negative = starts + signed, lead == 45
+        digits = raw[: ends[-1]] - 48  # '0'-'9' -> 0-9; every other byte wraps above 9
+        stray = np.count_nonzero(~((digits <= 9) | ws[: ends[-1]]))  # non-digit bytes in tokens
+        first, negative = starts, None
+        if stray:
+            # The only ones allowed are '+' or '-' leading a token that has digits.
+            lead = raw[starts]
+            signed = ((lead == 43) | (lead == 45)) & (ends - starts > 1)
+            if stray != np.count_nonzero(signed):
+                fault = 0
+                continue
+            first, negative = starts + signed, lead == 45
 
-    ndigits = ends - first
-    longest = int(ndigits.max())
-    if longest > 5:
-        # Any nonzero digit left of a token's last five puts it above 99999.
-        long = ndigits > 5
-        bounds = np.stack((first[long], ends[long] - 5), axis=1).ravel()
-        if np.maximum.reduceat(digits, bounds)[0::2].any():
-            raise ValueError(f"P2 pixel value outside [0, {max_val}]")
-    # The value from the last five digits, one place at a time: each uint8
-    # digit is widened to int64 before it is scaled, since uint8 would wrap.
-    # Places beyond a token's digits are masked; for a short first token
-    # they lie before byte 0, hence the clip.
-    pos = ends - 1
-    values = digits.take(pos).astype(np.int64)
-    for place in range(1, min(longest, 5)):
-        pos -= 1
-        d = digits.take(pos, mode="clip") * (ndigits > place)
-        values += np.multiply(d, 10**place, dtype=np.int64)
-    if negative is not None:
-        np.negative(values, out=values, where=negative)
-    return values
+        ndigits = ends - first
+        longest = int(ndigits.max())
+        if longest > 5:
+            # Any nonzero digit left of a token's last five puts it above 99999.
+            long = ndigits > 5
+            bounds = np.stack((first[long], ends[long] - 5), axis=1).ravel()
+            if np.maximum.reduceat(digits, bounds)[0::2].any():
+                fault = min(fault, 1)
+        # The value from the last five digits, one place at a time: each uint8
+        # digit is widened to int32 before it is scaled, since uint8 would wrap;
+        # no value reaches 10**5. Places beyond a token's digits are masked;
+        # for a short first token they lie before the block, hence the clip.
+        at = ends - 1
+        values = digits.take(at).astype(np.int32)
+        for place in range(1, min(longest, 5)):
+            at -= 1
+            d = digits.take(at, mode="clip") * (ndigits > place)
+            values += np.multiply(d, 10**place, dtype=np.int32)
+        if negative is not None:
+            np.negative(values, out=values, where=negative)
+        if values.max() > max_val:
+            fault = min(fault, 2)
+        elif values.min() < 0:
+            fault = min(fault, 3)
+        out[filled : filled + take] = values  # wraps only where a fault is noted
+
+    if seen < count:
+        if re.search(rb"[\x1c-\x1f]", body):  # str.split() split at these; here they are in tokens
+            raise ValueError(_P2_FAULTS[0])
+        raise ValueError(f"truncated P2 pixel data: expected {count} values, got {seen}")
+    if fault < len(_P2_FAULTS):
+        raise ValueError(_P2_FAULTS[fault].format(max_val=max_val))
+    out.flags.writeable = False
+    return out
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -205,7 +231,8 @@ def read_pgm(data: bytes) -> GrayImage:
 
     count = width * height
     if magic == b"P2":
-        pixels = _p2_raster(data[pos:], count, max_val)
+        # A view, not a copy, of the raster bytes.
+        pixels = _p2_raster(memoryview(data)[pos:], count, max_val)
     else:
         # Exactly one whitespace byte separates the header from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
@@ -220,11 +247,8 @@ def read_pgm(data: bytes) -> GrayImage:
         # A read-only view of the bytes; GrayImage keeps 8-bit rasters as they
         # are and byte-swaps 16-bit ones into one native copy.
         pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-
-    # P2 values are still int64 here, so a negative one reaches GrayImage's
-    # range check instead of wrapping in the narrowing cast.
-    if pixels.max() > max_val:
-        raise ValueError("pixel value exceeds declared max_val")
+        if pixels.max() > max_val:
+            raise ValueError("pixel value exceeds declared max_val")
     return GrayImage(pixels.reshape(height, width), max_val)
 
 

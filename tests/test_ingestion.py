@@ -4,6 +4,7 @@ import contextlib
 import io
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -141,6 +142,75 @@ class TestGrayImagePixels:
         crop = crop_roi(img, RoiSpec("r", 1, 1, 1, BENIGN))
         assert np.shares_memory(crop.pixels, img.pixels)
         assert crop.pixels.tolist() == [[0, 1, 2], [4, 5, 6], [8, 9, 10]]
+
+
+def _next_token_oracle(data, pos):
+    """The byte-at-a-time header tokenizer that ``ingestion._next_token`` replaced."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c in b" \t\r\n\x0b\x0c":
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos : pos + 1] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise ValueError("truncated PGM header")
+    start = pos
+    while pos < n and data[pos : pos + 1] not in b" \t\r\n\x0b\x0c#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def _tokens_or_error(next_token, data):
+    """Every header token of ``data`` with its end, then the error that stops them."""
+    out, pos = [], 0
+    while True:
+        try:
+            tok, pos = next_token(data, pos)
+        except ValueError as exc:
+            return out, str(exc)
+        out.append((tok, pos))
+
+
+_HEADER_PIECES = (b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c", b"#", b"# c 1",
+                  b"#x\r", b"#y\n", b"#\r\n", b"P2", b"P5", b"12", b"255", b"0", b"x#", b"\x1c")
+
+
+def assert_header_matches_oracle(data):
+    """Both tokenizers give the same tokens and error, and read_pgm the same outcome."""
+    assert (_tokens_or_error(fknne.ingestion._next_token, data)
+            == _tokens_or_error(_next_token_oracle, data))
+    new = _read_pgm_outcome(data)
+    with mock.patch.object(fknne.ingestion, "_next_token", _next_token_oracle):
+        old = _read_pgm_outcome(data)
+    assert type(new) is type(old) and str(new) == str(old)
+    if isinstance(new, GrayImage):
+        assert new == old
+
+
+class TestHeaderTokens:
+    """The regex header tokenizer against the byte loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_HEADER_PIECES) | st.binary(max_size=3), max_size=14))
+    def test_tokens_and_errors_match_the_oracle(self, pieces):
+        assert_header_matches_oracle(b"".join(pieces))
+
+    @pytest.mark.parametrize("data", [
+        b"P2 #", b"P2#c", b"P2 2#c\r2 255 1 2 3 4", b"P5 1 1 255#\n\x07", b"P5 1 1 255\n\x07",
+        b"P5 1 1 255\x0c\x07", b"#only a comment", b" \t\r\n\x0b\x0c", b"P2\n1 1\n255\n# at EOF",
+    ])
+    def test_fixed_headers_match_the_oracle(self, data):
+        assert_header_matches_oracle(data)
+
+    def test_megabyte_comment(self):
+        comment = b"#" + b" comment" * 125_000
+        assert read_pgm(b"P2\n" + comment + b"\n1 1\n255\n7").pixels.tolist() == [[7]]
+        with pytest.raises(ValueError, match="^truncated PGM header$"):
+            read_pgm(b"P2 1 1" + comment)
 
 
 class TestParseMiasIndex:
@@ -359,8 +429,9 @@ class TestMutatedInputs:
 
 def _p2_raster_oracle(body, count, max_val):
     """The P2 raster parser that ``ingestion._p2_raster`` replaced: comments
-    stripped, the text split on str whitespace, and the first ``count``
-    tokens converted by numpy's str -> int64."""
+    stripped, the text split on str whitespace, the first ``count`` tokens
+    converted by numpy's str -> int64, and the max_val check that followed.
+    A negative value is left for GrayImage's range check."""
     body = re.sub(rb"#[^\r\n]*", b"", body)
     try:
         text = body.decode("ascii")
@@ -370,11 +441,14 @@ def _p2_raster_oracle(body, count, max_val):
     if len(tokens) < count:
         raise ValueError(f"truncated P2 pixel data: expected {count} values, got {len(tokens)}")
     try:
-        return np.array(tokens[:count], dtype=np.int64)
+        values = np.array(tokens[:count], dtype=np.int64)
     except ValueError:
         raise ValueError("malformed P2 raster: non-numeric pixel value") from None
     except OverflowError:
         raise ValueError(f"P2 pixel value outside [0, {max_val}]") from None
+    if values.max() > max_val:
+        raise ValueError("pixel value exceeds declared max_val")
+    return values
 
 
 def _read_pgm_outcome(data):
@@ -482,3 +556,108 @@ class TestP2Raster:
     def test_six_significant_digits_are_out_of_range(self, token):
         with pytest.raises(ValueError, match=r"^P2 pixel value outside \[0, 65535\]$"):
             read_pgm(b"P2 2 1 65535 7 " + token)
+
+
+def blocks_of(nbytes):
+    """Parse P2 rasters in blocks of about ``nbytes`` bytes."""
+    return mock.patch.object(fknne.ingestion, "_BLOCK_BYTES", nbytes)
+
+
+class TestP2RasterBlocks:
+    """The oracle properties again, in blocks of a few bytes: every file
+    spans many blocks, some tokens are longer than a block, and some blocks
+    hold only separators."""
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_generated_files_match_the_oracle(self, block):
+        @settings(max_examples=150, deadline=None)
+        @given(p2_files())
+        def check(data):
+            assert_p2_parse_matches_oracle(data)
+
+        with blocks_of(block):
+            check()
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("name", ["p2", "p2-16bit"])
+    def test_mutated_rasters_match_the_oracle(self, name, block):
+        seed = PGM_SEEDS[name]
+        header = re.match(rb"P2\s(#[^\n]*\n)?\d+ \d+\s\d+", seed).end()
+
+        @settings(max_examples=100, deadline=None)
+        @given(mutated(seed[header:]))
+        def check(raster):
+            assert_p2_parse_matches_oracle(seed[:header] + raster)
+
+        with blocks_of(block):
+            check()
+
+    @pytest.mark.parametrize("raster, message", [
+        # Non-numeric beats a 6-digit token in an earlier block.
+        (b" 100000    1    2    x", "malformed P2 raster: non-numeric pixel value"),
+        # Above max_val beats a negative value, in either order.
+        (b" 300    1    2   -1", "pixel value exceeds declared max_val"),
+        (b" -1    1    2   300", "pixel value exceeds declared max_val"),
+        # A 6-digit token beats a value above max_val in an earlier block.
+        (b" 300    1    2    0100000", r"P2 pixel value outside [0, 255]"),
+        # The token count beats junk in an earlier block.
+        (b" x    1    2", "truncated P2 pixel data: expected 4 values, got 3"),
+        # A short raster with 0x1c in its last block is non-numeric.
+        (b" 1    2    3\x1c", "malformed P2 raster: non-numeric pixel value"),
+        # A token longer than a block, comments and separator-only blocks.
+        (b" 000000000255 #c\n\n\n\n\n 1 # 2\r 3 \t\t\t\t 4 9x", None),
+    ])
+    def test_faults_in_different_blocks(self, raster, message):
+        data = b"P2 2 2 255" + raster
+        with blocks_of(4):
+            assert_p2_parse_matches_oracle(data)
+            if message is None:
+                assert read_pgm(data).pixels.tolist() == [[255, 1], [3, 4]]
+            else:
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    read_pgm(data)
+
+    def test_large_sixteen_bit_raster_at_the_real_block_size(self):
+        rng = np.random.default_rng(14)
+        size = 300
+        values = rng.integers(0, 65536, size=size * size)
+        values[rng.random(values.size) < 0.05] = 0
+        seps = np.array([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", " \n  ", " # note 12\n", "#\r"])
+        signs = np.array(["", "", "", "+", "-"])
+        parts = []
+        for v, sep, sign, zeros in zip(values.tolist(), rng.choice(seps, values.size).tolist(),
+                                       rng.choice(signs, values.size).tolist(),
+                                       rng.integers(0, 4, size=values.size).tolist()):
+            parts.append(sep + ("-" if sign == "-" and v == 0 else sign.strip("-")) + "0" * zeros
+                         + str(v))
+        data = f"P2\n{size} {size}\n65535".encode() + "".join(parts).encode() + b"\n"
+        assert len(data) > 20 * fknne.ingestion._BLOCK_BYTES
+        img = read_pgm(data)
+        assert img.pixels.dtype == np.uint16
+        assert img.pixels.tobytes() == values.astype(np.uint16).tobytes()
+        assert_p2_parse_matches_oracle(data)
+
+
+class TestP2RasterMemory:
+    @staticmethod
+    def traced_peak(data):
+        tracemalloc.start()
+        try:
+            outcome = _read_pgm_outcome(data)
+            return outcome, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_peak_is_a_few_times_the_file(self):
+        img = np.random.default_rng(0).integers(0, 256, size=(512, 512))
+        data = write_pgm(GrayImage(img, 255), binary=False)
+        assert 0.9e6 < len(data) < 1e6
+        parsed, peak = self.traced_peak(data)
+        assert isinstance(parsed, GrayImage) and np.array_equal(parsed.pixels, img)
+        assert peak <= 4 * len(data), peak / len(data)
+
+    @pytest.mark.parametrize("side", [65535, 10**8])
+    def test_huge_declared_raster_is_not_preallocated(self, side):
+        outcome, peak = self.traced_peak(b"P2 %d %d 255 1 2 3" % (side, side))
+        assert str(outcome) == f"truncated P2 pixel data: expected {side * side} values, got 3"
+        assert peak < 1 << 20, peak
