@@ -20,7 +20,8 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -203,11 +204,11 @@ class FitModel:
     memberships: np.ndarray
     k_init_used: int
     k_init_clamped: bool
-    _class_pools: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_class_pools", tuple(
-            np.flatnonzero(self.label_index == ci) for ci in range(len(self.classes))))
+    @cached_property
+    def _class_pools(self) -> tuple[np.ndarray, ...]:
+        """Each class's training rows, ascending, in class order."""
+        return tuple(np.flatnonzero(self.label_index == ci) for ci in range(len(self.classes)))
 
     def __len__(self):
         return len(self.ids)
@@ -346,7 +347,8 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     smaller k reads a prefix of every row.
 
     With V None, X is searched against itself, each row's own entry set to
-    -1 so that the row sorts first in every pool that holds it. Distances
+    -1 so that the row sorts first in every pool that holds it; with V a
+    1-D array of row indices, so are just those rows of X. Distances
     that overflow to inf still rank, last. Only these O(n * k) lists are
     kept, never the full distance matrix.
 
@@ -391,13 +393,15 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     product, an A or an S could overflow, and every distance is computed
     and ranked instead (_search_blocks).
     """
-    own = V is None
-    V = X if own else V
+    # own[r] is the row of X that row r of V is, when X searches itself.
+    own = None
+    if V is None or V.ndim == 1:
+        own, V = (np.arange(len(X)), X) if V is None else (V, X[V])
     found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
                    np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
     with np.errstate(over="ignore"):
         nx = np.einsum("ij,ij->i", X, X)
-        nv = nx if own else np.einsum("ij,ij->i", V, V)
+        nv = nx[own] if own is not None else np.einsum("ij,ij->i", V, V)
         gram = nx.max(initial=0.0) + nv.max(initial=0.0) <= _FMAX / 4
     if not gram:
         _search_blocks(X, rank, V, own, pools, ks, found)
@@ -415,12 +419,13 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
     for s, A in _gram_blocks(Xr, V, nxr, nv):
         b = len(A)
-        if own:
-            A[np.arange(b), place[s:s + b]] = -1.0
+        own_place = None
+        if own is not None:
+            own_place = place[own[s:s + b]]
+            A[np.arange(b), own_place] = -1.0
         for p, col, (Xp, reach), k, (idx, dist) in zip(places, cols, pool_rows, ks, found):
             sel, dist[s:s + b] = _rerank(Xp, p, V[s:s + b], A[:, col], k,
-                                         gamma * (nv[s:s + b] + reach) + tiny,
-                                         place[s:s + b] if own else None)
+                                         gamma * (nv[s:s + b] + reach) + tiny, own_place)
             idx[s:s + b] = order[p[sel]]
     return found
 
@@ -431,9 +436,8 @@ def _search_blocks(X, rank, V, own, pools, ks, found):
     cols = [slice(None) if len(p) == len(X) else p for p in pools]
     with np.errstate(over="ignore"):
         for s, D in _distance_blocks(X, V):
-            if own:
-                rows = np.arange(len(D))
-                D[rows, s + rows] = -1.0
+            if own is not None:
+                D[np.arange(len(D)), own[s:s + len(D)]] = -1.0
             for pool, col, k, (idx, dist) in zip(pools, cols, ks, found):
                 sel, dist[s:s + len(D)] = _k_smallest(D[:, col], rank[col], k)
                 idx[s:s + len(D)] = pool[sel]

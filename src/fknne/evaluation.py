@@ -298,21 +298,42 @@ class EvaluationReport:
 
 class _Refit:
     """One fold's models and test table from its own training set: one
-    fit per fit key, one search of the test rows. Every protocol can take
-    this path."""
+    crisp fit, one search of the test rows, and per Keller k_init the
+    memberships of only the training rows that table reaches, from one
+    search of those rows. The rows it does not reach, which no score
+    reads, hold NaN. Every protocol can take this path."""
 
     def __init__(self, train: Dataset, queries: np.ndarray, k: int):
         self.train, self.queries, self.k = train, queries, k
-        self.models = {}
-        self.table = None
+        self.model = self.table = None
+        self.keller = {}
 
     def __call__(self, cfg: ClassifierConfig):
-        key = fit_key(cfg, len(self.train))
-        if key not in self.models:
-            self.models[key] = fit(self.train, cfg)
-        if self.table is None:
-            self.table = neighbour_table(self.models[key], self.queries, self.k)
-        return self.models[key], self.table
+        if self.model is None:
+            self.model = fit(self.train, cfg if cfg.init == "crisp" else replace(cfg, init="crisp"))
+            self.table = neighbour_table(self.model, self.queries, self.k)
+        if cfg.init == "crisp":
+            return self.model, self.table
+        k_init, clamped = keller_k_init(cfg, len(self.train))
+        if k_init not in self.keller:
+            self.keller[k_init] = replace(self.model, config=cfg, k_init_used=k_init,
+                                          k_init_clamped=clamped,
+                                          memberships=self._keller(k_init))
+        return self.keller[k_init], self.table
+
+    def _keller(self, k_init: int) -> np.ndarray:
+        """Keller memberships of the rows the table reaches, as ``fit``
+        computes them; NaN elsewhere."""
+        model = self.model
+        if not k_init:  # a lone training sample stays one-hot
+            return model.memberships
+        rows = np.unique(np.concatenate([idx.ravel() for idx, _ in self.table]))
+        # Column 0 of each row is the row itself.
+        nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))], [k_init + 1])
+        memberships = np.full(model.memberships.shape, np.nan)
+        memberships[rows] = keller_from_neighbours(
+            nbrs[0][0][:, 1:], model.label_index[rows], model.memberships)
+        return memberships
 
 
 class _LeaveOneOut:
@@ -410,11 +431,13 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     """Run every config under the same splits; yield one report per
     config, in order.
 
-    Each fold fits once per fit key (``fit_key``: normalize, init and the
-    Keller k_init), not once per config, and searches its test set's
-    neighbours once per ``normalize`` setting, at the largest k among the
-    configs sharing it; every config then scores that whole table with
-    its own rule, k and m. Leave-one-out reads most folds from one search
+    Each fold fits crisp once per ``normalize`` setting, not once per
+    config, and searches its test set's neighbours once with that model,
+    at the largest k among the configs sharing it; every config then
+    scores that whole table with its own rule, k and m. Per Keller
+    k_init, a fold computes the memberships of only the training rows its
+    table reaches (``_Refit``): no score reads the others. ``fit`` still
+    computes every row's. Leave-one-out reads most folds from one search
     of the full data instead (``_LeaveOneOut``).
     """
     if len(data.classes) != 2:

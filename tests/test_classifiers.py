@@ -3,6 +3,7 @@ membership machinery, checked against brute-force oracles and hand
 arithmetic on tiny one-dimensional fixtures."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestFit:
         with pytest.raises(AttributeError):
             model.memberships = np.eye(2)
         assert model.memberships.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_replaced_model_pools_equal_a_fresh_fits(self):
+        # Class pools are computed on first use; a model replaced from one
+        # whose pools were already computed computes its own.
+        data = dataset_1d([0.0, 1.0, 2.0, 3.0, 5.0], ["B", "A", "B", "B", "A"])
+        cfg = ClassifierConfig(init="keller", k_init=2)
+        crisp, fresh = fit(data), fit(data, cfg)
+        assert [p.tolist() for p in crisp._class_pools] == [[1, 4], [0, 2, 3]]
+        model = replace(crisp, config=cfg, memberships=fresh.memberships)
+        assert "_class_pools" not in vars(model)
+        assert len(model._class_pools) == len(fresh._class_pools) == 2
+        for got, want in zip(model._class_pools, fresh._class_pools):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        with pytest.raises(AttributeError):
+            model._class_pools = ()
+        with pytest.raises(AttributeError):
+            model.label_index = np.zeros(5, dtype=np.intp)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):

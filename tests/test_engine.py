@@ -46,7 +46,7 @@ from fknne import (
     roc_curve,
     stratified_kfold,
 )
-from fknne.classifiers import _search, fit_key
+from fknne.classifiers import _search, fit_key, neighbour_table
 from fknne.evaluation import _cross_validate
 
 # ---------------------------------------------------------------------------
@@ -259,15 +259,15 @@ def oracle_k_smallest(D, rank, k):
 
 
 def oracle_search(X, rank, V, pools, ks):
-    own = V is None
-    V = X if own else V
+    # Self-search: V None stands for every row of X, a 1-D V for the rows it indexes.
+    own = np.arange(len(X)) if V is None else V if V.ndim == 1 else None
+    V = V if own is None else X[own]
     found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
                    np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
     with np.errstate(over="ignore"):
         for s, D in oracle_distance_blocks(X, V):
-            if own:
-                rows = np.arange(len(D))
-                D[rows, s + rows] = -1.0
+            if own is not None:
+                D[np.arange(len(D)), own[s:s + len(D)]] = -1.0
             for pool, k, (idx, dist) in zip(pools, ks, found):
                 sel, dist[s:s + len(D)] = oracle_k_smallest(D[:, pool], rank[pool], k)
                 idx[s:s + len(D)] = pool[sel]
@@ -597,6 +597,23 @@ class TestSearchAgainstExhaustiveOracle:
         # Only a squared norm near overflow takes the exhaustive path.
         assert fallback.called == (scale == "huge")
 
+    @settings(max_examples=300, deadline=None)
+    @given(searches(), st.data())
+    def test_a_subset_of_rows_searches_as_in_the_full_self_search(self, case, draw):
+        X, rank, _, pools, scale = case
+        # Any rows, in any order, repeats allowed.
+        rows = np.array(draw.draw(st.lists(st.integers(0, len(X) - 1), max_size=len(X) + 2)),
+                        dtype=np.intp)
+        blocks = fknne.classifiers._search_blocks
+        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+            for k in range(1, max(map(len, pools)) + 2):
+                ks = [k] * len(pools)
+                got = _search(X, rank, rows, pools, ks)
+                assert same_search(got, oracle_search(X, rank, rows, pools, ks))
+                full = _search(X, rank, None, pools, ks)
+                assert same_search(got, tuple((idx[rows], d[rows]) for idx, d in full))
+        assert fallback.called == (scale == "huge")
+
     def test_one_and_two_blas_threads_give_the_oracle_bytes(self):
         case = {}
         exec(THREAD_CASE, case)
@@ -664,25 +681,76 @@ class TestFoldReuse:
     def test_reports_equal_per_fold_refit(self, problem):
         data, protocol, cfgs = problem
         for cfg, rep in zip(cfgs, _cross_validate(data, cfgs, protocol, None)):
-            rows, folds, auc = oracle_cross_validate(data, cfg, protocol)
-            assert [r[:3] for r in rep.predictions] == [r[:3] for r in rows]
-            assert same_bits([r[3] for r in rep.predictions], [r[3] for r in rows])
-            assert list(rep.folds) == folds
-            assert same_bits(rep.auc, auc)
+            self.assert_equals_oracle(rep, data, cfg, protocol)
 
     @staticmethod
-    def counting_fits(monkeypatch):
-        calls = []
+    def assert_equals_oracle(rep, data, cfg, protocol):
+        rows, folds, auc = oracle_cross_validate(data, cfg, protocol)
+        assert [r[:3] for r in rep.predictions] == [r[:3] for r in rows]
+        assert same_bits([r[3] for r in rep.predictions], [r[3] for r in rows])
+        assert list(rep.folds) == folds
+        assert same_bits(rep.auc, auc)
 
-        def counted(data, cfg):
-            calls.append((data.ids, fit_key(cfg, len(data))))
+    def test_refitted_keller_fold_sorts_a_row_before_its_duplicate(self, monkeypatch):
+        # Normalizing, the fold without h, the only row at the max, is
+        # refitted. h's table reaches c, whose duplicate b has the smaller id
+        # and the other label: c's own entry must sort before b, or c counts
+        # itself among its k_init nearest others in place of b.
+        data = Dataset(list("abcdefh"), [[0.0], [1.0], [1.0], [2.0], [3.0], [0.0], [5.0]],
+                       ["benign", "malignant", "benign", "malignant", "benign", "malignant",
+                        "benign"])
+        cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=1)
+        _, _, searches = self.counting(monkeypatch)
+        rep = evaluate(data, cfg, Loocv())
+        assert [rows.tolist() for _, rows, _ in searches] == [[0, 1, 2, 3, 4, 5]]
+        self.assert_equals_oracle(rep, data, cfg, Loocv())
+
+    def test_refitted_fold_of_one_training_sample_stays_one_hot(self):
+        # Each fold holds out one of two rows, and its lone training sample
+        # has no others to take Keller memberships from.
+        data = Dataset(["a", "b"], [[0.0], [1.0]], ["benign", "malignant"])
+        cfg = ClassifierConfig(kind="fknne", k=2, init="keller", k_init=1)
+        self.assert_equals_oracle(evaluate(data, cfg, Loocv()), data, cfg, Loocv())
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record what cross-validation computes: each fit as (training
+        ids, fit key), each test table as (its model's X, table) and each
+        search of chosen rows as (X searched, rows, ks)."""
+        fits, tables, searches = [], [], []
+
+        def counted_fit(data, cfg):
+            fits.append((data.ids, fit_key(cfg, len(data))))
             return fit(data, cfg)
 
-        monkeypatch.setattr(fknne.evaluation, "fit", counted)
-        return calls
+        def counted_table(model, queries, k):
+            tables.append((model.X, neighbour_table(model, queries, k)))
+            return tables[-1][1]
+
+        def counted_search(X, rank, V, pools, ks):
+            if V is not None and V.ndim == 1:
+                searches.append((X, V, ks))
+            return _search(X, rank, V, pools, ks)
+
+        monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
+        monkeypatch.setattr(fknne.evaluation, "neighbour_table", counted_table)
+        monkeypatch.setattr(fknne.evaluation, "_search", counted_search)
+        return fits, tables, searches
+
+    @staticmethod
+    def searched_tables(tables, searches):
+        """Each search's k_init and the table of the fold it was made for;
+        the rows it searched must be every training row that table reaches."""
+        out = []
+        for X, rows, ks in searches:
+            (table,) = [t for tx, t in tables if tx is X]
+            reached = np.concatenate([idx.ravel() for idx, _ in table])
+            assert rows.tolist() == np.unique(reached).tolist()
+            out.append((ks[0] - 1, id(table)))
+        return out
 
     def test_one_fit_per_fold_and_fit_key(self, monkeypatch):
-        calls = self.counting_fits(monkeypatch)
+        fits, tables, searches = self.counting(monkeypatch)
         X = np.random.default_rng(0).normal(size=(30, 3))
         data = Dataset([f"s{i:02d}" for i in range(30)], X, ["benign", "malignant"] * 15)
         cfgs = ([ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (1, 3, 5)]
@@ -690,23 +758,32 @@ class TestFoldReuse:
                    for kind in KINDS for k in (3, 5)]
                 + [ClassifierConfig(kind="knn", k=5, init="keller", k_init=3),
                    ClassifierConfig(kind="fknne", k=3, normalize=False)])
-        compare_classifiers(data, cfgs, KFold(5, seed=0))
-        # crisp; keller at k_init 3 and 5; crisp unnormalized
-        assert len(calls) == 5 * 4
-        assert len(set(calls)) == len(calls)
+        protocol = KFold(5, seed=0)
+        compare_classifiers(data, cfgs, protocol)
+        # One crisp fit and one table per fold and normalize setting; no Keller fit.
+        assert fits == [(tuple(train), (normalize, "crisp"))
+                        for train, _ in protocol.splits(data) for normalize in (True, False)]
+        assert len(tables) == len(fits)
+        # One search per fold and Keller k_init (3 and 5), all normalized.
+        normalized = [id(t) for _, t in tables[::2]]
+        assert self.searched_tables(tables, searches) == [
+            (k_init, fold) for fold in normalized for k_init in (3, 5)]
 
     def test_leave_one_out_refits_only_the_folds_it_cannot_reuse(self, monkeypatch):
-        calls = self.counting_fits(monkeypatch)
+        fits, tables, searches = self.counting(monkeypatch)
         # Every column min and max is held by two rows, except g's 4.0.
         X = [[0, 5], [1, 5], [2, 7], [3, 5], [0, 6], [3, 7], [4, 6]]
         data = Dataset(list("abcdefg"), X, ["benign", "malignant"] * 3 + ["benign"])
         cfgs = [ClassifierConfig(kind="fknne", k=3, init="keller", k_init=2, normalize=normalize)
                 for normalize in (False, True)]
         compare_classifiers(data, cfgs, Loocv())
-        # One fit of the full data per normalize setting; normalizing, the
-        # fold without g has a narrower first column and is refitted.
-        assert calls == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp")),
-                         (data.ids[:-1], (True, "keller", 2))]
+        # One crisp fit of the full data per normalize setting; normalizing,
+        # the fold without g has a narrower first column and is refitted:
+        # crisp, with the Keller memberships of just the rows its table reaches.
+        assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp")),
+                        (data.ids[:-1], (True, "crisp"))]
+        assert len(tables) == 1
+        assert self.searched_tables(tables, searches) == [(2, id(tables[0][1]))]
 
     def test_leave_one_out_memory_stays_linear(self):
         import tracemalloc
