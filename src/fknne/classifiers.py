@@ -118,15 +118,23 @@ class Dataset:
         if len(idx) != len(keep):
             missing = keep - set(self.ids)
             raise ValueError(f"unknown sample ids: {sorted(missing)}")
-        labels = [self.labels[i] for i in idx]
-        classes = tuple(c for c in self.classes if c in set(labels))
-        return Dataset(
-            [self.ids[i] for i in idx],
-            self.X[idx],
-            labels,
-            feature_names=self.feature_names,
-            classes=classes,
-        )
+        return self._rows(idx)
+
+    def _rows(self, rows) -> "Dataset":
+        """These rows, in this order, without checking them again: they
+        were checked when this dataset was built. Classes shrink to those
+        still present, keeping their relative order."""
+        if not len(rows):
+            raise ValueError("dataset must contain at least one sample")
+        out = object.__new__(Dataset)
+        out.ids = tuple(self.ids[i] for i in rows)
+        out.X = self.X[rows]
+        out.X.flags.writeable = False
+        out.labels = tuple(self.labels[i] for i in rows)
+        out.feature_names = self.feature_names
+        present = set(out.labels)
+        out.classes = tuple(c for c in self.classes if c in present)
+        return out
 
 
 @dataclass(frozen=True)
@@ -244,11 +252,10 @@ def _gamma(j: int) -> float:
     return j * _UNIT_ROUNDOFF / (1 - j * _UNIT_ROUNDOFF)
 
 
-def _id_rank(ids) -> np.ndarray:
-    """Position of each id in sorted id order: the distance tie-break."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
+def _id_order(ids) -> np.ndarray:
+    """The rows in sorted id order. Each row's place in it, its id rank,
+    is the distance tie-break."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
 def _distance_blocks(X: np.ndarray, V: np.ndarray):
@@ -546,7 +553,7 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     n = len(data)
     label_index = np.array([data.classes.index(lab) for lab in data.labels], dtype=np.intp)
     one_hot = np.eye(len(data.classes))[label_index]
-    id_rank = _id_rank(data.ids)
+    id_rank = np.argsort(_id_order(data.ids))
 
     k_init, clamped = keller_k_init(cfg, n)
     memberships = one_hot

@@ -11,6 +11,7 @@ agree.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .classifiers import (
     ClassifierConfig,
     Dataset,
     FitModel,
+    _id_order,
     _search,
     check_reach,
     fit,
@@ -140,13 +142,15 @@ def auc(scores, truth, positive: str = "malignant") -> float:
     return roc_curve(scores, truth, positive).auc
 
 
-def _shuffled_by_class(data: Dataset, seed: int):
-    """Yield (class, ids) in class order: each class's ids sorted, then
-    permuted by one generator seeded with ``seed``."""
+def _shuffled_by_class(data: Dataset, order: np.ndarray, seed: int):
+    """Yield (class, places) in class order. ``order`` holds the rows in id
+    order; a class's places are where its rows stand in it, ascending,
+    then permuted by one generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
+    labels = np.array(data.labels)[order]
     for c in data.classes:
-        ids_c = sorted(i for i, lab in zip(data.ids, data.labels) if lab == c)
-        yield c, [ids_c[t] for t in rng.permutation(len(ids_c))]
+        places = np.flatnonzero(labels == c)
+        yield c, places[rng.permutation(len(places))]
 
 
 def stratified_kfold(data: Dataset, k: int, seed: int):
@@ -154,28 +158,21 @@ def stratified_kfold(data: Dataset, k: int, seed: int):
     with the seed and dealt round-robin, so fold class proportions stay
     within one sample of the global split.
 
-    Returns k (train_ids, test_ids) pairs; the test sets partition the
-    dataset. The assignment depends only on (seed, ids), not input order.
+    Returns k (train_ids, test_ids) pairs, each list sorted; the test sets
+    partition the dataset. The assignment depends only on (seed, ids), not
+    input order.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    folds: list[list[str]] = [[] for _ in range(k)]
-    for c, ids_c in _shuffled_by_class(data, seed):
-        if len(ids_c) < k:
-            raise ValueError(f"class {c!r} has fewer than {k} samples")
-        for pos, sid in enumerate(ids_c):
-            folds[pos % k].append(sid)
+    order = _id_order(data.ids)
     out = []
-    for i in range(k):
-        test = sorted(folds[i])
-        test_set = set(test)
-        train = sorted(s for s in data.ids if s not in test_set)
-        out.append((train, test))
+    for test in KFold(k, seed).splits(data):
+        rest = order[np.isin(order, test, invert=True)]
+        out.append(([data.ids[i] for i in rest], [data.ids[i] for i in test]))
     return out
 
 
 # Protocols. Each names itself in reports, carries its shuffling seed (None
-# when it has none) and splits a dataset into (train_ids, test_ids) pairs.
+# when it has none) and splits a dataset into folds. A fold is its test
+# rows, an intp array in id order; it trains on every other row.
 
 @dataclass(frozen=True)
 class KFold:
@@ -187,7 +184,16 @@ class KFold:
         return f"kfold({self.k})"
 
     def splits(self, data: Dataset):
-        return stratified_kfold(data, self.k, self.seed)
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+        order = _id_order(data.ids)
+        folds = [[] for _ in range(self.k)]
+        for c, places in _shuffled_by_class(data, order, self.seed):
+            if len(places) < self.k:
+                raise ValueError(f"class {c!r} has fewer than {self.k} samples")
+            for i, fold in enumerate(folds):
+                fold.append(places[i::self.k])
+        return [order[np.sort(np.concatenate(fold))] for fold in folds]
 
 
 @dataclass(frozen=True)
@@ -204,16 +210,15 @@ class Holdout:
         return f"holdout({self.fraction})"
 
     def splits(self, data: Dataset):
-        train: list[str] = []
-        test: list[str] = []
-        for c, ids_c in _shuffled_by_class(data, self.seed):
-            if len(ids_c) < 2:
+        order = _id_order(data.ids)
+        test = []
+        for c, places in _shuffled_by_class(data, order, self.seed):
+            if len(places) < 2:
                 raise ValueError(f"class {c!r} needs >= 2 samples for a holdout split")
-            n_test = int(round(self.fraction * len(ids_c)))
-            n_test = min(max(n_test, 1), len(ids_c) - 1)
-            test.extend(ids_c[:n_test])
-            train.extend(ids_c[n_test:])
-        return [(sorted(train), sorted(test))]
+            n_test = int(round(self.fraction * len(places)))
+            n_test = min(max(n_test, 1), len(places) - 1)
+            test.append(places[:n_test])
+        return [order[np.sort(np.concatenate(test))]]
 
 
 @dataclass(frozen=True)
@@ -222,11 +227,7 @@ class Loocv:
     seed = None
 
     def splits(self, data: Dataset):
-        """One fold per id, in id order, made as it is read: all n training
-        lists at once would hold n^2 ids."""
-        ordered = sorted(data.ids)
-        for sid in ordered:
-            yield [s for s in ordered if s != sid], [sid]
+        return _id_order(data.ids)[:, None]
 
 
 @dataclass(frozen=True)
@@ -296,44 +297,47 @@ class EvaluationReport:
         }
 
 
-class _Refit:
-    """One fold's models and test table from its own training set: one
-    crisp fit, one search of the test rows, and per Keller k_init the
-    memberships of only the training rows that table reaches, from one
-    search of those rows. The rows it does not reach, which no score
-    reads, hold NaN. Every protocol can take this path."""
+class _Fold:
+    """One fold's crisp model, its test table, and per Keller k_init the
+    model with the fold's Keller memberships, made on first use by
+    ``keller(k_init)``."""
 
-    def __init__(self, train: Dataset, queries: np.ndarray, k: int):
-        self.train, self.queries, self.k = train, queries, k
-        self.model = self.table = None
-        self.keller = {}
+    def __init__(self, model: FitModel, table, n_train: int, keller):
+        self.model, self.table, self.n_train, self.keller = model, table, n_train, keller
+        self.models = {}
 
     def __call__(self, cfg: ClassifierConfig):
-        if self.model is None:
-            self.model = fit(self.train, cfg if cfg.init == "crisp" else replace(cfg, init="crisp"))
-            self.table = neighbour_table(self.model, self.queries, self.k)
         if cfg.init == "crisp":
             return self.model, self.table
-        k_init, clamped = keller_k_init(cfg, len(self.train))
-        if k_init not in self.keller:
-            self.keller[k_init] = replace(self.model, config=cfg, k_init_used=k_init,
-                                          k_init_clamped=clamped,
-                                          memberships=self._keller(k_init))
-        return self.keller[k_init], self.table
+        k_init = keller_k_init(cfg, self.n_train)[0]
+        if k_init not in self.models:
+            self.models[k_init] = replace(self.model, memberships=self.keller(k_init))
+        return self.models[k_init], self.table
 
-    def _keller(self, k_init: int) -> np.ndarray:
-        """Keller memberships of the rows the table reaches, as ``fit``
-        computes them; NaN elsewhere."""
-        model = self.model
-        if not k_init:  # a lone training sample stays one-hot
-            return model.memberships
-        rows = np.unique(np.concatenate([idx.ravel() for idx, _ in self.table]))
-        # Column 0 of each row is the row itself.
-        nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))], [k_init + 1])
-        memberships = np.full(model.memberships.shape, np.nan)
-        memberships[rows] = keller_from_neighbours(
-            nbrs[0][0][:, 1:], model.label_index[rows], model.memberships)
-        return memberships
+
+def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
+    """The fold that tests ``test`` from its own training set, every other
+    row: one crisp fit and one search of the test rows. Every protocol can
+    take this path."""
+    train = data._rows(np.delete(np.arange(len(data)), test))
+    model = fit(train, ClassifierConfig(normalize=normalize))
+    table = neighbour_table(model, data.X[test], k)
+    return _Fold(model, table, len(model), partial(_reached_keller, model, table))
+
+
+def _reached_keller(model: FitModel, table, k_init: int) -> np.ndarray:
+    """Keller memberships of only the training rows the table reaches, as
+    ``fit`` computes them, from one search of those rows; NaN in the rows
+    it does not reach, which no score reads."""
+    if not k_init:  # a lone training sample stays one-hot
+        return model.memberships
+    rows = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+    # Column 0 of each row is the row itself.
+    nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))], [k_init + 1])
+    memberships = np.full(model.memberships.shape, np.nan)
+    memberships[rows] = keller_from_neighbours(
+        nbrs[0][0][:, 1:], model.label_index[rows], model.memberships)
+    return memberships
 
 
 class _LeaveOneOut:
@@ -393,8 +397,7 @@ class _LeaveOneOut:
             return None
 
     def fold(self, i: int):
-        """The (model, table) source of the fold that holds out row i, or
-        None when that fold must be refitted."""
+        """The fold that holds out row i, or None when it must be refitted."""
         if self.refit[i]:
             return None
         own = self.model.label_index[i]
@@ -402,20 +405,10 @@ class _LeaveOneOut:
             (idx[i:i + 1, 1:], d[i:i + 1, 1:]) if ci == own
             else (idx[i:i + 1, :self.k], d[i:i + 1, :self.k])
             for ci, (idx, d) in enumerate(self.table)))
-        models = {}
+        return _Fold(self.model, table, len(self.model) - 1, partial(self._keller_fold, i))
 
-        def source(cfg: ClassifierConfig):
-            if cfg.init == "crisp":
-                return self.model, table
-            k_init = fit_key(cfg, len(self.model) - 1)[2]
-            if k_init not in models:
-                models[k_init] = self._keller_fold(i, k_init)
-            return models[k_init], table
-
-        return source
-
-    def _keller_fold(self, i: int, k_init: int) -> FitModel:
-        """The full model with the Keller memberships of the fold without i."""
+    def _keller_fold(self, i: int, k_init: int) -> np.ndarray:
+        """The Keller memberships of the fold without i."""
         memberships = self.keller[k_init]
         lost = np.flatnonzero((self.others[:, :k_init] == i).any(axis=1))
         if lost.size:
@@ -424,21 +417,24 @@ class _LeaveOneOut:
             memberships[lost] = keller_from_neighbours(
                 nbrs[nbrs != i].reshape(len(lost), k_init),
                 self.model.label_index[lost], self.one_hot)
-        return replace(self.model, memberships=memberships)
+        return memberships
 
 
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
     """Run every config under the same splits; yield one report per
     config, in order.
 
-    Each fold fits crisp once per ``normalize`` setting, not once per
-    config, and searches its test set's neighbours once with that model,
-    at the largest k among the configs sharing it; every config then
-    scores that whole table with its own rule, k and m. Per Keller
-    k_init, a fold computes the memberships of only the training rows its
-    table reaches (``_Refit``): no score reads the others. ``fit`` still
+    A fold is its test rows and trains on every other row, sliced from
+    the already checked dataset. Each fold fits crisp once per
+    ``normalize`` setting, not once per config, and searches its test
+    rows' neighbours once with that model, at the largest k among the
+    configs sharing it; every config then scores that whole table with
+    its own rule, k and m. Per Keller k_init, a fold computes the
+    memberships of only the training rows its table reaches
+    (``_reached_keller``): no score reads the others. ``fit`` still
     computes every row's. Leave-one-out reads most folds from one search
-    of the full data instead (``_LeaveOneOut``).
+    of the full data instead (``_LeaveOneOut``). Either way a fold is a
+    ``_Fold``.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -452,7 +448,6 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     if not isinstance(protocol, (KFold, Holdout, Loocv)):
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    index_of = {sid: i for i, sid in enumerate(data.ids)}
     is_pos = np.array(data.labels) == positive
     k_max: dict[bool, int] = {}
     for cfg in configs:
@@ -463,34 +458,26 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
             reuse[normalize] = _LeaveOneOut.build(
                 data, [c for c in configs if c.normalize == normalize], k)
     # Tested rows in fold order; per config, each fold's (hit, scores, result).
-    tested: list[int] = []
+    tested: list[np.ndarray] = []
     per_config: list[list[tuple]] = [[] for _ in configs]
-    for train_ids, test_ids in protocol.splits(data):
-        test = [index_of[sid] for sid in test_ids]
+    for test in protocol.splits(data):
         y = is_pos[test]
-        tested.extend(test)
-        train = None
-        sources = {}
+        tested.append(test)
+        sources = {normalize: (reuse.get(normalize) and reuse[normalize].fold(test[0]))
+                   or _refit(data, test, k, normalize) for normalize, k in k_max.items()}
         for cfg, cfg_folds in zip(configs, per_config):
-            source = sources.get(cfg.normalize)
-            if source is None:
-                source = reuse[cfg.normalize].fold(test[0]) if reuse.get(cfg.normalize) else None
-                if source is None:
-                    if train is None:
-                        train = data.subset(train_ids)
-                    source = _Refit(train, data.X[test], k_max[cfg.normalize])
-                sources[cfg.normalize] = source
-            model, table = source(cfg)
+            model, table = sources[cfg.normalize](cfg)
             winners, fold_scores = predict_table(model, table, cfg)
             # A fold model without the positive class predicts it nowhere, scoring 0.
             p = model.classes.index(positive) if positive in model.classes else -1
             hit = winners == p
             cfg_folds.append((hit, fold_scores[:, p] if p >= 0 else np.zeros(len(test)),
                               _fold_result(_counts(y, hit))))
+    rows = np.concatenate(tested)
     negative = data.classes[1 - data.classes.index(positive)]
-    ids = [data.ids[i] for i in tested]
-    truth = [data.labels[i] for i in tested]
-    y = is_pos[tested]
+    ids = [data.ids[i] for i in rows]
+    truth = [data.labels[i] for i in rows]
+    y = is_pos[rows]
     for cfg, cfg_folds in zip(configs, per_config):
         hits, scores, folds = zip(*cfg_folds)
         hit, s = np.concatenate(hits), np.concatenate(scores)

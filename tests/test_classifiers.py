@@ -526,3 +526,10 @@ class TestDataset:
         sub = data.subset(["s0", "s2"])
         assert sub.classes == ("B",)
         assert len(sub) == 2
+        assert sub.ids == ("s0", "s2") and sub.labels == ("B", "B")
+        assert sub.X.tolist() == [[0.0], [2.0]]
+        assert not sub.X.flags.writeable
+        with pytest.raises(ValueError, match="at least one sample"):
+            data.subset([])
+        with pytest.raises(ValueError, match="unknown sample ids"):
+            data.subset(["s0", "nope"])

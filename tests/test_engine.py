@@ -201,9 +201,10 @@ def oracle_cross_validate(data, cfg, protocol, positive="malignant"):
     results and AUC, as cross-validation computed them before fits were
     shared."""
     rows, folds = [], []
-    for train_ids, test_ids in protocol.splits(data):
+    for test in protocol.splits(data):
+        test_ids = [data.ids[i] for i in test]
+        train_ids = [sid for sid in data.ids if sid not in test_ids]
         model = fit(data.subset(train_ids), cfg)
-        test = [data.ids.index(sid) for sid in test_ids]
         preds = predict_many(model, data.X[test])
         truth = [data.labels[i] for i in test]
         for sid, true, p in zip(test_ids, truth, preds):
@@ -762,7 +763,8 @@ class TestFoldReuse:
         compare_classifiers(data, cfgs, protocol)
         # One crisp fit and one table per fold and normalize setting; no Keller fit.
         assert fits == [(tuple(train), (normalize, "crisp"))
-                        for train, _ in protocol.splits(data) for normalize in (True, False)]
+                        for train, _ in stratified_kfold(data, 5, seed=0)
+                        for normalize in (True, False)]
         assert len(tables) == len(fits)
         # One search per fold and Keller k_init (3 and 5), all normalized.
         normalized = [id(t) for _, t in tables[::2]]

@@ -345,6 +345,79 @@ class TestStratifiedKfold:
         assert stratified_kfold(data, 3, seed=9) == stratified_kfold(shuffled, 3, seed=9)
 
 
+class TestFoldAssignments:
+    """Each protocol's folds, pinned as the id-list protocols drew them, on
+    ids out of row order with the classes interleaved."""
+
+    DATA = Dataset(
+        ["s07", "s02", "s11", "s05", "s00", "s09", "s03", "s10", "s01", "s06", "s08", "s04"],
+        np.arange(12.0)[:, None],
+        ["malignant", "benign", "benign", "malignant", "benign", "malignant",
+         "benign", "benign", "malignant", "benign", "malignant", "benign"])
+
+    def test_stratified_kfold_ids(self):
+        assert stratified_kfold(self.DATA, 3, seed=1) == [
+            (["s00", "s01", "s02", "s03", "s08", "s09", "s11"],
+             ["s04", "s05", "s06", "s07", "s10"]),
+            (["s02", "s04", "s05", "s06", "s07", "s09", "s10", "s11"],
+             ["s00", "s01", "s03", "s08"]),
+            (["s00", "s01", "s03", "s04", "s05", "s06", "s07", "s08", "s10"],
+             ["s02", "s09", "s11"]),
+        ]
+
+    @pytest.mark.parametrize("protocol, expected", [
+        (KFold(3, seed=1), [["s04", "s05", "s06", "s07", "s10"], ["s00", "s01", "s03", "s08"],
+                            ["s02", "s09", "s11"]]),
+        (Holdout(0.4, seed=2), [["s01", "s03", "s07", "s10", "s11"]]),
+        (Loocv(), [[f"s{i:02d}"] for i in range(12)]),
+    ])
+    def test_splits_are_test_rows_in_id_order(self, protocol, expected):
+        data = self.DATA
+        folds = list(protocol.splits(data))
+        assert [[data.ids[i] for i in test] for test in folds] == expected
+        for test in folds:
+            assert test.dtype == np.intp
+            ids = [data.ids[i] for i in test]
+            assert ids == sorted(ids)
+        rows = np.concatenate(folds).tolist()
+        assert len(set(rows)) == len(rows)
+        if not isinstance(protocol, Holdout):
+            assert sorted(rows) == list(range(len(data)))
+
+
+class TestFoldSlices:
+    def test_no_dataset_is_built_per_fold(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        n = 40
+        data = Dataset([f"r{i:02d}" for i in range(n)], rng.normal(size=(n, 4)),
+                       ["malignant" if i % 3 == 0 else "benign" for i in range(n)])
+        built, fits = [], []
+        init, subset, fitted = Dataset.__init__, Dataset.subset, fknne.evaluation.fit
+
+        def counted_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counted_subset(self, keep_ids):
+            built.append("subset")
+            return subset(self, keep_ids)
+
+        def counted_fit(train, cfg):
+            fits.append(len(train))
+            return fitted(train, cfg)
+
+        monkeypatch.setattr(Dataset, "__init__", counted_init)
+        monkeypatch.setattr(Dataset, "subset", counted_subset)
+        monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
+        compare_classifiers(data, [ClassifierConfig(kind=kind) for kind in KINDS],
+                            KFold(5, seed=0))
+        assert len(fits) == 5 and sum(fits) == 4 * n
+        # The rows alone at a feature's min or max are held out by refitted folds.
+        evaluate(data, ClassifierConfig(kind="fknne", k=5, init="keller"), Loocv())
+        assert fits[5] == n and fits.count(n - 1) > 0
+        assert built == []
+
+
 class TestLoocv:
     def test_separated_clusters_are_perfect(self):
         data = clusters_1d(5, margin=1000.0)
