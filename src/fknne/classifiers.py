@@ -497,7 +497,10 @@ def _nearest(model: FitModel, pools, k: int):
 def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
                            one_hot: np.ndarray) -> np.ndarray:
     """0.49 * (class shares among each row's neighbours ``nbrs``), plus
-    0.51 for the row's own class."""
+    0.51 for the row's own class.
+
+    The order of each row's neighbours does not matter: the class counts
+    are sums of 0/1 entries, exact small integers in any order."""
     memberships = 0.49 * one_hot[nbrs].sum(axis=1) / nbrs.shape[1]
     memberships[np.arange(len(nbrs)), label_index] += 0.51
     return memberships

@@ -10,6 +10,7 @@ path flags always win.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -210,6 +211,10 @@ def cmd_synth(args) -> int:
         raise ValueError("--n-per-class must be >= 1")
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
+    if not (math.isfinite(args.spread) and args.spread >= 0):
+        raise ValueError("--spread must be finite and >= 0")
+    if not math.isfinite(args.separation):
+        raise ValueError("--separation must be finite")
     data = two_cluster_dataset(n_per_class=args.n_per_class, n_features=args.dim,
                                separation=args.separation, spread=args.spread,
                                seed=args.seed)

@@ -299,11 +299,13 @@ class EvaluationReport:
 
 class _Fold:
     """One fold's crisp model, its test table, and per Keller k_init the
-    model with the fold's Keller memberships, made on first use by
-    ``keller(k_init)``."""
+    model with the fold's Keller memberships, made on first use as ``fit``
+    makes them, but only in the training rows the table reaches: the rest
+    are NaN, which no score reads. ``others(rows, k_init)`` gives each of
+    those rows' k_init nearest other training rows in the fold."""
 
-    def __init__(self, model: FitModel, table, n_train: int, keller):
-        self.model, self.table, self.n_train, self.keller = model, table, n_train, keller
+    def __init__(self, model: FitModel, table, n_train: int, others):
+        self.model, self.table, self.n_train, self.others = model, table, n_train, others
         self.models = {}
 
     def __call__(self, cfg: ClassifierConfig):
@@ -311,7 +313,14 @@ class _Fold:
             return self.model, self.table
         k_init = keller_k_init(cfg, self.n_train)[0]
         if k_init not in self.models:
-            self.models[k_init] = replace(self.model, memberships=self.keller(k_init))
+            memberships = self.model.memberships  # a lone training sample stays one-hot
+            if k_init:
+                rows = np.unique(np.concatenate([idx.ravel() for idx, _ in self.table]))
+                memberships = np.full(memberships.shape, np.nan)
+                memberships[rows] = keller_from_neighbours(
+                    self.others(rows, k_init), self.model.label_index[rows],
+                    self.model.memberships)
+            self.models[k_init] = replace(self.model, memberships=memberships)
         return self.models[k_init], self.table
 
 
@@ -322,22 +331,15 @@ def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
     train = data._rows(np.delete(np.arange(len(data)), test))
     model = fit(train, ClassifierConfig(normalize=normalize))
     table = neighbour_table(model, data.X[test], k)
-    return _Fold(model, table, len(model), partial(_reached_keller, model, table))
+    return _Fold(model, table, len(model), partial(_others, model))
 
 
-def _reached_keller(model: FitModel, table, k_init: int) -> np.ndarray:
-    """Keller memberships of only the training rows the table reaches, as
-    ``fit`` computes them, from one search of those rows; NaN in the rows
-    it does not reach, which no score reads."""
-    if not k_init:  # a lone training sample stays one-hot
-        return model.memberships
-    rows = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+def _others(model: FitModel, rows: np.ndarray, k_init: int) -> np.ndarray:
+    """The k_init nearest other training rows of each of ``rows``, from
+    one search of just those rows."""
     # Column 0 of each row is the row itself.
     nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))], [k_init + 1])
-    memberships = np.full(model.memberships.shape, np.nan)
-    memberships[rows] = keller_from_neighbours(
-        nbrs[0][0][:, 1:], model.label_index[rows], model.memberships)
-    return memberships
+    return nbrs[0][0][:, 1:]
 
 
 class _LeaveOneOut:
@@ -349,19 +351,17 @@ class _LeaveOneOut:
     every distance between them. (The min or max can only stay equal in
     value: the sign of a zero may change, which no squared difference
     sees.) Dropping i keeps the (distance, id rank) order of the others, so
-    * the fold's Keller memberships are the full data's, except for the
-      rows whose k_init nearest others include i: those take their
-      k_init + 1 nearest others with i removed;
+    * a row's k_init nearest others in the fold are its k_init + 1 nearest
+      others in the full data with i removed, or the first k_init where i
+      is not among them;
     * row i's per-class table is its own row of the full search, with
       itself dropped from its own class.
-    Models and tables index the full data; the fold model's memberships
-    differ from the full data's only in the rows that lost neighbour i.
+    Models and tables index the full data; row i is reached by no table.
     """
 
     def __init__(self, data: Dataset, configs, k: int):
         n = len(data)
         self.model = fit(data, replace(configs[0], init="crisp"))
-        self.one_hot = self.model.memberships  # crisp memberships are one-hot
         k_inits = {fit_key(c, n - 1)[2] for c in configs if c.init == "keller"}
         # Own rows sort first, so each pool is searched one row deeper.
         pools = self.model._class_pools + ((np.arange(n),) if k_inits else ())
@@ -371,9 +371,6 @@ class _LeaveOneOut:
         self.others = found[-1][0][:, 1:] if k_inits else None
         self.k = k
         label_index = self.model.label_index
-        self.keller = {
-            k_init: keller_from_neighbours(self.others[:, :k_init], label_index, self.one_hot)
-            for k_init in k_inits}
         # Folds that a search of the full data cannot stand in for: a class
         # vanishes, or (normalizing) i is the only row at some feature's
         # min or max, so the fold's range and every normalized row change.
@@ -405,19 +402,12 @@ class _LeaveOneOut:
             (idx[i:i + 1, 1:], d[i:i + 1, 1:]) if ci == own
             else (idx[i:i + 1, :self.k], d[i:i + 1, :self.k])
             for ci, (idx, d) in enumerate(self.table)))
-        return _Fold(self.model, table, len(self.model) - 1, partial(self._keller_fold, i))
+        return _Fold(self.model, table, len(self.model) - 1, partial(self._others_without, i))
 
-    def _keller_fold(self, i: int, k_init: int) -> np.ndarray:
-        """The Keller memberships of the fold without i."""
-        memberships = self.keller[k_init]
-        lost = np.flatnonzero((self.others[:, :k_init] == i).any(axis=1))
-        if lost.size:
-            memberships = memberships.copy()
-            nbrs = self.others[lost, :k_init + 1]
-            memberships[lost] = keller_from_neighbours(
-                nbrs[nbrs != i].reshape(len(lost), k_init),
-                self.model.label_index[lost], self.one_hot)
-        return memberships
+    def _others_without(self, i: int, rows: np.ndarray, k_init: int) -> np.ndarray:
+        """The k_init nearest others of each of ``rows`` in the fold without i."""
+        nbrs = self.others[rows, :k_init + 1]
+        return np.where(nbrs[:, :k_init] == i, nbrs[:, k_init:], nbrs[:, :k_init])
 
 
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
@@ -430,11 +420,10 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     rows' neighbours once with that model, at the largest k among the
     configs sharing it; every config then scores that whole table with
     its own rule, k and m. Per Keller k_init, a fold computes the
-    memberships of only the training rows its table reaches
-    (``_reached_keller``): no score reads the others. ``fit`` still
-    computes every row's. Leave-one-out reads most folds from one search
-    of the full data instead (``_LeaveOneOut``). Either way a fold is a
-    ``_Fold``.
+    memberships of only the training rows its table reaches: no score
+    reads the others. ``fit`` still computes every row's. Leave-one-out
+    reads most folds from one search of the full data instead
+    (``_LeaveOneOut``). Either way a fold is a ``_Fold``.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -509,9 +498,9 @@ def evaluate(data: Dataset, cfg: ClassifierConfig, protocol,
              positive_class: str | None = None) -> EvaluationReport:
     """Run one classifier config under a protocol and assemble the report.
 
-    Deterministic given the protocol seed. Fold models see only the fold's
-    training ids; a fold model that never saw the positive class scores it
-    at zero.
+    Deterministic given the protocol seed. Every fold scores as a model
+    fitted on its training rows alone would; a fold model that never saw
+    the positive class scores it at zero.
     """
     return next(_cross_validate(data, [cfg], protocol, positive_class))
 

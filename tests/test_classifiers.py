@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fknne import (
     KINDS,
@@ -19,6 +21,7 @@ from fknne import (
     predict_many,
     two_cluster_dataset,
 )
+from fknne.classifiers import keller_from_neighbours
 
 
 def dataset_1d(points, labels, ids=None):
@@ -97,6 +100,22 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset([], np.empty((0, 2)), [])
+
+
+class TestKellerNeighbourOrder:
+    # A reused leave-one-out fold puts a row's next neighbour where the
+    # held-out row stood, so its columns need not be in distance order.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 12), st.integers(1, 10), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_permuted_neighbour_columns_give_the_same_bits(self, c, pool, n, k, seed):
+        rng = np.random.default_rng(seed)
+        one_hot = np.eye(c)[rng.integers(0, c, pool)]
+        nbrs = rng.integers(0, pool, (n, k))
+        label_index = rng.integers(0, c, n)
+        want = keller_from_neighbours(nbrs, label_index, one_hot)
+        got = keller_from_neighbours(rng.permuted(nbrs, axis=1), label_index, one_hot)
+        assert got.tobytes() == want.tobytes()
 
 
 def normalized(values):

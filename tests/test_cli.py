@@ -445,6 +445,11 @@ class TestSynth:
     @pytest.mark.parametrize("flags, message", [
         (["--n-per-class", "0"], "error: --n-per-class must be >= 1"),
         (["--dim", "0"], "error: --dim must be >= 1"),
+        (["--spread", "-1"], "error: --spread must be finite and >= 0"),
+        (["--spread", "inf"], "error: --spread must be finite and >= 0"),
+        (["--spread", "nan"], "error: --spread must be finite and >= 0"),
+        (["--separation", "nan"], "error: --separation must be finite"),
+        (["--separation", "inf"], "error: --separation must be finite"),
     ])
     def test_bad_size_flag_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         assert main(["synth", "--out", str(tmp_path / "s.csv"), *flags]) == 2

@@ -47,7 +47,7 @@ from fknne import (
     stratified_kfold,
 )
 from fknne.classifiers import _search, fit_key, neighbour_table
-from fknne.evaluation import _cross_validate
+from fknne.evaluation import _cross_validate, _LeaveOneOut
 
 # ---------------------------------------------------------------------------
 # Scalar oracle
@@ -712,6 +712,30 @@ class TestFoldReuse:
         data = Dataset(["a", "b"], [[0.0], [1.0]], ["benign", "malignant"])
         cfg = ClassifierConfig(kind="fknne", k=2, init="keller", k_init=1)
         self.assert_equals_oracle(evaluate(data, cfg, Loocv()), data, cfg, Loocv())
+
+    @pytest.mark.parametrize("k_init", [1, 2, 3])
+    def test_reused_keller_fold_holds_only_the_reached_rows_of_a_fold_fit(self, k_init):
+        # Duplicate rows tie, so ties are broken by id rank; rows that lose
+        # the held-out row as a neighbour take their next one in its place.
+        X = [[0, 0], [0, 0], [1, 0], [1, 1], [0, 1], [1, 1], [2, 2], [2, 1], [0, 0], [3, 2]]
+        data = Dataset([f"s{i}" for i in (3, 7, 0, 9, 5, 1, 8, 2, 6, 4)], X,
+                       ["benign", "malignant", "malignant", "benign", "benign",
+                        "malignant", "malignant", "benign", "benign", "malignant"])
+        cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=k_init, normalize=False)
+        n = len(data)
+        reuse = _LeaveOneOut.build(data, [cfg], cfg.k)
+        lost = 0
+        for i in range(n):
+            fold = reuse.fold(i)
+            assert fold is not None
+            model, table = fold(cfg)
+            rows = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+            lost += int((reuse.others[rows, :k_init] == i).any())
+            unreached = np.setdiff1d(np.arange(n), rows)
+            assert i in unreached and np.isnan(model.memberships[unreached]).all()
+            want = fit(data._rows(np.delete(np.arange(n), i)), cfg).memberships
+            assert same_bits(model.memberships[rows], want[rows - (rows > i)])
+        assert lost
 
     @staticmethod
     def counting(monkeypatch):
