@@ -239,7 +239,7 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 # Queries are processed in blocks whose largest temporary -- (block x n)
 # approximate distances, or the fallback's (block x n x d) differences --
 # stays near this many bytes. Candidates are re-ranked in chunks whose
-# differences stay within twice that.
+# differences stay within that too.
 _BLOCK_BYTES = 1 << 20
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -304,46 +304,34 @@ def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
     return sel, d
 
 
-def _rerank(Xp, pool, V, A, k, margin, own):
-    """(columns, distances) of the min(k, pool size) nearest rows of
-    Xp = X[pool] to each row of V, nearest first, where X holds rows in
-    rank order and ``pool`` ascends: tied distances go to the smaller
-    column, as they would to the smaller rank.
+def _rerank(X, rank, pool, V, A, k, margin, own):
+    """(rows of X, distances) of the min(k, pool size) nearest rows of
+    X[pool] to each row of V, nearest first by (distance, rank).
 
-    A holds approximate squared distances from V to Xp. Only the entries
-    within ``margin`` of their row's k-th smallest are candidates, and only
-    their distances are computed, with the arithmetic of _distance_blocks.
-    When ``own`` is not None, own[r] is the row of X that row r of V is,
-    and its distance is -1."""
-    n, k = A.shape[1], min(k, A.shape[1])
+    A holds approximate squared distances from V to X[pool]. Only the
+    entries within ``margin`` of their row's k-th smallest are candidates,
+    and only their distances are computed, with the arithmetic of
+    _distance_blocks. When ``own`` is not None, own[r] is the row of X
+    that row r of V is, and its distance is -1."""
+    k = min(k, A.shape[1])
     cand = A <= (np.partition(A, k - 1, axis=1)[:, k - 1] + margin)[:, None]
     count = cand.sum(axis=1)
-    # Rows go in chunks whose differences take at most _BLOCK_BYTES when
-    # gathered, twice that when the pool is read in place.
-    step = max(1, _BLOCK_BYTES // (8 * max(1, Xp.shape[1]) * count.max()))
+    # Rows go in chunks whose candidates' differences take at most _BLOCK_BYTES.
+    step = max(1, _BLOCK_BYTES // (8 * max(1, X.shape[1]) * count.max()))
     sel = np.empty((len(A), k), dtype=np.intp)
     dist = np.empty((len(A), k))
     for a in range(0, len(A), step):
         held = count[a:a + step]
-        if 2 * held.max() > n:
-            # Most of the pool is a candidate: it is read in place, which
-            # costs less than gathering the candidates.
-            J, near, rows_of_x, keep = None, Xp[None, :, :], pool, cand[a:a + step]
-        else:
-            # Each row's candidates in rank order, left-aligned in a row of
-            # J and padded with column 0.
-            r, c = np.nonzero(cand[a:a + step])
-            J = np.zeros((len(held), held.max()), dtype=np.intp)
-            J[r, np.arange(len(r)) - (np.cumsum(held) - held)[r]] = c
-            near, rows_of_x = Xp[J], pool[J]
-            keep = np.arange(J.shape[1]) < held[:, None]
-        D = np.sqrt(((V[a:a + step, None, :] - near) ** 2).sum(axis=2))
+        r, c = np.nonzero(cand[a:a + step])
+        rows = pool[c]
+        D = np.sqrt(((V[a + r] - X[rows]) ** 2).sum(axis=1))
         if own is not None:
-            D[rows_of_x == own[a:a + step, None]] = -1.0
-        D[~keep] = np.inf
-        # Columns are in rank order, so they break ties as rank does.
-        order, dist[a:a + step] = _k_smallest(D, np.arange(D.shape[1]), k)
-        sel[a:a + step] = order if J is None else J[np.arange(len(J))[:, None], order]
+            D[rows == own[a + r]] = -1.0
+        # Each row's candidates stay together, nearest first; a row holds
+        # at least k of them.
+        order = np.lexsort((rank[rows], D, r))
+        first = order[(np.cumsum(held) - held)[:, None] + np.arange(k)]
+        sel[a:a + step], dist[a:a + step] = rows[first], D[first]
     return sel, dist
 
 
@@ -413,27 +401,20 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     if not gram:
         _search_blocks(X, rank, V, own, pools, ks, found)
         return found
-    # X's rows in rank order, and each pool as ascending places in it.
-    order = np.argsort(rank, kind="stable")
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    Xr, nxr = X[order], nx[order]
-    places = [np.sort(place[p]) for p in pools]
-    # A pool of every row reads each block and Xr in place.
-    cols = [slice(None) if len(p) == len(X) else p for p in places]
-    pool_rows = [(Xr[c], nxr[c].max()) for c in cols]
+    # A pool of every row reads each block in place.
+    cols = [slice(None) if len(p) == len(X) else p for p in pools]
+    reaches = [nx[c].max() for c in cols]
     dim = X.shape[1]
     gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
-    for s, A in _gram_blocks(Xr, V, nxr, nv):
+    for s, A in _gram_blocks(X, V, nx, nv):
         b = len(A)
-        own_place = None
+        own_rows = None
         if own is not None:
-            own_place = place[own[s:s + b]]
-            A[np.arange(b), own_place] = -1.0
-        for p, col, (Xp, reach), k, (idx, dist) in zip(places, cols, pool_rows, ks, found):
-            sel, dist[s:s + b] = _rerank(Xp, p, V[s:s + b], A[:, col], k,
-                                         gamma * (nv[s:s + b] + reach) + tiny, own_place)
-            idx[s:s + b] = order[p[sel]]
+            own_rows = own[s:s + b]
+            A[np.arange(b), own_rows] = -1.0
+        for p, col, reach, k, (idx, dist) in zip(pools, cols, reaches, ks, found):
+            idx[s:s + b], dist[s:s + b] = _rerank(X, rank, p, V[s:s + b], A[:, col], k,
+                                                  gamma * (nv[s:s + b] + reach) + tiny, own_rows)
     return found
 
 
@@ -513,16 +494,6 @@ def keller_k_init(cfg: ClassifierConfig, n: int) -> tuple[int, bool]:
     if cfg.init == "keller" and k_init > n - 1:
         return n - 1, True
     return k_init, False
-
-
-def fit_key(cfg: ClassifierConfig, n: int) -> tuple:
-    """What a fit on n samples computes from ``cfg``: configs with equal
-    keys fit models that score alike under each config's own rule.
-
-    Crisp memberships depend on none of kind, k, m or k_init."""
-    if cfg.init == "crisp":
-        return cfg.normalize, cfg.init
-    return cfg.normalize, cfg.init, keller_k_init(cfg, n)[0]
 
 
 def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:

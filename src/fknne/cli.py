@@ -71,6 +71,8 @@ def _extraction_config(args) -> ExtractionConfig:
         raise ValueError("--side must be >= 1")
     if args.side is not None and args.side <= args.distance:
         raise ValueError("--side must be greater than --distance")
+    if args.image_height < 1:
+        raise ValueError("--image-height must be >= 1")
     return ExtractionConfig(levels=args.levels, distance=args.distance,
                             symmetric=args.symmetric)
 

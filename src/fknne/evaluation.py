@@ -23,7 +23,6 @@ from .classifiers import (
     _search,
     check_reach,
     fit,
-    fit_key,
     keller_from_neighbours,
     keller_k_init,
     neighbour_table,
@@ -362,7 +361,7 @@ class _LeaveOneOut:
     def __init__(self, data: Dataset, configs, k: int):
         n = len(data)
         self.model = fit(data, replace(configs[0], init="crisp"))
-        k_inits = {fit_key(c, n - 1)[2] for c in configs if c.init == "keller"}
+        k_inits = {keller_k_init(c, n - 1)[0] for c in configs if c.init == "keller"}
         # Own rows sort first, so each pool is searched one row deeper.
         pools = self.model._class_pools + ((np.arange(n),) if k_inits else ())
         ks = [k + 1] * len(self.model.classes) + ([max(k_inits) + 2] if k_inits else [])

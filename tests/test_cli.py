@@ -136,6 +136,8 @@ class TestExtract:
         (["--side", "0"], "error: --side must be >= 1"),
         (["--side", "-3"], "error: --side must be >= 1"),
         (["--side", "2", "--distance", "2"], "error: --side must be greater than --distance"),
+        (["--image-height", "0"], "error: --image-height must be >= 1"),
+        (["--image-height", "-5"], "error: --image-height must be >= 1"),
     ])
     def test_bad_flag_exits_2_naming_it_before_any_image_is_read(
             self, tmp_path, image_dir, index_file, capsys, monkeypatch, flags, message):

@@ -46,7 +46,7 @@ from fknne import (
     roc_curve,
     stratified_kfold,
 )
-from fknne.classifiers import _search, fit_key, neighbour_table
+from fknne.classifiers import _search, neighbour_table
 from fknne.evaluation import _cross_validate, _LeaveOneOut
 
 # ---------------------------------------------------------------------------
@@ -615,6 +615,19 @@ class TestSearchAgainstExhaustiveOracle:
                 assert same_search(got, tuple((idx[rows], d[rows]) for idx, d in full))
         assert fallback.called == (scale == "huge")
 
+    @settings(max_examples=300, deadline=None)
+    @given(searches(), st.sampled_from((1, 1 << 8, 1 << 10)))
+    def test_small_blocks_and_chunks_match_the_oracle(self, case, block_bytes):
+        # At one byte, every block of queries and every chunk of candidates
+        # holds one row. At a few hundred bytes, a block holds several rows
+        # and its candidates are often re-ranked in smaller chunks.
+        X, rank, V, pools, _ = case
+        with mock.patch.object(fknne.classifiers, "_BLOCK_BYTES", block_bytes):
+            for k in range(1, max(map(len, pools)) + 2):
+                ks = [k] * len(pools)
+                assert same_search(_search(X, rank, V, pools, ks),
+                                   oracle_search(X, rank, V, pools, ks))
+
     def test_one_and_two_blas_threads_give_the_oracle_bytes(self):
         case = {}
         exec(THREAD_CASE, case)
@@ -631,10 +644,10 @@ class TestSearchAgainstExhaustiveOracle:
 
     @pytest.mark.parametrize("clusters", [1, 2])
     def test_tied_rows_take_bounded_memory(self, clusters):
-        # Every entry of 2000 equal rows is a candidate, and the pool is read
-        # in place. In two clusters of 1000 equal rows, each row's 1000
-        # candidates are gathered. A 2000 x 2000 distance matrix alone would
-        # take 32 MB.
+        # Every entry of 2000 equal rows is a candidate; in two clusters of
+        # 1000 equal rows, each row has 1000. Either way the candidates are
+        # re-ranked a few rows at a time. A 2000 x 2000 distance matrix alone
+        # would take 32 MB.
         n = 2000
         X = np.zeros((n, 25))
         X[::clusters] = 1.0
@@ -740,12 +753,12 @@ class TestFoldReuse:
     @staticmethod
     def counting(monkeypatch):
         """Record what cross-validation computes: each fit as (training
-        ids, fit key), each test table as (its model's X, table) and each
-        search of chosen rows as (X searched, rows, ks)."""
+        ids, (normalize, init)), each test table as (its model's X, table)
+        and each search of chosen rows as (X searched, rows, ks)."""
         fits, tables, searches = [], [], []
 
         def counted_fit(data, cfg):
-            fits.append((data.ids, fit_key(cfg, len(data))))
+            fits.append((data.ids, (cfg.normalize, cfg.init)))
             return fit(data, cfg)
 
         def counted_table(model, queries, k):
