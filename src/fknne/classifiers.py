@@ -459,20 +459,12 @@ def check_reach(table):
     return table
 
 
-def _joined(pools):
-    """The per-class (indices, distances) rows side by side, in class order."""
-    return (np.concatenate([idx for idx, _ in pools], axis=1),
-            np.concatenate([d for _, d in pools], axis=1))
-
-
-def _nearest(model: FitModel, pools, k: int):
-    """The k nearest samples overall, nearest first: the k smallest entries,
-    by (distance, id rank), of the joined per-class rows. Each class brings
-    its own k nearest, so the k nearest overall are all among them."""
-    idx, d = _joined(pools)
-    order = np.lexsort((model._id_rank[idx], d), axis=1)[:, :k]
-    rows = np.arange(len(d))[:, None]
-    return idx[rows, order], d[rows, order]
+def _nearest(d: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """The columns of the k nearest entries of each row of the per-class
+    lists joined side by side, nearest first: the k smallest by (distance,
+    id rank). Each class brings its own k nearest, so the k nearest
+    overall are all among them."""
+    return np.lexsort((rank, d), axis=1)[:, :k]
 
 
 def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
@@ -593,32 +585,45 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
     if class_filter is not None and class_filter not in model.classes:
         raise ValueError(f"unknown class {class_filter!r}")
     table = neighbour_table(model, [x], k)
-    idx, d = (_nearest(model, table, k) if class_filter is None
-              else table[model.classes.index(class_filter)])
-    return [(model.ids[i], float(di)) for i, di in zip(idx[0], d[0])]
+    if class_filter is None:
+        idx, d = (np.concatenate(field, axis=1) for field in zip(*table))
+        order = _nearest(d, model._id_rank[idx], k)[0]
+        idx, d = idx[0, order], d[0, order]
+    else:
+        idx, d = (a[0] for a in table[model.classes.index(class_filter)])
+    return [(model.ids[i], float(di)) for i, di in zip(idx, d)]
 
 
-# Scoring rules. Each scores every query of a table at once, from its
-# per-class (indices, distances) rows cut to the config's k, with the
-# config's m and the model's memberships, and returns the
-# winning class index of each query and its Q x C scores. A sum over one
-# query's neighbours runs in the order it would for that query alone: along
-# a contiguous last axis, or along axis 1 of a (Q, k, C) array.
+# Scoring rules. Each scores every query of a table at once and returns the
+# winning class index of each query and its Q x C scores. The table is what
+# the rules read of each neighbour entry, (distances, id ranks,
+# memberships): per field, one array per class pool in class order, with
+# one row per query and one column per entry, nearest first, cut to the
+# config's k (memberships have one more axis, the classes). An entry's
+# label index is its pool's class. A rule joins only the fields it reads.
+# No rule reads a FitModel, so queries gathered from different fits score
+# together: id ranks are only compared within a row, and a sum over one
+# query's neighbours runs in the order it would for that query alone,
+# along a contiguous last axis or along axis 1 of a (Q, k, C) array.
 
-def _knn(model: FitModel, pools, cfg: ClassifierConfig):
+def _knn(table, cfg: ClassifierConfig):
     """Plurality vote among the k nearest samples.
 
     Scores are vote fractions. A vote tie goes to the tied class whose
     voters are closest in summed distance, then to class order.
     """
-    idx, d = _nearest(model, pools, cfg.k)
-    voter = model.label_index[idx][:, :, None] == np.arange(len(model.classes))
+    ds, ranks, _ = table
+    d = np.concatenate(ds, axis=1)
+    order = _nearest(d, np.concatenate(ranks, axis=1), cfg.k)
+    d = np.take_along_axis(d, order, axis=1)
+    label = np.repeat(np.arange(len(ds)), [x.shape[1] for x in ds])
+    voter = label[order][:, :, None] == np.arange(len(ds))
     votes = voter.sum(axis=1)
     # np.where, not voter * d: an inf distance times 0 is NaN.
     sum_dist = np.where(voter, d[:, :, None], 0.0).sum(axis=1)
     tied = votes == votes.max(axis=1, keepdims=True)
     closest = np.where(tied, sum_dist, np.inf).min(axis=1, keepdims=True)
-    return np.argmax(tied & (sum_dist == closest), axis=1), votes / idx.shape[1]
+    return np.argmax(tied & (sum_dist == closest), axis=1), votes / order.shape[1]
 
 
 def _fuzzy_weights(d: np.ndarray, m: float):
@@ -641,38 +646,41 @@ def _fuzzy_weights(d: np.ndarray, m: float):
     return np.where(exact[:, None], hit, w), exact
 
 
-def _membership_mean(model: FitModel, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Memberships of each row's neighbours, averaged with weights w."""
-    return (w[:, :, None] * model.memberships[idx]).sum(axis=1) / w.sum(axis=1, keepdims=True)
+def _membership_mean(memberships: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row's (Q, k, C) neighbour memberships, averaged with weights w."""
+    return (w[:, :, None] * memberships).sum(axis=1) / w.sum(axis=1, keepdims=True)
 
 
-def _fknn(model: FitModel, pools, cfg: ClassifierConfig):
+def _fknn(table, cfg: ClassifierConfig):
     """Fuzzy vote: memberships of the k nearest samples weighted by
     d^(-2/(m-1)) and renormalized.
 
     A query that coincides with training samples takes the average
     membership of the exact matches instead.
     """
-    idx, d = _nearest(model, pools, cfg.k)
-    scores = _membership_mean(model, idx, _fuzzy_weights(d, cfg.m)[0])
+    d, rank, memberships = (np.concatenate(field, axis=1) for field in table)
+    order = _nearest(d, rank, cfg.k)
+    d = np.take_along_axis(d, order, axis=1)
+    memberships = np.take_along_axis(memberships, order[:, :, None], axis=1)
+    scores = _membership_mean(memberships, _fuzzy_weights(d, cfg.m)[0])
     return np.argmax(scores, axis=1), scores
 
 
-def _knne(model: FitModel, pools, cfg: ClassifierConfig):
+def _knne(table, cfg: ClassifierConfig):
     """Nearest-neighbour equality: the class whose k nearest samples have
     the smallest mean distance wins.
 
     Scores are normalized inverse mean distances; classes at mean
     distance zero share all the mass uniformly.
     """
-    means = np.column_stack([d.mean(axis=1) for _, d in pools])
+    means = np.column_stack([d.mean(axis=1) for d in table[0]])
     zero = means == 0.0
     with np.errstate(divide="ignore"):
         raw = np.where(zero.any(axis=1, keepdims=True), zero, 1.0 / means)
     return np.argmin(means, axis=1), raw / raw.sum(axis=1, keepdims=True)
 
 
-def _fknne(model: FitModel, pools, cfg: ClassifierConfig):
+def _fknne(table, cfg: ClassifierConfig):
     """Fuzzy nearest-neighbour equality.
 
     Each class pools its k nearest samples; inside a pool the neighbours'
@@ -682,14 +690,15 @@ def _fknne(model: FitModel, pools, cfg: ClassifierConfig):
     pool; with Keller memberships the neighbours' soft labels shift it.
     The exact-match rule applies to the union of all pools.
     """
-    idx, d = _joined(pools)
+    ds, _, memberships = table
+    d, memberships = np.concatenate(ds, axis=1), np.concatenate(memberships, axis=1)
     w, exact = _fuzzy_weights(d, cfg.m)
-    bounds = list(accumulate([i.shape[1] for i, _ in pools], initial=0))
+    bounds = list(accumulate([x.shape[1] for x in ds], initial=0))
     # Each pool weighs its neighbours' memberships in its own class.
-    raw = np.column_stack([(model.memberships[idx[:, a:b], ci] * w[:, a:b]).sum(axis=1)
+    raw = np.column_stack([(memberships[:, a:b, ci] * w[:, a:b]).sum(axis=1)
                            for ci, (a, b) in enumerate(zip(bounds, bounds[1:]))])
     # The exact-match rule applies to the union of all pools.
-    scores = np.where(exact[:, None], _membership_mean(model, idx, w),
+    scores = np.where(exact[:, None], _membership_mean(memberships, w),
                       raw / raw.sum(axis=1, keepdims=True))
     return np.argmax(scores, axis=1), scores
 
@@ -697,11 +706,27 @@ def _fknne(model: FitModel, pools, cfg: ClassifierConfig):
 _RULES = {"knn": _knn, "fknn": _fknn, "knne": _knne, "fknne": _fknne}
 
 
-def predict_table(model: FitModel, table, cfg: ClassifierConfig):
+def gather_entries(model: FitModel, table, memberships=None):
+    """What the rules read of each entry of ``neighbour_table``'s table:
+    (distances, id ranks, memberships), per field one array per class
+    pool. Membership rows are the model's, unless given per pool."""
+    if memberships is None:
+        memberships = [model.memberships[idx] for idx, _ in table]
+    return [d for _, d in table], [model._id_rank[idx] for idx, _ in table], memberships
+
+
+def predict_table(model: FitModel | None, table, cfg: ClassifierConfig):
     """Score every query of a table built at a k of at least ``cfg.k``
-    with the rule, k and m of ``cfg`` and the model's memberships. Returns
-    the winning class index of each query and its Q x C scores."""
-    return _RULES[cfg.kind](model, [(idx[:, :cfg.k], d[:, :cfg.k]) for idx, d in table], cfg)
+    with the rule, k and m of ``cfg``. Returns the winning class index of
+    each query and its Q x C scores.
+
+    With a model, ``table`` is ``neighbour_table``'s and each entry's id
+    rank and membership row are gathered from the model. With None, it is
+    already gathered: the (distances, id ranks, memberships) the rules
+    read, per field one array per class pool."""
+    if model is not None:
+        table = gather_entries(model, table)
+    return _RULES[cfg.kind]([[a[:, :cfg.k] for a in field] for field in table], cfg)
 
 
 def predict_many(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:

@@ -148,8 +148,10 @@ def _protocol(args):
 
 def _load_dataset(args):
     data = read_feature_csv(args.features)
-    if args.feature_mask:
+    if args.feature_mask is not None:
         wanted = [n.strip() for n in args.feature_mask.split(",") if n.strip()]
+        if not wanted:
+            raise ValueError("--feature-mask lists no feature")
         data = data.select_features(wanted)
     return data
 
@@ -181,11 +183,15 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     data = _load_dataset(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
+    if not methods:
+        raise ValueError("--methods lists no method")
+    for i, m in enumerate(methods):
         if m not in KINDS:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(KINDS)}")
+        if m in methods[:i]:
+            raise ValueError(f"--methods: {m!r} is repeated")
     ks = [args.k]
-    if args.k_sweep:
+    if args.k_sweep is not None:
         ks = []
         for v in filter(None, (v.strip() for v in args.k_sweep.split(","))):
             try:
@@ -194,6 +200,10 @@ def cmd_compare(args) -> int:
                 raise ValueError(f"--k-sweep: {v!r} is not an integer") from None
             if ks[-1] < 1:
                 raise ValueError(f"--k-sweep: {v!r} is below 1")
+            if ks[-1] in ks[:-1]:
+                raise ValueError(f"--k-sweep: {v!r} is repeated")
+        if not ks:
+            raise ValueError("--k-sweep lists no k")
     configs = [_classifier_config(args, m, k) for m in methods for k in ks]
     table = compare_classifiers(data, configs, _protocol(args),
                                 positive_class=args.positive)

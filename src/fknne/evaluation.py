@@ -23,6 +23,7 @@ from .classifiers import (
     _search,
     check_reach,
     fit,
+    gather_entries,
     keller_from_neighbours,
     keller_k_init,
     neighbour_table,
@@ -297,30 +298,34 @@ class EvaluationReport:
 
 
 class _Fold:
-    """One fold's crisp model, its test table, and per Keller k_init the
-    model with the fold's Keller memberships, made on first use as ``fit``
-    makes them, but only in the training rows the table reaches: the rest
-    are NaN, which no score reads. ``others(rows, k_init)`` gives each of
-    those rows' k_init nearest other training rows in the fold."""
+    """One fold's test table, searched with the fold's crisp model, and per
+    fit key what the rules read of each of its entries (``entries``).
+    ``others(rows, k_init)`` gives each of ``rows``' k_init nearest other
+    training rows in the fold."""
 
     def __init__(self, model: FitModel, table, n_train: int, others):
         self.model, self.table, self.n_train, self.others = model, table, n_train, others
-        self.models = {}
+        self.gathered = {}
 
-    def __call__(self, cfg: ClassifierConfig):
-        if cfg.init == "crisp":
-            return self.model, self.table
-        k_init = keller_k_init(cfg, self.n_train)[0]
-        if k_init not in self.models:
-            memberships = self.model.memberships  # a lone training sample stays one-hot
+    def entries(self, init: str, k_init: int | None):
+        """The table's (distances, id ranks, memberships), per field one
+        array per class pool, gathered once per k_init as the fold clamps
+        it. Keller memberships are computed as ``fit`` computes them, but
+        only for the training rows the table reaches, and gathered
+        straight into the entries."""
+        # A lone training sample has nothing to vote and stays one-hot.
+        k_init = min(k_init, self.n_train - 1) if init == "keller" else 0
+        if k_init not in self.gathered:
+            memberships = None  # the crisp model's
             if k_init:
-                rows = np.unique(np.concatenate([idx.ravel() for idx, _ in self.table]))
-                memberships = np.full(memberships.shape, np.nan)
-                memberships[rows] = keller_from_neighbours(
-                    self.others(rows, k_init), self.model.label_index[rows],
-                    self.model.memberships)
-            self.models[k_init] = replace(self.model, memberships=memberships)
-        return self.models[k_init], self.table
+                idx = [i for i, _ in self.table]
+                rows = np.unique(np.concatenate([i.ravel() for i in idx]))
+                reached = keller_from_neighbours(self.others(rows, k_init),
+                                                 self.model.label_index[rows],
+                                                 self.model.memberships)
+                memberships = [reached[np.searchsorted(rows, i)] for i in idx]
+            self.gathered[k_init] = gather_entries(self.model, self.table, memberships)
+        return self.gathered[k_init]
 
 
 def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
@@ -409,6 +414,29 @@ class _LeaveOneOut:
         return np.where(nbrs[:, :k_init] == i, nbrs[:, k_init:], nbrs[:, :k_init])
 
 
+def _fit_key(cfg: ClassifierConfig):
+    """What a fold's entries depend on besides its table: (normalize,
+    init, k_init), k_init None when crisp."""
+    k_init = cfg.k if cfg.k_init is None else cfg.k_init
+    return cfg.normalize, cfg.init, k_init if cfg.init == "keller" else None
+
+
+def _stacked(folds, fold_of: np.ndarray):
+    """One fit key's folds, each (classes, entries), grouped by classes and
+    pool widths: per group, its classes, its folds' entries concatenated
+    query by query, and where its rows stand among all tested rows."""
+    groups = {}
+    for f, (classes, entries) in enumerate(folds):
+        groups.setdefault((classes, tuple(d.shape[1] for d in entries[0])), []).append(f)
+    out = []
+    for (classes, _), members in groups.items():
+        # Per field and class pool, the member folds' arrays concatenated.
+        fields = zip(*(folds[f][1] for f in members))
+        entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in fields)
+        out.append((classes, entries, np.flatnonzero(np.isin(fold_of, members))))
+    return out
+
+
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
     """Run every config under the same splits; yield one report per
     config, in order.
@@ -417,12 +445,20 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     the already checked dataset. Each fold fits crisp once per
     ``normalize`` setting, not once per config, and searches its test
     rows' neighbours once with that model, at the largest k among the
-    configs sharing it; every config then scores that whole table with
-    its own rule, k and m. Per Keller k_init, a fold computes the
-    memberships of only the training rows its table reaches: no score
-    reads the others. ``fit`` still computes every row's. Leave-one-out
-    reads most folds from one search of the full data instead
-    (``_LeaveOneOut``). Either way a fold is a ``_Fold``.
+    configs sharing it. Per fit key, (normalize, init, k_init), it then
+    gathers what the rules read of each neighbour entry: distance, id
+    rank and membership row (``_Fold.entries``). Keller memberships are
+    computed for only the training rows the table reaches; ``fit`` still
+    computes every row's. Leave-one-out reads most folds from one search
+    of the full data instead (``_LeaveOneOut``). Either way a fold is a
+    ``_Fold``, and only its entries outlive the fold loop.
+
+    After the loop, each fit key's folds are stacked into one table per
+    group of folds with the same classes and pool widths: ordinarily one
+    group, and a fold that lacks a class or has a pool narrower than its
+    k forms its own. Each config scores each group in one
+    ``predict_table`` call, and one ``bincount`` gives every fold's
+    confusion.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -436,7 +472,6 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     if not isinstance(protocol, (KFold, Holdout, Loocv)):
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    is_pos = np.array(data.labels) == positive
     k_max: dict[bool, int] = {}
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
@@ -445,30 +480,37 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
         for normalize, k in k_max.items():
             reuse[normalize] = _LeaveOneOut.build(
                 data, [c for c in configs if c.normalize == normalize], k)
-    # Tested rows in fold order; per config, each fold's (hit, scores, result).
+    # Tested rows in fold order; per fit key, each fold's (classes, entries).
     tested: list[np.ndarray] = []
-    per_config: list[list[tuple]] = [[] for _ in configs]
+    gathered = {key: [] for key in map(_fit_key, configs)}
     for test in protocol.splits(data):
-        y = is_pos[test]
         tested.append(test)
         sources = {normalize: (reuse.get(normalize) and reuse[normalize].fold(test[0]))
                    or _refit(data, test, k, normalize) for normalize, k in k_max.items()}
-        for cfg, cfg_folds in zip(configs, per_config):
-            model, table = sources[cfg.normalize](cfg)
-            winners, fold_scores = predict_table(model, table, cfg)
-            # A fold model without the positive class predicts it nowhere, scoring 0.
-            p = model.classes.index(positive) if positive in model.classes else -1
-            hit = winners == p
-            cfg_folds.append((hit, fold_scores[:, p] if p >= 0 else np.zeros(len(test)),
-                              _fold_result(_counts(y, hit))))
+        for (normalize, init, k_init), fold_entries in gathered.items():
+            fold = sources[normalize]
+            fold_entries.append((fold.model.classes, fold.entries(init, k_init)))
     rows = np.concatenate(tested)
+    fold_of = np.repeat(np.arange(len(tested)), [len(t) for t in tested])
+    groups = {key: _stacked(fold_entries, fold_of) for key, fold_entries in gathered.items()}
+    # Reports are yielded one at a time: hold only the stacked entries meanwhile.
+    del gathered, sources, reuse
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]
-    y = is_pos[rows]
-    for cfg, cfg_folds in zip(configs, per_config):
-        hits, scores, folds = zip(*cfg_folds)
-        hit, s = np.concatenate(hits), np.concatenate(scores)
+    y = np.array(data.labels)[rows] == positive
+    for cfg in configs:
+        hit, s = np.empty(len(rows), dtype=bool), np.zeros(len(rows))
+        for classes, entries, at in groups[_fit_key(cfg)]:
+            winners, scores = predict_table(None, entries, cfg)
+            # Folds that never saw the positive class predict it nowhere, scoring 0.
+            p = classes.index(positive) if positive in classes else -1
+            hit[at] = winners == p
+            if p >= 0:
+                s[at] = scores[:, p]
+        per_fold = np.bincount(4 * fold_of + 2 * y + hit, minlength=4 * len(tested))
+        folds = tuple(_fold_result(ConfusionCounts(tp, fp, tn, fn))
+                      for tn, fp, fn, tp in per_fold.reshape(-1, 4).tolist())
         pooled = _counts(y, hit)
         sens, spec, acc = rates(pooled)
         roc = _roc(s, y)

@@ -341,6 +341,8 @@ class TestEval:
         (["--init", "keller", "--k-init", "0"], "error: --k-init must be >= 1"),
         (["--m", "1"], "error: --m must be > 1"),
         (["--protocol", "holdout", "--fraction", "1.5"], "error: --fraction must be in (0, 1)"),
+        (["--feature-mask", ","], "error: --feature-mask lists no feature"),
+        (["--feature-mask", ""], "error: --feature-mask lists no feature"),
     ])
     def test_bad_protocol_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
                                                  flags, message):
@@ -413,6 +415,13 @@ class TestCompare:
         (["--k", "0"], "error: --k must be >= 1"),
         (["--k-sweep", "3,0"], "error: --k-sweep: '0' is below 1"),
         (["--m", "0.5"], "error: --m must be > 1"),
+        (["--methods", ","], "error: --methods lists no method"),
+        (["--methods", ""], "error: --methods lists no method"),
+        (["--k-sweep", ","], "error: --k-sweep lists no k"),
+        (["--k-sweep", ""], "error: --k-sweep lists no k"),
+        (["--methods", "knn,fknn,knn"], "error: --methods: 'knn' is repeated"),
+        (["--k-sweep", "3,5,03"], "error: --k-sweep: '03' is repeated"),
+        (["--feature-mask", ","], "error: --feature-mask lists no feature"),
     ])
     def test_bad_classifier_flag_exits_2_naming_it(self, tmp_path, synthetic_csv, capsys,
                                                    flags, message):

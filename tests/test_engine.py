@@ -741,13 +741,16 @@ class TestFoldReuse:
         for i in range(n):
             fold = reuse.fold(i)
             assert fold is not None
-            model, table = fold(cfg)
-            rows = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+            searched, others = [], fold.others
+            fold.others = lambda rows, k: searched.append(rows) or others(rows, k)
+            entries = fold.entries("keller", k_init)
+            rows = np.unique(np.concatenate([idx.ravel() for idx, _ in fold.table]))
             lost += int((reuse.others[rows, :k_init] == i).any())
-            unreached = np.setdiff1d(np.arange(n), rows)
-            assert i in unreached and np.isnan(model.memberships[unreached]).all()
+            # Memberships are computed for the reached rows alone, never row i.
+            assert [r.tolist() for r in searched] == [rows.tolist()] and i not in rows
             want = fit(data._rows(np.delete(np.arange(n), i)), cfg).memberships
-            assert same_bits(model.memberships[rows], want[rows - (rows > i)])
+            for (idx, _), memberships in zip(fold.table, entries[2]):
+                assert same_bits(memberships, want[idx - (idx > i)])
         assert lost
 
     @staticmethod
@@ -839,3 +842,98 @@ class TestFoldReuse:
             tracemalloc.stop()
         # One n x n float64 distance matrix would take 32 MB.
         assert peak < 8 * n * n
+
+
+class TestStackedScoring:
+    """Cross-validation gathers each fold's neighbour entries once per fit
+    key and scores each config once per group of folds that share classes
+    and pool widths, over the group's entries stacked query by query."""
+
+    CROSS_VALIDATIONS = [
+        (KFold(10, seed=0), [ClassifierConfig(kind=kind, k=k)
+                             for kind in KINDS for k in (1, 3, 5, 7, 9)]),
+        (Loocv(), [ClassifierConfig(kind="fknne", k=5, init="keller")]),
+        (Holdout(0.3, seed=0), [ClassifierConfig(kind=kind, k=3, init=init)
+                                for kind in KINDS for init in ("crisp", "keller")]),
+    ]
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record each scoring call as (config, rows scored, class pools)."""
+        calls = []
+        scored = fknne.evaluation.predict_table
+
+        def counted(model, table, cfg):
+            calls.append((cfg, len(table[0][0]), len(table[0])))
+            return scored(model, table, cfg)
+
+        monkeypatch.setattr(fknne.evaluation, "predict_table", counted)
+        return calls
+
+    @staticmethod
+    def assert_reports_equal_oracle(data, cfgs, protocol):
+        for cfg, rep in zip(cfgs, _cross_validate(data, cfgs, protocol, None)):
+            TestFoldReuse.assert_equals_oracle(rep, data, cfg, protocol)
+
+    @pytest.mark.parametrize("protocol, cfgs", CROSS_VALIDATIONS)
+    def test_one_scoring_call_per_config(self, monkeypatch, protocol, cfgs):
+        calls = self.counting(monkeypatch)
+        rng = np.random.default_rng(3)
+        n = 60
+        data = Dataset([f"s{i:02d}" for i in range(n)], rng.normal(size=(n, 4)),
+                       ["benign", "malignant"] * (n // 2))
+        reports = list(_cross_validate(data, cfgs, protocol, None))
+        # Every fold holds both classes and pools of at least k rows: one
+        # group, so one call per config, scoring every tested row.
+        assert calls == [(cfg, reports[0].pooled.total, 2) for cfg in cfgs]
+
+    def test_a_pool_narrower_than_k_forms_its_own_group(self, monkeypatch):
+        # 11 malignant rows in 10 folds: the fold that tests two of them
+        # trains on 9, a pool narrower than k = 10; the others train on 10.
+        rng = np.random.default_rng(4)
+        data = Dataset([f"s{i:02d}" for i in range(31)], rng.normal(size=(31, 3)),
+                       ["malignant"] * 11 + ["benign"] * 20)
+        cfgs = [ClassifierConfig(kind=kind, k=k, init=init, k_init=3)
+                for kind in KINDS for k in (3, 10) for init in ("crisp", "keller")]
+        calls = self.counting(monkeypatch)
+        self.assert_reports_equal_oracle(data, cfgs, KFold(10, seed=0))
+        # For every config, the first fold, which tests 2 + 2 rows, then the
+        # other nine, which test 1 + 2 rows each: the groups of the configs'
+        # shared fit keys, all gathered at k = 10.
+        assert calls == [(cfg, rows, 2) for cfg in cfgs for rows in (4, 27)]
+
+    def test_a_fold_without_a_class_forms_its_own_group(self, monkeypatch):
+        # The fold that holds out the only malignant row trains on benign
+        # rows alone: one pool, and it scores malignant at zero.
+        rng = np.random.default_rng(5)
+        data = Dataset([f"s{i}" for i in range(10)], rng.normal(size=(10, 2)),
+                       ["benign"] * 4 + ["malignant"] + ["benign"] * 5)
+        cfgs = [ClassifierConfig(kind=kind, k=3, init=init, k_init=2)
+                for kind in KINDS for init in ("crisp", "keller")]
+        calls = self.counting(monkeypatch)
+        self.assert_reports_equal_oracle(data, cfgs, Loocv())
+        # For every config, the nine folds that train on both classes, then
+        # the one that does not.
+        assert calls == [(cfg, rows, pools) for cfg in cfgs for rows, pools in ((9, 2), (1, 1))]
+
+    def test_gathered_entries_do_not_grow_with_configs(self):
+        # The entries of one fit key take 600 rows x 50 entries x 32 B
+        # (distance, id rank, two memberships) = 0.96 MB, and twice that
+        # while the folds are stacked. Gathered once per config instead,
+        # 20 configs would hold five times what 4 configs hold.
+        rng = np.random.default_rng(6)
+        n = 600
+        data = Dataset([f"s{i:03d}" for i in range(n)], rng.normal(size=(n, 3)),
+                       ["benign", "malignant"] * (n // 2))
+
+        def peak(cfgs):
+            tracemalloc.start()
+            try:
+                compare_classifiers(data, cfgs, KFold(10, seed=0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few = [ClassifierConfig(kind=kind, k=25) for kind in KINDS]
+        many = [ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (5, 10, 15, 20, 25)]
+        assert peak(many) < 1.5 * peak(few)
