@@ -449,13 +449,27 @@ def neighbour_table(model: FitModel, queries, k: int):
     return check_reach(_search(model.X, model._id_rank, V, pools, [k] * len(pools)))
 
 
+class _Unreachable(ValueError):
+    """A query whose distances all overflowed to inf; ``row`` is its row
+    in the table."""
+
+    def __init__(self, row: int):
+        super().__init__(f"query row {row}: every distance overflows to inf; "
+                         "feature values are too large")
+        self.row = row
+
+
+def _overflowed(table) -> np.ndarray:
+    """Which queries of a table have every distance overflowed to inf."""
+    return np.isinf([d[:, 0] for _, d in table]).all(axis=0)
+
+
 def check_reach(table):
     """Return the table, or reject its first query whose distances all
     overflowed to inf: no rule could rank its neighbours."""
-    overflowed = np.flatnonzero(np.isinf([d[:, 0] for _, d in table]).all(axis=0))
+    overflowed = np.flatnonzero(_overflowed(table))
     if overflowed.size:
-        raise ValueError(f"query row {overflowed[0]}: every distance overflows "
-                         f"to inf; feature values are too large")
+        raise _Unreachable(int(overflowed[0]))
     return table
 
 

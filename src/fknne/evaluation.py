@@ -11,17 +11,19 @@ agree.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .classifiers import (
+    _BLOCK_BYTES,
     ClassifierConfig,
     Dataset,
     FitModel,
     _id_order,
+    _normalize_rows,
+    _overflowed,
     _search,
-    check_reach,
+    _Unreachable,
     fit,
     gather_entries,
     keller_from_neighbours,
@@ -287,24 +289,28 @@ class EvaluationReport:
             "specificity": self.specificity,
             "accuracy": self.accuracy,
             "auc": self.auc,
-            "pooled": asdict(self.pooled),
+            "pooled": _counts_dict(self.pooled),
             "averaged": dict(self.averaged),
             "folds": [
-                dict(asdict(f.counts), sensitivity=f.sensitivity,
+                dict(_counts_dict(f.counts), sensitivity=f.sensitivity,
                      specificity=f.specificity, accuracy=f.accuracy)
                 for f in self.folds
             ],
         }
 
 
-class _Fold:
-    """One fold's test table, searched with the fold's crisp model, and per
-    fit key what the rules read of each of its entries (``entries``).
-    ``others(rows, k_init)`` gives each of ``rows``' k_init nearest other
-    training rows in the fold."""
+def _counts_dict(c: ConfusionCounts) -> dict:
+    """``asdict(c)`` without its recursive copy: a LOOCV report has n folds."""
+    return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
 
-    def __init__(self, model: FitModel, table, n_train: int, others):
-        self.model, self.table, self.n_train, self.others = model, table, n_train, others
+
+class _Fold:
+    """One refitted fold's test table, searched with the fold's crisp
+    model, and per fit key what the rules read of each of its entries
+    (``entries``)."""
+
+    def __init__(self, model: FitModel, table):
+        self.model, self.table = model, table
         self.gathered = {}
 
     def entries(self, init: str, k_init: int | None):
@@ -314,13 +320,13 @@ class _Fold:
         only for the training rows the table reaches, and gathered
         straight into the entries."""
         # A lone training sample has nothing to vote and stays one-hot.
-        k_init = min(k_init, self.n_train - 1) if init == "keller" else 0
+        k_init = min(k_init, len(self.model) - 1) if init == "keller" else 0
         if k_init not in self.gathered:
             memberships = None  # the crisp model's
             if k_init:
                 idx = [i for i, _ in self.table]
                 rows = np.unique(np.concatenate([i.ravel() for i in idx]))
-                reached = keller_from_neighbours(self.others(rows, k_init),
+                reached = keller_from_neighbours(_others(self.model, rows, k_init),
                                                  self.model.label_index[rows],
                                                  self.model.memberships)
                 memberships = [reached[np.searchsorted(rows, i)] for i in idx]
@@ -334,8 +340,12 @@ def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
     take this path."""
     train = data._rows(np.delete(np.arange(len(data)), test))
     model = fit(train, ClassifierConfig(normalize=normalize))
-    table = neighbour_table(model, data.X[test], k)
-    return _Fold(model, table, len(model), partial(_others, model))
+    try:
+        table = neighbour_table(model, data.X[test], k)
+    except _Unreachable as e:
+        raise ValueError(f"sample {data.ids[test[e.row]]!r}: every distance to its fold's "
+                         "training rows overflows to inf; feature values are too large") from None
+    return _Fold(model, table)
 
 
 def _others(model: FitModel, rows: np.ndarray, k_init: int) -> np.ndarray:
@@ -347,42 +357,91 @@ def _others(model: FitModel, rows: np.ndarray, k_init: int) -> np.ndarray:
 
 
 class _LeaveOneOut:
-    """Every leave-one-out fold of one ``normalize`` setting, read from one
-    search of the full data instead of a fit and a search per fold.
+    """The leave-one-out folds of one ``normalize`` setting, gathered
+    together per fit key with no fit per fold (``groups``). A fold that
+    holds out its class's only row lacks that class and is refitted
+    (``refit``, per fold), as is one whose tested row no distance reaches.
 
-    Let held-out row i leave each feature's min and max unchanged. Then the
-    fold's normalized rows are the full data's, bit for bit, and so is
-    every distance between them. (The min or max can only stay equal in
-    value: the sign of a zero may change, which no squared difference
-    sees.) Dropping i keeps the (distance, id rank) order of the others, so
+    One crisp fit and one self-search of the full data give each row its
+    k + 1 nearest per class and, for Keller, its k_init + 2 nearest rows,
+    its own entry first in both. Let held-out row i leave each feature's
+    min and max unchanged. Then the fold's normalized rows are the full
+    data's, bit for bit, and so is every distance between them. (The min
+    or max can only stay equal in value: the sign of a zero may change,
+    which no squared difference sees.) Dropping i keeps the (distance, id
+    rank) order of the others, so
+    * row i's per-class table is its own row of the search, with itself
+      dropped from its own class;
     * a row's k_init nearest others in the fold are its k_init + 1 nearest
-      others in the full data with i removed, or the first k_init where i
-      is not among them;
-    * row i's per-class table is its own row of the full search, with
-      itself dropped from its own class.
-    Models and tables index the full data; row i is reached by no table.
+      others in the full data, with i replaced by the last where it is
+      among the first k_init.
+    Normalizing, a row alone at some feature's min or max changes its
+    fold's range. That fold's rows are the full raw data normalized with
+    the fold's lo and hi: normalization works per element, so each equals
+    the fold fit's row bit for bit, and the full id rank orders the fold's
+    rows as the fold's own rank does. In those rows, one search of row i
+    in each class pool and one of the rows its table reaches, own entries
+    first, stand in for its rows of the full search, read by the same
+    rules. Rows index the full data; row i is reached by no table of its
+    fold.
     """
 
     def __init__(self, data: Dataset, configs, k: int):
         n = len(data)
-        self.model = fit(data, replace(configs[0], init="crisp"))
+        self.model = model = fit(data, replace(configs[0], init="crisp"))
         k_inits = {keller_k_init(c, n - 1)[0] for c in configs if c.init == "keller"}
+        rank, label, pools = model._id_rank, model.label_index, model._class_pools
+        sizes = np.bincount(label)
+        # The pools of a fold are widths[c] wide, c the held-out row's class.
+        widths = np.minimum(k, sizes - np.eye(len(pools), dtype=np.intp))
         # Own rows sort first, so each pool is searched one row deeper.
-        pools = self.model._class_pools + ((np.arange(n),) if k_inits else ())
-        ks = [k + 1] * len(self.model.classes) + ([max(k_inits) + 2] if k_inits else [])
-        found = _search(self.model.X, self.model._id_rank, None, pools, ks)
-        self.table = found[:len(self.model.classes)]
+        found = _search(model.X, rank, None, pools + ((np.arange(n),) if k_inits else ()),
+                        [k + 1] * len(pools) + ([max(k_inits) + 2] if k_inits else []))
+        nearest = found[:len(pools)]
+        # Each row's nearest others, own entry dropped (``others``); per
+        # renormalized fold i, those of the rows its table reaches
+        # (``moved``), in the order of their keys i * n + row.
         self.others = found[-1][0][:, 1:] if k_inits else None
-        self.k = k
-        label_index = self.model.label_index
-        # Folds that a search of the full data cannot stand in for: a class
-        # vanishes, or (normalizing) i is the only row at some feature's
-        # min or max, so the fold's range and every normalized row change.
-        self.refit = np.bincount(label_index)[label_index] == 1
+        moved = [np.empty((0, max(k_inits, default=0) + 1), dtype=np.intp)]
+        keys = [np.empty(0, dtype=np.intp)]
+        alone = sizes[label] == 1
+        self.renormalized = np.zeros(n, dtype=bool)
         if configs[0].normalize:
             for edge in (data.X.min(axis=0), data.X.max(axis=0)):
                 at = data.X == edge
-                self.refit |= (at & (at.sum(axis=0) == 1)).any(axis=1)
+                self.renormalized |= (at & (at.sum(axis=0) == 1)).any(axis=1)
+        self.renormalized &= ~alone
+        for i in np.flatnonzero(self.renormalized):
+            rest = np.delete(data.X, i, axis=0)
+            # Row i may lie far outside the fold's range, even at inf; its
+            # distance to itself, inf - inf, is then set to -1 all the same.
+            with np.errstate(over="ignore", invalid="ignore"):
+                Xf = _normalize_rows(data.X, rest.min(axis=0), rest.max(axis=0))
+                own = _search(Xf, rank, np.array([i]), pools, [k + 1] * len(pools))
+            for (idx, d), (own_idx, own_d) in zip(nearest, own):
+                idx[i], d[i] = own_idx[0], own_d[0]
+            if k_inits:
+                table = _cut(nearest, label, np.array([i]), widths[label[i]])
+                reached = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+                moved.append(_search(Xf, rank, reached, [np.arange(n)],
+                                     [max(k_inits) + 2])[0][0][:, 1:])
+                keys.append(i * n + reached)
+        self.moved, self.keys = np.concatenate(moved), np.concatenate(keys)
+        order = np.argsort(rank)
+        self.refit = alone[order]
+        # Per group of folds with equal pool widths, the held-out rows in
+        # fold order and their tables. A fold whose tested row no distance
+        # reaches is refitted too, and its search rejects that row.
+        self.layout = []
+        kept = order[~self.refit]
+        for c, w in enumerate(widths):
+            same = (widths == w).all(axis=1)
+            rows = kept[same[label[kept]]]
+            if same[:c].any() or not rows.size:
+                continue
+            table = _cut(nearest, label, rows, w)
+            self.layout.append((rows, table))
+            self.refit[rank[rows[_overflowed(table)]]] = True
 
     @classmethod
     def build(cls, data: Dataset, configs, k: int):
@@ -397,21 +456,49 @@ class _LeaveOneOut:
         except ValueError:
             return None
 
-    def fold(self, i: int):
-        """The fold that holds out row i, or None when it must be refitted."""
-        if self.refit[i]:
-            return None
-        own = self.model.label_index[i]
-        table = check_reach(tuple(
-            (idx[i:i + 1, 1:], d[i:i + 1, 1:]) if ci == own
-            else (idx[i:i + 1, :self.k], d[i:i + 1, :self.k])
-            for ci, (idx, d) in enumerate(self.table)))
-        return _Fold(self.model, table, len(self.model) - 1, partial(self._others_without, i))
+    def groups(self, init: str, k_init: int | None):
+        """One fit key's folds, stacked per group of equal pool widths:
+        each group's classes, (distances, id ranks, memberships) and the
+        places of its tested rows among all tested rows."""
+        out = []
+        for rows, table in self.layout:
+            memberships = self._keller(rows, table, k_init) if init == "keller" else None
+            out.append((self.model.classes, gather_entries(self.model, table, memberships),
+                        self.model._id_rank[rows]))
+        return out
 
-    def _others_without(self, i: int, rows: np.ndarray, k_init: int) -> np.ndarray:
-        """The k_init nearest others of each of ``rows`` in the fold without i."""
-        nbrs = self.others[rows, :k_init + 1]
-        return np.where(nbrs[:, :k_init] == i, nbrs[:, k_init:], nbrs[:, :k_init])
+    def _keller(self, rows: np.ndarray, table, k_init: int):
+        """Per class pool, the Keller memberships of every entry of the
+        folds that hold out ``rows``, each as its fold's fit computes it."""
+        idx = np.concatenate([i for i, _ in table], axis=1)
+        n, width, classes = len(self.model), idx.shape[1], len(self.model.classes)
+        memberships = np.empty((len(rows), width, classes))
+        # Held-out rows go in chunks whose entries' neighbours' one-hot rows
+        # take at most _BLOCK_BYTES.
+        step = max(1, _BLOCK_BYTES // (8 * width * (k_init + 1) * classes))
+        for start in range(0, len(rows), step):
+            held = np.repeat(rows[start:start + step], width)
+            reached = idx[start:start + step].ravel()
+            # Each reached row's nearest others: from the full search, or
+            # from its renormalized fold's own.
+            nbrs, mine = self.others[reached, :k_init + 1], self.renormalized[held]
+            nbrs[mine] = self.moved[np.searchsorted(self.keys, held[mine] * n + reached[mine]),
+                                    :k_init + 1]
+            nbrs = np.where(nbrs[:, :k_init] == held[:, None], nbrs[:, k_init:], nbrs[:, :k_init])
+            memberships[start:start + step] = keller_from_neighbours(
+                nbrs, self.model.label_index[reached], self.model.memberships
+            ).reshape(-1, width, classes)
+        return np.split(memberships, np.cumsum([i.shape[1] for i, _ in table])[:-1], axis=1)
+
+
+def _cut(nearest, label: np.ndarray, rows: np.ndarray, widths):
+    """Per class pool, the (indices, distances) of the tables of the
+    leave-one-out folds that hold out ``rows``, from each row's own-first
+    ``nearest`` entries: its own class's from the second entry on, every
+    other class's from the first, each ``widths`` wide."""
+    cols = [(label[rows] == p)[:, None] + np.arange(w) for p, w in enumerate(widths)]
+    return [(idx[rows[:, None], col], d[rows[:, None], col])
+            for (idx, d), col in zip(nearest, cols)]
 
 
 def _fit_key(cfg: ClassifierConfig):
@@ -422,18 +509,21 @@ def _fit_key(cfg: ClassifierConfig):
 
 
 def _stacked(folds, fold_of: np.ndarray):
-    """One fit key's folds, each (classes, entries), grouped by classes and
-    pool widths: per group, its classes, its folds' entries concatenated
-    query by query, and where its rows stand among all tested rows."""
+    """One fit key's refitted folds, each (fold, classes, entries), grouped
+    by classes and pool widths: per group, its classes, its folds' entries
+    concatenated query by query, and where its rows stand among all tested
+    rows."""
     groups = {}
-    for f, (classes, entries) in enumerate(folds):
-        groups.setdefault((classes, tuple(d.shape[1] for d in entries[0])), []).append(f)
+    for f, classes, entries in folds:
+        groups.setdefault((classes, tuple(d.shape[1] for d in entries[0])), []).append(
+            (f, entries))
     out = []
     for (classes, _), members in groups.items():
+        fs, member_entries = zip(*members)
         # Per field and class pool, the member folds' arrays concatenated.
-        fields = zip(*(folds[f][1] for f in members))
+        fields = zip(*member_entries)
         entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in fields)
-        out.append((classes, entries, np.flatnonzero(np.isin(fold_of, members))))
+        out.append((classes, entries, np.flatnonzero(np.isin(fold_of, fs))))
     return out
 
 
@@ -441,24 +531,28 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     """Run every config under the same splits; yield one report per
     config, in order.
 
-    A fold is its test rows and trains on every other row, sliced from
-    the already checked dataset. Each fold fits crisp once per
-    ``normalize`` setting, not once per config, and searches its test
-    rows' neighbours once with that model, at the largest k among the
-    configs sharing it. Per fit key, (normalize, init, k_init), it then
-    gathers what the rules read of each neighbour entry: distance, id
-    rank and membership row (``_Fold.entries``). Keller memberships are
-    computed for only the training rows the table reaches; ``fit`` still
-    computes every row's. Leave-one-out reads most folds from one search
-    of the full data instead (``_LeaveOneOut``). Either way a fold is a
-    ``_Fold``, and only its entries outlive the fold loop.
+    A fold is its test rows and trains on every other row. A refitted fold
+    (``_refit``) slices its training set from the already checked dataset,
+    fits crisp once per ``normalize`` setting, not once per config, and
+    searches its test rows' neighbours once with that model, at the
+    largest k among the configs sharing it. Per fit key, (normalize,
+    init, k_init), it then gathers what the rules read of each neighbour
+    entry: distance, id rank and membership row (``_Fold.entries``).
+    Keller memberships are computed for only the training rows the table
+    reaches; ``fit`` still computes every row's. Only the entries outlive
+    the fold.
 
-    After the loop, each fit key's folds are stacked into one table per
-    group of folds with the same classes and pool widths: ordinarily one
-    group, and a fold that lacks a class or has a pool narrower than its
-    k forms its own. Each config scores each group in one
-    ``predict_table`` call, and one ``bincount`` gives every fold's
-    confusion.
+    Leave-one-out fits only the full data: ``_LeaveOneOut`` gathers the
+    entries of every fold that keeps both classes, per fit key in one set
+    of array operations (for Keller, over chunks of held-out rows of
+    bounded memory). It refits only a fold that holds out its class's
+    only row, or whose tested row no distance reaches (the fold's search
+    then rejects it, naming its id, in fold order as any fold would). The
+    folds of each fit key are then stacked into one table per group of
+    folds with the same classes and pool widths: ordinarily one group, and
+    a fold that lacks a class or has a pool narrower than its k forms its
+    own. Each config scores each group in one ``predict_table`` call, and
+    one ``bincount`` gives every fold's confusion.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -475,26 +569,35 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     k_max: dict[bool, int] = {}
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
-    reuse = {}
-    if isinstance(protocol, Loocv):
+    splits = protocol.splits(data)
+    # Per fit key, its stacked groups; per normalize setting, which folds
+    # are refitted.
+    groups = {key: [] for key in map(_fit_key, configs)}
+    refit = {normalize: np.ones(len(splits), dtype=bool) for normalize in k_max}
+    for normalize, k in k_max.items():
+        loo = isinstance(protocol, Loocv) and _LeaveOneOut.build(
+            data, [c for c in configs if c.normalize == normalize], k)
+        if loo:
+            refit[normalize] = loo.refit
+            for key in groups:
+                if key[0] == normalize:
+                    groups[key] += loo.groups(*key[1:])
+    del loo
+    # Per fit key, each refitted fold's (fold, classes, entries).
+    gathered, fold = {key: [] for key in groups}, None
+    for f in np.flatnonzero(np.any(list(refit.values()), axis=0)):
         for normalize, k in k_max.items():
-            reuse[normalize] = _LeaveOneOut.build(
-                data, [c for c in configs if c.normalize == normalize], k)
-    # Tested rows in fold order; per fit key, each fold's (classes, entries).
-    tested: list[np.ndarray] = []
-    gathered = {key: [] for key in map(_fit_key, configs)}
-    for test in protocol.splits(data):
-        tested.append(test)
-        sources = {normalize: (reuse.get(normalize) and reuse[normalize].fold(test[0]))
-                   or _refit(data, test, k, normalize) for normalize, k in k_max.items()}
-        for (normalize, init, k_init), fold_entries in gathered.items():
-            fold = sources[normalize]
-            fold_entries.append((fold.model.classes, fold.entries(init, k_init)))
-    rows = np.concatenate(tested)
-    fold_of = np.repeat(np.arange(len(tested)), [len(t) for t in tested])
-    groups = {key: _stacked(fold_entries, fold_of) for key, fold_entries in gathered.items()}
+            if refit[normalize][f]:
+                fold = _refit(data, splits[f], k, normalize)
+                for key, fold_entries in gathered.items():
+                    if key[0] == normalize:
+                        fold_entries.append((f, fold.model.classes, fold.entries(*key[1:])))
+    rows = np.concatenate(splits)
+    fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
+    for key, fold_entries in gathered.items():
+        groups[key] += _stacked(fold_entries, fold_of)
     # Reports are yielded one at a time: hold only the stacked entries meanwhile.
-    del gathered, sources, reuse
+    del gathered, fold
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]
@@ -508,7 +611,7 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
             hit[at] = winners == p
             if p >= 0:
                 s[at] = scores[:, p]
-        per_fold = np.bincount(4 * fold_of + 2 * y + hit, minlength=4 * len(tested))
+        per_fold = np.bincount(4 * fold_of + 2 * y + hit, minlength=4 * len(splits))
         folds = tuple(_fold_result(ConfusionCounts(tp, fp, tn, fn))
                       for tn, fp, fn, tp in per_fold.reshape(-1, 4).tolist())
         pooled = _counts(y, hit)

@@ -334,6 +334,24 @@ class TestEval:
         assert main(["eval", "--features", str(p), "--protocol", "loocv"]) == 2
         assert "feature 'wide': max - min overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("protocol", [["loocv"], ["kfold", "--folds", "2"]])
+    def test_overflowing_distances_name_the_sample(self, tmp_path, capsys, protocol):
+        # d is alone at f0's max: every fold that tests it normalizes it to
+        # inf, so its distances to every training row overflow.
+        p = tmp_path / "edge.csv"
+        p.write_text("id,label,f0,f1\n"
+                     "a,benign,0.0,0.0\n"
+                     "b,malignant,1e-300,1.0\n"
+                     "c,benign,2e-300,2.0\n"
+                     "d,malignant,1e300,3.0\n"
+                     "e,benign,1e-300,4.0\n"
+                     "f,malignant,0.0,5.0\n")
+        assert main(["eval", "--features", str(p), "--method", "fknne", "--k", "2",
+                     "--protocol", *protocol]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: sample 'd': every distance to its fold's training rows overflows "
+            "to inf; feature values are too large")
+
     @pytest.mark.parametrize("flags, message", [
         (["--folds", "-3"], "error: --folds must be >= 2"),
         (["--seed", "-1"], "error: --seed must be >= 0"),

@@ -706,17 +706,23 @@ class TestFoldReuse:
         assert same_bits(rep.auc, auc)
 
     def test_refitted_keller_fold_sorts_a_row_before_its_duplicate(self, monkeypatch):
-        # Normalizing, the fold without h, the only row at the max, is
-        # refitted. h's table reaches c, whose duplicate b has the smaller id
-        # and the other label: c's own entry must sort before b, or c counts
+        # Normalizing, the fold without h, the only row at the max, has a
+        # narrower range: its rows are the full data renormalized, not a
+        # fit. h's table reaches c, whose duplicate b has the smaller id and
+        # the other label: c's own entry must sort before b, or c counts
         # itself among its k_init nearest others in place of b.
         data = Dataset(list("abcdefh"), [[0.0], [1.0], [1.0], [2.0], [3.0], [0.0], [5.0]],
                        ["benign", "malignant", "benign", "malignant", "benign", "malignant",
                         "benign"])
         cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=1)
-        _, _, searches = self.counting(monkeypatch)
+        fits, _, searches = self.counting(monkeypatch)
         rep = evaluate(data, cfg, Loocv())
-        assert [rows.tolist() for _, rows, _ in searches] == [[0, 1, 2, 3, 4, 5]]
+        assert fits == [(data.ids, (True, "crisp"))]
+        # h in each class pool, then every row h's table reaches.
+        assert [(rows.tolist(), ks) for _, rows, ks, _ in searches] == [
+            ([6], [4, 4]), ([0, 1, 2, 3, 4, 5], [3])]
+        nearest = searches[1][3][0][0]
+        assert nearest[2, :2].tolist() == [2, 1]
         self.assert_equals_oracle(rep, data, cfg, Loocv())
 
     def test_refitted_fold_of_one_training_sample_stays_one_hot(self):
@@ -727,7 +733,8 @@ class TestFoldReuse:
         self.assert_equals_oracle(evaluate(data, cfg, Loocv()), data, cfg, Loocv())
 
     @pytest.mark.parametrize("k_init", [1, 2, 3])
-    def test_reused_keller_fold_holds_only_the_reached_rows_of_a_fold_fit(self, k_init):
+    def test_reused_keller_fold_holds_only_the_reached_rows_of_a_fold_fit(self, monkeypatch,
+                                                                          k_init):
         # Duplicate rows tie, so ties are broken by id rank; rows that lose
         # the held-out row as a neighbour take their next one in its place.
         X = [[0, 0], [0, 0], [1, 0], [1, 1], [0, 1], [1, 1], [2, 2], [2, 1], [0, 0], [3, 2]]
@@ -736,28 +743,33 @@ class TestFoldReuse:
                         "malignant", "malignant", "benign", "benign", "malignant"])
         cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=k_init, normalize=False)
         n = len(data)
+        computed = []
+        keller = fknne.evaluation.keller_from_neighbours
+        monkeypatch.setattr(fknne.evaluation, "keller_from_neighbours",
+                            lambda nbrs, *args: computed.append(len(nbrs)) or keller(nbrs, *args))
         reuse = _LeaveOneOut.build(data, [cfg], cfg.k)
-        lost = 0
-        for i in range(n):
-            fold = reuse.fold(i)
-            assert fold is not None
-            searched, others = [], fold.others
-            fold.others = lambda rows, k: searched.append(rows) or others(rows, k)
-            entries = fold.entries("keller", k_init)
-            rows = np.unique(np.concatenate([idx.ravel() for idx, _ in fold.table]))
-            lost += int((reuse.others[rows, :k_init] == i).any())
-            # Memberships are computed for the reached rows alone, never row i.
-            assert [r.tolist() for r in searched] == [rows.tolist()] and i not in rows
-            want = fit(data._rows(np.delete(np.arange(n), i)), cfg).memberships
-            for (idx, _), memberships in zip(fold.table, entries[2]):
-                assert same_bits(memberships, want[idx - (idx > i)])
+        assert not reuse.refit.any()
+        order = np.argsort(fit(data, cfg)._id_rank)
+        entries = lost = 0
+        for _, (_, ranks, memberships), at in reuse.groups("keller", k_init):
+            for r, i in enumerate(order[at]):
+                want = fit(data._rows(np.delete(np.arange(n), i)), cfg).memberships
+                reached = np.concatenate([order[rank[r]] for rank in ranks])
+                entries += len(reached)
+                lost += int((reuse.others[reached, :k_init] == i).any())
+                # Memberships come for the reached rows alone, never row i,
+                # each as the fold's fit computes it.
+                assert i not in reached
+                assert same_bits(np.concatenate([m[r] for m in memberships]),
+                                 want[reached - (reached > i)])
+        assert entries == n * 6 and computed == [entries]
         assert lost
 
     @staticmethod
     def counting(monkeypatch):
         """Record what cross-validation computes: each fit as (training
         ids, (normalize, init)), each test table as (its model's X, table)
-        and each search of chosen rows as (X searched, rows, ks)."""
+        and each search of chosen rows as (X searched, rows, ks, result)."""
         fits, tables, searches = [], [], []
 
         def counted_fit(data, cfg):
@@ -769,9 +781,10 @@ class TestFoldReuse:
             return tables[-1][1]
 
         def counted_search(X, rank, V, pools, ks):
+            found = _search(X, rank, V, pools, ks)
             if V is not None and V.ndim == 1:
-                searches.append((X, V, ks))
-            return _search(X, rank, V, pools, ks)
+                searches.append((X, V, ks, found))
+            return found
 
         monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
         monkeypatch.setattr(fknne.evaluation, "neighbour_table", counted_table)
@@ -783,7 +796,7 @@ class TestFoldReuse:
         """Each search's k_init and the table of the fold it was made for;
         the rows it searched must be every training row that table reaches."""
         out = []
-        for X, rows, ks in searches:
+        for X, rows, ks, _ in searches:
             (table,) = [t for tx, t in tables if tx is X]
             reached = np.concatenate([idx.ravel() for idx, _ in table])
             assert rows.tolist() == np.unique(reached).tolist()
@@ -819,13 +832,52 @@ class TestFoldReuse:
         cfgs = [ClassifierConfig(kind="fknne", k=3, init="keller", k_init=2, normalize=normalize)
                 for normalize in (False, True)]
         compare_classifiers(data, cfgs, Loocv())
-        # One crisp fit of the full data per normalize setting; normalizing,
-        # the fold without g has a narrower first column and is refitted:
-        # crisp, with the Keller memberships of just the rows its table reaches.
-        assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp")),
-                        (data.ids[:-1], (True, "crisp"))]
-        assert len(tables) == 1
-        assert self.searched_tables(tables, searches) == [(2, id(tables[0][1]))]
+        # One crisp fit of the full data per normalize setting, and no
+        # other: normalizing, the fold without g has a narrower first
+        # column, so its rows are the full data renormalized, not a fit.
+        assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp"))]
+        assert tables == []
+        # That fold searches g in each class pool, then exactly the rows
+        # g's table reaches; both give what a fit of the fold gives.
+        fold = fit(data._rows(np.arange(6)), cfgs[1])
+        table = neighbour_table(fold, data.X[6:], 3)
+        (_, g, g_ks, (benign, malignant)), (_, rows, ks, _) = searches
+        assert (g.tolist(), g_ks) == ([6], [4, 4])
+        # g is benign: its own entry comes first there, and is dropped.
+        for (idx, d), (want_idx, want_d) in zip([tuple(a[:, 1:] for a in benign),
+                                                 tuple(a[:, :3] for a in malignant)], table):
+            assert idx.tolist() == want_idx.tolist() and same_bits(d, want_d)
+        assert rows.tolist() == np.unique(np.concatenate([i.ravel() for i, _ in table])).tolist()
+        assert ks == [4]
+
+    # With a 1-byte block, each held-out row's Keller memberships are
+    # computed as a chunk of their own.
+    @pytest.mark.parametrize("block_bytes", [fknne.evaluation._BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_renormalized_folds_equal_per_fold_refit(self, monkeypatch, k, block_bytes):
+        # Normalizing, q, e, h and d are each alone at some column's min or
+        # max, so their folds have narrower ranges: q holds column 0's min
+        # and column 1's max; e is one of the two malignant rows, so its
+        # fold's own pool is narrower than k; b and c are duplicates with
+        # different labels, and the tables of q, d and e reach both. h's
+        # fold scales its column 0 up a hundredfold.
+        X = [[-3, 9, 1], [0, 1, 2], [0, 1, 2], [1, 2, 8], [2, -4, 1], [1, 3, 0], [2, 2, 0],
+             [500, 0, 3], [0.5, 1, 2]]
+        data = Dataset(list("qbcdefghi"), X,
+                       ["benign", "benign", "malignant", "benign", "malignant", "benign",
+                        "benign", "benign", "benign"])
+        n = len(data)
+        cfgs = [ClassifierConfig(kind=kind, k=k, init="crisp") for kind in KINDS] + [
+            ClassifierConfig(kind=kind, k=k, init="keller", k_init=k_init)
+            for kind in KINDS for k_init in (1, n - 2)]
+        fits, _, _ = self.counting(monkeypatch)
+        monkeypatch.setattr(fknne.evaluation, "_BLOCK_BYTES", block_bytes)
+        reports = list(_cross_validate(data, cfgs, Loocv(), None))
+        assert fits == [(data.ids, (True, "crisp"))]
+        assert _LeaveOneOut.build(data, cfgs, k).renormalized.tolist() == [
+            i in (0, 3, 4, 7) for i in range(n)]
+        for cfg, rep in zip(cfgs, reports):
+            self.assert_equals_oracle(rep, data, cfg, Loocv())
 
     def test_leave_one_out_memory_stays_linear(self):
         import tracemalloc
@@ -834,14 +886,20 @@ class TestFoldReuse:
         n = 2000
         data = Dataset([f"s{i:04d}" for i in range(n)], rng.normal(size=(n, 25)),
                        ["benign" if i % 3 else "malignant" for i in range(n)])
-        tracemalloc.start()
-        try:
-            evaluate(data, ClassifierConfig(init="keller", k=5, normalize=False), Loocv())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # One n x n float64 distance matrix would take 32 MB.
-        assert peak < 8 * n * n
+        # At k = k_init = 25, every fold's table reaches about 2k rows, and
+        # each of those reads its k_init nearest others: gathered for all
+        # folds at once, those neighbours alone would take n * 2k * k_init *
+        # 8 bytes, 20 MB here, and their one-hot class rows twice that.
+        for cfg in (ClassifierConfig(init="keller", k=5, normalize=False),
+                    ClassifierConfig(init="keller", k=25, normalize=True)):
+            tracemalloc.start()
+            try:
+                evaluate(data, cfg, Loocv())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # One n x n float64 distance matrix would take 32 MB.
+            assert peak < 8 * n * n, cfg
 
 
 class TestStackedScoring:
