@@ -224,11 +224,11 @@ class FitModel:
 
 def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
-    flat = span == 0
-    safe = np.where(flat, 1.0, span)
-    out = (X - lo) / safe
+    out = X - lo
+    out /= np.where(span == 0, 1.0, span)
     # Features constant in training stay inert for every query value.
-    return np.where(flat, 0.0, out)
+    np.copyto(out, 0.0, where=span == 0)
+    return out
 
 
 # Exact neighbour engine. Every search -- one query or many, each class
@@ -258,27 +258,15 @@ def _id_order(ids) -> np.ndarray:
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _distance_blocks(X: np.ndarray, V: np.ndarray):
-    """Yield (first query row, distance block) covering all rows of V.
-
-    Each entry is sqrt(sum((x - v)^2)) reduced over the contiguous
-    feature axis, bit-identical to computing it one query at a time.
-    """
-    n, dim = X.shape
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n * dim)))
-    for s in range(0, len(V), step):
-        yield s, np.sqrt(((V[s:s + step, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-
-
 def _gram_blocks(X: np.ndarray, V: np.ndarray, nx: np.ndarray, nv: np.ndarray):
     """Yield (first query row, block) covering all rows of V, each entry
     the approximate squared distance ||v||^2 + ||x||^2 - 2 v.x, from the
     squared row norms nv and nx and one matrix product per block."""
-    step = max(1, _BLOCK_BYTES // (8 * max(1, len(X))))
-    for s in range(0, len(V), step):
-        A = (-2.0 * V[s:s + step]) @ X.T
-        A += nx
-        A += nv[s:s + step, None]
+    step = max(1, _BLOCK_BYTES // (8 * max(1, nx.size)))
+    for s in range(0, V.shape[-2], step):
+        A = (-2.0 * V[..., s:s + step, :]) @ np.swapaxes(X, -1, -2)
+        A += nx[..., None, :]
+        A += nv[..., s:s + step, None]
         yield s, A
 
 
@@ -311,28 +299,34 @@ def _rerank(X, rank, pool, V, A, k, margin, own):
     A holds approximate squared distances from V to X[pool]. Only the
     entries within ``margin`` of their row's k-th smallest are candidates,
     and only their distances are computed, with the arithmetic of
-    _distance_blocks. When ``own`` is not None, own[r] is the row of X
-    that row r of V is, and its distance is -1."""
-    k = min(k, A.shape[1])
-    cand = A <= (np.partition(A, k - 1, axis=1)[:, k - 1] + margin)[:, None]
+    _search_blocks. When ``own`` is not None, own[r] is the row of X that
+    row r of V is, and its distance is -1. All but pool and rank may share
+    a leading fold axis: V[f] is ranked among X[f]'s rows."""
+    k = min(k, A.shape[-1])
+    cand = A <= (np.partition(A, k - 1, axis=-1)[..., k - 1] + margin)[..., None]
+    per, (n, dim) = V.shape[-2], X.shape[-2:]
+    X, V, cand = X.reshape(-1, dim), V.reshape(-1, dim), cand.reshape(-1, cand.shape[-1])
+    own = None if own is None else own.ravel()
     count = cand.sum(axis=1)
     # Rows go in chunks whose candidates' differences take at most _BLOCK_BYTES.
-    step = max(1, _BLOCK_BYTES // (8 * max(1, X.shape[1]) * count.max()))
-    sel = np.empty((len(A), k), dtype=np.intp)
-    dist = np.empty((len(A), k))
-    for a in range(0, len(A), step):
+    step = max(1, _BLOCK_BYTES // (8 * max(1, dim) * count.max()))
+    sel, dist = np.empty((len(cand), k), dtype=np.intp), np.empty((len(cand), k))
+    for a in range(0, len(cand), step):
         held = count[a:a + step]
         r, c = np.nonzero(cand[a:a + step])
-        rows = pool[c]
-        D = np.sqrt(((V[a + r] - X[rows]) ** 2).sum(axis=1))
+        q, rows = a + r, pool[c]
+        # Flattened, row q of V lies in fold q // per, whose rows of X
+        # start at (q // per) * n.
+        at = rows + q // per * n if per < len(cand) else rows
+        D = np.sqrt(((V[q] - X[at]) ** 2).sum(axis=1))
         if own is not None:
-            D[rows == own[a + r]] = -1.0
+            D[rows == own[q]] = -1.0
         # Each row's candidates stay together, nearest first; a row holds
         # at least k of them.
         order = np.lexsort((rank[rows], D, r))
         first = order[(np.cumsum(held) - held)[:, None] + np.arange(k)]
         sel[a:a + step], dist[a:a + step] = rows[first], D[first]
-    return sel, dist
+    return sel.reshape(A.shape[:-1] + (k,)), dist.reshape(A.shape[:-1] + (k,))
 
 
 def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
@@ -342,13 +336,17 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     smaller k reads a prefix of every row.
 
     With V None, X is searched against itself, each row's own entry set to
-    -1 so that the row sorts first in every pool that holds it; with V a
-    1-D array of row indices, so are just those rows of X. Distances
+    -1 so that the row sorts first in every pool that holds it; with V an
+    array of row indices, so are just those rows of X. Distances
     that overflow to inf still rank, last. Only these O(n * k) lists are
     kept, never the full distance matrix.
 
+    X may carry a leading fold axis, (folds, n, d), each fold searched
+    alone with the same pools and rank; V is then (folds, rows) indices,
+    and the results carry the fold axis too.
+
     Each distance is sqrt(S), S = sum((v - x)^2) reduced over the
-    contiguous feature axis as _distance_blocks does, but few are computed.
+    contiguous feature axis as _search_blocks does, but few are computed.
     One matrix product per block of V gives approximate squared distances
     A = ||v||^2 + ||x||^2 - 2 v.x. A row's candidates in a pool are the
     entries with A <= A_k + margin, A_k its k-th smallest A there, and
@@ -375,9 +373,10 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     (1 + gamma_{d+6})(A_k + E), T_c <= S_c / (1 - gamma_{d+2}) and
     A_c <= T_c + E <= A_k + 2E + gamma_{2d+9}(A_k + E), with A_k + E <= 3N:
     A_c <= A_k + (10d + 36) u N. The margin is gamma_{12d+48} times the
-    computed ||v||^2 plus the pool's largest computed ||x||^2. The excess
-    covers the second-order terms, the error of the norms themselves and
-    the four roundings that form A_k + margin, for any d below 10^6.
+    computed ||v||^2 plus the pool's largest computed ||x||^2 (in v's own
+    fold). The excess covers the second-order terms, the error of the
+    norms themselves and the four roundings that form A_k + margin, for
+    any d below 10^6.
     Under IEEE arithmetic a product that underflows, gradually or flushed
     to zero, is off by at most the smallest normal float more. A rests on
     3d products (those of 2 v.x counting twice) and S on d, which adds at
@@ -388,47 +387,52 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     product, an A or an S could overflow, and every distance is computed
     and ranked instead (_search_blocks).
     """
-    # own[r] is the row of X that row r of V is, when X searches itself.
-    own = None
-    if V is None or V.ndim == 1:
-        own, V = (np.arange(len(X)), X) if V is None else (V, X[V])
-    found = tuple((np.empty((len(V), min(k, len(p))), dtype=np.intp),
-                   np.empty((len(V), min(k, len(p))))) for p, k in zip(pools, ks))
+    # own[..., r] is the row of X that row r of V is, when X searches itself.
+    own = np.arange(len(X)) if V is None else V if V.ndim < X.ndim else None
+    if own is not None:
+        V = X if V is None else np.take_along_axis(X, own[..., None], -2)
+    found = tuple((np.empty(V.shape[:-1] + (min(k, len(p)),), dtype=np.intp),
+                   np.empty(V.shape[:-1] + (min(k, len(p)),))) for p, k in zip(pools, ks))
+    # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
+    cols = [slice(None) if len(p) == X.shape[-2] else p for p in pools]
     with np.errstate(over="ignore"):
-        nx = np.einsum("ij,ij->i", X, X)
-        nv = nx[own] if own is not None else np.einsum("ij,ij->i", V, V)
+        nx = np.einsum("...j,...j->...", X, X)
+        nv = np.einsum("...j,...j->...", V, V) if own is None else np.take_along_axis(nx, own, -1)
         gram = nx.max(initial=0.0) + nv.max(initial=0.0) <= _FMAX / 4
     if not gram:
-        _search_blocks(X, rank, V, own, pools, ks, found)
+        _search_blocks(X, rank, V, own, pools, cols, ks, found)
         return found
-    # A pool of every row reads each block in place.
-    cols = [slice(None) if len(p) == len(X) else p for p in pools]
-    reaches = [nx[c].max() for c in cols]
-    dim = X.shape[1]
+    reaches = [nx[..., c].max(axis=-1, keepdims=True) for c in cols]
+    dim = X.shape[-1]
     gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
     for s, A in _gram_blocks(X, V, nx, nv):
-        b = len(A)
+        b = A.shape[-2]
         own_rows = None
         if own is not None:
-            own_rows = own[s:s + b]
-            A[np.arange(b), own_rows] = -1.0
+            own_rows = own[..., s:s + b]
+            np.put_along_axis(A, own_rows[..., None], -1.0, axis=-1)
         for p, col, reach, k, (idx, dist) in zip(pools, cols, reaches, ks, found):
-            idx[s:s + b], dist[s:s + b] = _rerank(X, rank, p, V[s:s + b], A[:, col], k,
-                                                  gamma * (nv[s:s + b] + reach) + tiny, own_rows)
+            idx[..., s:s + b, :], dist[..., s:s + b, :] = _rerank(
+                X, rank, p, V[..., s:s + b, :], A[..., col], k,
+                gamma * (nv[..., s:s + b] + reach) + tiny, own_rows)
     return found
 
 
-def _search_blocks(X, rank, V, own, pools, ks, found):
-    """Fill ``found`` as _search does, ranking every distance."""
-    # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
-    cols = [slice(None) if len(p) == len(X) else p for p in pools]
+def _search_blocks(X, rank, V, own, pools, cols, ks, found):
+    """Fill ``found`` as _search does, ranking every distance: each is
+    sqrt(sum((x - v)^2)) reduced over the contiguous feature axis,
+    bit-identical to computing it one query at a time."""
+    step = max(1, _BLOCK_BYTES // (8 * max(1, X.size)))
     with np.errstate(over="ignore"):
-        for s, D in _distance_blocks(X, V):
+        for s in range(0, V.shape[-2], step):
+            D = np.sqrt(((V[..., s:s + step, None, :] - X[..., None, :, :]) ** 2).sum(axis=-1))
+            b = D.shape[-2]
             if own is not None:
-                D[np.arange(len(D)), own[s:s + len(D)]] = -1.0
+                np.put_along_axis(D, own[..., s:s + b, None], -1.0, axis=-1)
             for pool, col, k, (idx, dist) in zip(pools, cols, ks, found):
-                sel, dist[s:s + len(D)] = _k_smallest(D[:, col], rank[col], k)
-                idx[s:s + len(D)] = pool[sel]
+                sel, d = _k_smallest(D[..., col].reshape(-1, len(pool)), rank[col], k)
+                out = D.shape[:-1] + idx.shape[-1:]
+                idx[..., s:s + b, :], dist[..., s:s + b, :] = pool[sel].reshape(out), d.reshape(out)
 
 
 def neighbour_table(model: FitModel, queries, k: int):

@@ -304,40 +304,10 @@ def _counts_dict(c: ConfusionCounts) -> dict:
     return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
 
 
-class _Fold:
-    """One refitted fold's test table, searched with the fold's crisp
-    model, and per fit key what the rules read of each of its entries
-    (``entries``)."""
-
-    def __init__(self, model: FitModel, table):
-        self.model, self.table = model, table
-        self.gathered = {}
-
-    def entries(self, init: str, k_init: int | None):
-        """The table's (distances, id ranks, memberships), per field one
-        array per class pool, gathered once per k_init as the fold clamps
-        it. Keller memberships are computed as ``fit`` computes them, but
-        only for the training rows the table reaches, and gathered
-        straight into the entries."""
-        # A lone training sample has nothing to vote and stays one-hot.
-        k_init = min(k_init, len(self.model) - 1) if init == "keller" else 0
-        if k_init not in self.gathered:
-            memberships = None  # the crisp model's
-            if k_init:
-                idx = [i for i, _ in self.table]
-                rows = np.unique(np.concatenate([i.ravel() for i in idx]))
-                reached = keller_from_neighbours(_others(self.model, rows, k_init),
-                                                 self.model.label_index[rows],
-                                                 self.model.memberships)
-                memberships = [reached[np.searchsorted(rows, i)] for i in idx]
-            self.gathered[k_init] = gather_entries(self.model, self.table, memberships)
-        return self.gathered[k_init]
-
-
-def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
+def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool):
     """The fold that tests ``test`` from its own training set, every other
-    row: one crisp fit and one search of the test rows. Every protocol can
-    take this path."""
+    row: one crisp fit and one search of the test rows, (model, table).
+    Every protocol can take this path."""
     train = data._rows(np.delete(np.arange(len(data)), test))
     model = fit(train, ClassifierConfig(normalize=normalize))
     try:
@@ -345,15 +315,26 @@ def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool) -> _Fold:
     except _Unreachable as e:
         raise ValueError(f"sample {data.ids[test[e.row]]!r}: every distance to its fold's "
                          "training rows overflows to inf; feature values are too large") from None
-    return _Fold(model, table)
+    return model, table
 
 
-def _others(model: FitModel, rows: np.ndarray, k_init: int) -> np.ndarray:
-    """The k_init nearest other training rows of each of ``rows``, from
-    one search of just those rows."""
-    # Column 0 of each row is the row itself.
-    nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))], [k_init + 1])
-    return nbrs[0][0][:, 1:]
+def _entries(model: FitModel, table, init: str, k_init: int | None):
+    """A refitted fold's table's (distances, id ranks, memberships), per
+    field one array per class pool, at k_init as the fold clamps it.
+    Keller memberships are computed as ``fit`` computes them, but only for
+    the training rows the table reaches, and gathered straight into the
+    entries."""
+    memberships = None  # the crisp model's
+    # A lone training sample has nothing to vote and stays one-hot.
+    if init == "keller" and len(model) > 1:
+        idx = [i for i, _ in table]
+        rows = np.unique(np.concatenate([i.ravel() for i in idx]))
+        # Column 0 of each row's search is the row itself.
+        nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))],
+                       [min(k_init, len(model) - 1) + 1])[0][0][:, 1:]
+        reached = keller_from_neighbours(nbrs, model.label_index[rows], model.memberships)
+        memberships = [reached[np.searchsorted(rows, i)] for i in idx]
+    return gather_entries(model, table, memberships)
 
 
 class _LeaveOneOut:
@@ -376,18 +357,19 @@ class _LeaveOneOut:
       others in the full data, with i replaced by the last where it is
       among the first k_init.
     Normalizing, a row alone at some feature's min or max changes its
-    fold's range. That fold's rows are the full raw data normalized with
-    the fold's lo and hi: normalization works per element, so each equals
-    the fold fit's row bit for bit, and the full id rank orders the fold's
-    rows as the fold's own rank does. In those rows, one search of row i
-    in each class pool and one of the rows its table reaches, own entries
-    first, stand in for its rows of the full search, read by the same
-    rules. Rows index the full data; row i is reached by no table of its
-    fold.
+    fold's range, read from each column sorted once. That fold's rows are
+    the full raw data normalized with it: normalization works per element,
+    so each equals the fold fit's row bit for bit, and the full id rank
+    orders them as the fold's own rank does. Such folds are stacked on a
+    leading fold axis, in chunks of one class, and each chunk takes two
+    searches: of each held-out row in each class pool, which replaces its
+    row of the full search, then of the rows its table reaches, own
+    entries first, whose Keller memberships are computed at once. Rows
+    index the full data; row i is reached by no table of its fold.
     """
 
     def __init__(self, data: Dataset, configs, k: int):
-        n = len(data)
+        n, X = len(data), data.X
         self.model = model = fit(data, replace(configs[0], init="crisp"))
         k_inits = {keller_k_init(c, n - 1)[0] for c in configs if c.init == "keller"}
         rank, label, pools = model._id_rank, model.label_index, model._class_pools
@@ -395,38 +377,47 @@ class _LeaveOneOut:
         # The pools of a fold are widths[c] wide, c the held-out row's class.
         widths = np.minimum(k, sizes - np.eye(len(pools), dtype=np.intp))
         # Own rows sort first, so each pool is searched one row deeper.
+        deep = [max(k_inits) + 2] if k_inits else []
         found = _search(model.X, rank, None, pools + ((np.arange(n),) if k_inits else ()),
-                        [k + 1] * len(pools) + ([max(k_inits) + 2] if k_inits else []))
+                        [k + 1] * len(pools) + deep)
         nearest = found[:len(pools)]
-        # Each row's nearest others, own entry dropped (``others``); per
-        # renormalized fold i, those of the rows its table reaches
-        # (``moved``), in the order of their keys i * n + row.
+        # Each row's nearest others, own entry dropped.
         self.others = found[-1][0][:, 1:] if k_inits else None
-        moved = [np.empty((0, max(k_inits, default=0) + 1), dtype=np.intp)]
-        keys = [np.empty(0, dtype=np.intp)]
         alone = sizes[label] == 1
         self.renormalized = np.zeros(n, dtype=bool)
         if configs[0].normalize:
-            for edge in (data.X.min(axis=0), data.X.max(axis=0)):
-                at = data.X == edge
-                self.renormalized |= (at & (at.sum(axis=0) == 1)).any(axis=1)
-        self.renormalized &= ~alone
-        for i in np.flatnonzero(self.renormalized):
-            rest = np.delete(data.X, i, axis=0)
-            # Row i may lie far outside the fold's range, even at inf; its
-            # distance to itself, inf - inf, is then set to -1 all the same.
-            with np.errstate(over="ignore", invalid="ignore"):
-                Xf = _normalize_rows(data.X, rest.min(axis=0), rest.max(axis=0))
-                own = _search(Xf, rank, np.array([i]), pools, [k + 1] * len(pools))
-            for (idx, d), (own_idx, own_d) in zip(nearest, own):
-                idx[i], d[i] = own_idx[0], own_d[0]
-            if k_inits:
-                table = _cut(nearest, label, np.array([i]), widths[label[i]])
-                reached = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
-                moved.append(_search(Xf, rank, reached, [np.arange(n)],
-                                     [max(k_inits) + 2])[0][0][:, 1:])
-                keys.append(i * n + reached)
-        self.moved, self.keys = np.concatenate(moved), np.concatenate(keys)
+            # Per column, a fold's min is the second smallest value where
+            # its held-out row holds the smallest, else the smallest; its
+            # max likewise.
+            S = np.sort(X, axis=0)
+            first, last = X == S[0], X == S[-1]
+            self.renormalized = ~alone & (
+                (first & (S[1] != S[0])) | (last & (S[-2] != S[-1]))).any(axis=1)
+        folds = np.flatnonzero(self.renormalized)
+        # Per k_init and renormalized fold, the Keller memberships of its
+        # table's entries.
+        self.moved = {k_init: {} for k_init in k_inits}
+        # Renormalized folds go in chunks of one class whose rows take at
+        # most _BLOCK_BYTES, stacked on a leading fold axis.
+        step = max(1, _BLOCK_BYTES // (8 * X.size))
+        for c, w in enumerate(widths):
+            mine = folds[label[folds] == c]
+            for a in range(0, len(mine), step):
+                held = mine[a:a + step]
+                # A held-out row may lie far outside its fold's range, even at
+                # inf; its distance to itself, inf - inf, is set to -1 all the same.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Xf = _normalize_rows(X, np.where(first[held], S[1], S[0])[:, None],
+                                         np.where(last[held], S[-2], S[-1])[:, None])
+                    own = _search(Xf, rank, held[:, None], pools, [k + 1] * len(pools))
+                for (idx, d), (own_idx, own_d) in zip(nearest, own):
+                    idx[held], d[held] = own_idx[:, 0], own_d[:, 0]
+                if k_inits:
+                    reached = np.hstack([idx for idx, _ in _cut(nearest, label, held, w)])
+                    nbrs = _search(Xf, rank, reached, [np.arange(n)], deep)[0][0][..., 1:]
+                    for k_init, moved in self.moved.items():
+                        moved.update(zip(held, self._memberships(
+                            held, reached, nbrs[..., :k_init + 1], k_init)))
         order = np.argsort(rank)
         self.refit = alone[order]
         # Per group of folds with equal pool widths, the held-out rows in
@@ -471,24 +462,29 @@ class _LeaveOneOut:
         """Per class pool, the Keller memberships of every entry of the
         folds that hold out ``rows``, each as its fold's fit computes it."""
         idx = np.concatenate([i for i, _ in table], axis=1)
-        n, width, classes = len(self.model), idx.shape[1], len(self.model.classes)
+        width, classes = idx.shape[1], len(self.model.classes)
         memberships = np.empty((len(rows), width, classes))
         # Held-out rows go in chunks whose entries' neighbours' one-hot rows
         # take at most _BLOCK_BYTES.
         step = max(1, _BLOCK_BYTES // (8 * width * (k_init + 1) * classes))
-        for start in range(0, len(rows), step):
-            held = np.repeat(rows[start:start + step], width)
-            reached = idx[start:start + step].ravel()
-            # Each reached row's nearest others: from the full search, or
-            # from its renormalized fold's own.
-            nbrs, mine = self.others[reached, :k_init + 1], self.renormalized[held]
-            nbrs[mine] = self.moved[np.searchsorted(self.keys, held[mine] * n + reached[mine]),
-                                    :k_init + 1]
-            nbrs = np.where(nbrs[:, :k_init] == held[:, None], nbrs[:, k_init:], nbrs[:, :k_init])
-            memberships[start:start + step] = keller_from_neighbours(
-                nbrs, self.model.label_index[reached], self.model.memberships
-            ).reshape(-1, width, classes)
+        others = self.others[:, :k_init + 1]
+        for a in range(0, len(rows), step):
+            memberships[a:a + step] = self._memberships(rows[a:a + step], idx[a:a + step],
+                                                        others[idx[a:a + step]], k_init)
+        # Renormalized folds' memberships were computed from their own search.
+        for r in np.flatnonzero(self.renormalized[rows]):
+            memberships[r] = self.moved[k_init][rows[r]]
         return np.split(memberships, np.cumsum([i.shape[1] for i, _ in table])[:-1], axis=1)
+
+    def _memberships(self, held: np.ndarray, reached: np.ndarray, nbrs: np.ndarray, k_init: int):
+        """Keller memberships (folds, entries, classes) of the rows ``reached``
+        in the folds that hold out ``held``, from their k_init + 1 nearest others
+        ``nbrs``, the held-out row replaced by the last where among the first k_init."""
+        nbrs = np.where(nbrs[..., :k_init] == held[:, None, None], nbrs[..., k_init:],
+                        nbrs[..., :k_init])
+        label = self.model.label_index[reached.ravel()]
+        return keller_from_neighbours(nbrs.reshape(-1, k_init), label,
+                                      self.model.memberships).reshape(reached.shape + (-1,))
 
 
 def _cut(nearest, label: np.ndarray, rows: np.ndarray, widths):
@@ -537,7 +533,7 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     searches its test rows' neighbours once with that model, at the
     largest k among the configs sharing it. Per fit key, (normalize,
     init, k_init), it then gathers what the rules read of each neighbour
-    entry: distance, id rank and membership row (``_Fold.entries``).
+    entry: distance, id rank and membership row (``_entries``).
     Keller memberships are computed for only the training rows the table
     reaches; ``fit`` still computes every row's. Only the entries outlive
     the fold.
@@ -584,20 +580,20 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
                     groups[key] += loo.groups(*key[1:])
     del loo
     # Per fit key, each refitted fold's (fold, classes, entries).
-    gathered, fold = {key: [] for key in groups}, None
+    gathered, model, table = {key: [] for key in groups}, None, None
     for f in np.flatnonzero(np.any(list(refit.values()), axis=0)):
         for normalize, k in k_max.items():
             if refit[normalize][f]:
-                fold = _refit(data, splits[f], k, normalize)
+                model, table = _refit(data, splits[f], k, normalize)
                 for key, fold_entries in gathered.items():
                     if key[0] == normalize:
-                        fold_entries.append((f, fold.model.classes, fold.entries(*key[1:])))
+                        fold_entries.append((f, model.classes, _entries(model, table, *key[1:])))
     rows = np.concatenate(splits)
     fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
     for key, fold_entries in gathered.items():
         groups[key] += _stacked(fold_entries, fold_of)
     # Reports are yielded one at a time: hold only the stacked entries meanwhile.
-    del gathered, fold
+    del gathered, model, table
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]

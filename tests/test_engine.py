@@ -616,6 +616,25 @@ class TestSearchAgainstExhaustiveOracle:
         assert fallback.called == (scale == "huge")
 
     @settings(max_examples=300, deadline=None)
+    @given(searches(), st.data())
+    def test_a_fold_axis_searches_each_fold_alone(self, case, draw):
+        # Leave-one-out stacks tables that share their pools and rank on a
+        # leading fold axis; each fold's rows are searched in it alone.
+        X, rank, _, pools, scale = case
+        folds = np.stack([X, X[::-1], 2 * X])
+        width = draw.draw(st.integers(0, len(X) + 2))
+        rows = np.array(draw.draw(st.lists(st.integers(0, len(X) - 1), min_size=3 * width,
+                                           max_size=3 * width)), dtype=np.intp).reshape(3, width)
+        blocks = fknne.classifiers._search_blocks
+        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+            for k in range(1, max(map(len, pools)) + 2):
+                ks = [k] * len(pools)
+                each = [oracle_search(f, rank, r, pools, ks) for f, r in zip(folds, rows)]
+                assert same_search(_search(folds, rank, rows, pools, ks),
+                                   [tuple(map(np.stack, zip(*found))) for found in zip(*each)])
+        assert fallback.called == (scale == "huge")
+
+    @settings(max_examples=300, deadline=None)
     @given(searches(), st.sampled_from((1, 1 << 8, 1 << 10)))
     def test_small_blocks_and_chunks_match_the_oracle(self, case, block_bytes):
         # At one byte, every block of queries and every chunk of candidates
@@ -718,11 +737,14 @@ class TestFoldReuse:
         fits, _, searches = self.counting(monkeypatch)
         rep = evaluate(data, cfg, Loocv())
         assert fits == [(data.ids, (True, "crisp"))]
-        # h in each class pool, then every row h's table reaches.
-        assert [(rows.tolist(), ks) for _, rows, ks, _ in searches] == [
-            ([6], [4, 4]), ([0, 1, 2, 3, 4, 5], [3])]
-        nearest = searches[1][3][0][0]
-        assert nearest[2, :2].tolist() == [2, 1]
+        # On a fold axis of one fold: h in each class pool, then every row
+        # h's table reaches, in table order.
+        (fold, h, h_ks, _), (same, rows, ks, found) = searches
+        assert same is fold and fold.shape == (1, 7, 1)
+        assert (h.tolist(), h_ks, sorted(rows[0].tolist()), ks) == (
+            [[6]], [4, 4], [0, 1, 2, 3, 4, 5], [3])
+        nearest = found[0][0][0]
+        assert nearest[rows[0].tolist().index(2), :2].tolist() == [2, 1]
         self.assert_equals_oracle(rep, data, cfg, Loocv())
 
     def test_refitted_fold_of_one_training_sample_stays_one_hot(self):
@@ -782,7 +804,7 @@ class TestFoldReuse:
 
         def counted_search(X, rank, V, pools, ks):
             found = _search(X, rank, V, pools, ks)
-            if V is not None and V.ndim == 1:
+            if V is not None and V.ndim < X.ndim:
                 searches.append((X, V, ks, found))
             return found
 
@@ -837,17 +859,18 @@ class TestFoldReuse:
         # column, so its rows are the full data renormalized, not a fit.
         assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp"))]
         assert tables == []
-        # That fold searches g in each class pool, then exactly the rows
-        # g's table reaches; both give what a fit of the fold gives.
+        # That fold, on a fold axis of one, searches g in each class pool,
+        # then exactly the rows g's table reaches, in table order; both give
+        # what a fit of the fold gives.
         fold = fit(data._rows(np.arange(6)), cfgs[1])
         table = neighbour_table(fold, data.X[6:], 3)
         (_, g, g_ks, (benign, malignant)), (_, rows, ks, _) = searches
-        assert (g.tolist(), g_ks) == ([6], [4, 4])
+        assert (g.tolist(), g_ks) == ([[6]], [4, 4])
         # g is benign: its own entry comes first there, and is dropped.
-        for (idx, d), (want_idx, want_d) in zip([tuple(a[:, 1:] for a in benign),
-                                                 tuple(a[:, :3] for a in malignant)], table):
+        for (idx, d), (want_idx, want_d) in zip([tuple(a[0, :, 1:] for a in benign),
+                                                 tuple(a[0, :, :3] for a in malignant)], table):
             assert idx.tolist() == want_idx.tolist() and same_bits(d, want_d)
-        assert rows.tolist() == np.unique(np.concatenate([i.ravel() for i, _ in table])).tolist()
+        assert rows.tolist() == [np.concatenate([i.ravel() for i, _ in table]).tolist()]
         assert ks == [4]
 
     # With a 1-byte block, each held-out row's Keller memberships are
@@ -878,6 +901,89 @@ class TestFoldReuse:
             i in (0, 3, 4, 7) for i in range(n)]
         for cfg, rep in zip(cfgs, reports):
             self.assert_equals_oracle(rep, data, cfg, Loocv())
+
+    def test_searches_do_not_grow_with_the_renormalized_folds(self, monkeypatch):
+        # Normalizing, 2 rows of one column and 8 of four are alone at a
+        # column's min or max, in both classes. Either way, leave-one-out
+        # makes one search of the full data and, per class, one of the
+        # held-out rows of its renormalized folds, stacked, and one of the
+        # rows their tables reach.
+        X = np.random.default_rng(0).normal(size=(40, 4))
+        cfg = ClassifierConfig(kind="fknne", k=3, init="keller")
+        seen = []
+        for dim in (1, 4):
+            data = Dataset([f"s{i:02d}" for i in range(40)], X[:, :dim], ["benign", "malignant"] * 20)
+            search = mock.Mock(wraps=_search)
+            monkeypatch.setattr(fknne.evaluation, "_search", search)
+            folds = np.flatnonzero(_LeaveOneOut.build(data, [cfg], cfg.k).renormalized)
+            seen.append((len(folds), {data.labels[i] for i in folds}, search.call_count))
+        assert seen == [(2, {"benign", "malignant"}, 5), (8, {"benign", "malignant"}, 5)]
+
+    # With a 1-byte block, each renormalized fold is a chunk of its own.
+    @pytest.mark.parametrize("block_bytes", [fknne.evaluation._BLOCK_BYTES, 1])
+    def test_fold_ranges_read_from_sorted_columns_equal_per_fold_refit(self, monkeypatch,
+                                                                       block_bytes):
+        # Normalizing: column 0's min and max are each tied between two
+        # rows, so it renormalizes no fold; column 1's min is held by -0.0
+        # (r) and 0.0 (c), which a sort may order either way; r is alone at
+        # column 2's min and column 3's max, s at column 3's min and t at
+        # column 2's max.
+        X = [[-1, 1, 0, 1], [-1, 2, 1, 0], [2, 0.0, 2, 5], [0.5, 3, 3, 2], [0, -0.0, -5, 9],
+             [1, 0.5, 4, -3], [0.3, 3, 7, 3], [2, 1, 1, 4], [1.5, 2, 2, 2]]
+        data = Dataset(list("abcdrstuv"), X, ["benign", "malignant"] * 4 + ["benign"])
+        n = len(data)
+        cfgs = [ClassifierConfig(kind=kind, k=3, init="crisp") for kind in KINDS] + [
+            ClassifierConfig(kind=kind, k=3, init="keller", k_init=k_init)
+            for kind in KINDS for k_init in (1, n - 2)]
+        monkeypatch.setattr(fknne.evaluation, "_BLOCK_BYTES", block_bytes)
+        reports = list(_cross_validate(data, cfgs, Loocv(), None))
+        assert _LeaveOneOut.build(data, cfgs, 3).renormalized.tolist() == [
+            i in (4, 5, 6) for i in range(n)]
+        for cfg, rep in zip(cfgs, reports):
+            self.assert_equals_oracle(rep, data, cfg, Loocv())
+
+    def test_a_renormalized_fold_near_overflow_ranks_every_distance(self, monkeypatch):
+        # Normalizing, z is alone at column 0's max, 1e154, and its fold's
+        # range there is [0, 1]: z's normalized row has a squared norm of
+        # 1e308, past a quarter of the largest float, so both searches of
+        # that fold rank every distance. Column 1 ties at both ends.
+        X = [[0, 1], [0.25, 0.5], [0.5, 0.25], [0.75, 0.75], [1, 0], [0, 0.6], [0.9, 1],
+             [1e154, 0.4]]
+        data = Dataset(list("abcdefgz"), X, ["benign", "malignant"] * 4)
+        cfgs = [ClassifierConfig(kind=kind, k=3, init=init, k_init=k_init)
+                for kind in KINDS for init, k_init in (("crisp", None), ("keller", 1),
+                                                        ("keller", 6))]
+        blocks, stacked = fknne.classifiers._search_blocks, []
+
+        def counted_blocks(X, *args):
+            stacked.append(X.ndim == 3)
+            return blocks(X, *args)
+
+        monkeypatch.setattr(fknne.classifiers, "_search_blocks", counted_blocks)
+        reports = list(_cross_validate(data, cfgs, Loocv(), None))
+        assert stacked == [True, True]
+        for cfg, rep in zip(cfgs, reports):
+            self.assert_equals_oracle(rep, data, cfg, Loocv())
+
+    def test_renormalized_folds_keep_no_neighbour_lists(self):
+        # At k_init = n - 2, a renormalized fold's reached rows have n - 1
+        # nearest others each: about 2d folds x 2k rows x n indices, 4 MB
+        # here if held until every fold is searched. Only a chunk of folds'
+        # may be held, about _BLOCK_BYTES, before its memberships are taken.
+        rng = np.random.default_rng(0)
+        n = 1000
+        data = Dataset([f"s{i:04d}" for i in range(n)], rng.normal(size=(n, 25)),
+                       ["benign" if i % 3 else "malignant" for i in range(n)])
+        peaks = []
+        for normalize in (False, True):
+            tracemalloc.start()
+            try:
+                evaluate(data, ClassifierConfig(init="keller", k=5, k_init=n - 2,
+                                                normalize=normalize), Loocv())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * fknne.evaluation._BLOCK_BYTES
 
     def test_leave_one_out_memory_stays_linear(self):
         import tracemalloc
