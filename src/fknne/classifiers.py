@@ -20,6 +20,7 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -118,23 +119,20 @@ class Dataset:
         if len(idx) != len(keep):
             missing = keep - set(self.ids)
             raise ValueError(f"unknown sample ids: {sorted(missing)}")
-        return self._rows(idx)
+        labels = [self.labels[i] for i in idx]
+        return Dataset([self.ids[i] for i in idx], self.X[idx], labels, self.feature_names,
+                       [c for c in self.classes if c in labels])
 
-    def _rows(self, rows) -> "Dataset":
-        """These rows, in this order, without checking them again: they
-        were checked when this dataset was built. Classes shrink to those
-        still present, keeping their relative order."""
-        if not len(rows):
-            raise ValueError("dataset must contain at least one sample")
-        out = object.__new__(Dataset)
-        out.ids = tuple(self.ids[i] for i in rows)
-        out.X = self.X[rows]
-        out.X.flags.writeable = False
-        out.labels = tuple(self.labels[i] for i in rows)
-        out.feature_names = self.feature_names
-        present = set(out.labels)
-        out.classes = tuple(c for c in self.classes if c in present)
-        return out
+
+def _check_int(name: str, value, least: int) -> None:
+    """Reject a field ``value`` that is not an integer (numpy's included)
+    of at least ``least``, naming the field."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,13 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_int("k", self.k, 1)
         if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
         if self.init not in ("crisp", "keller"):
             raise ValueError("init must be 'crisp' or 'keller'")
-        if self.k_init is not None and self.k_init < 1:
-            raise ValueError("k_init must be >= 1")
+        if self.k_init is not None:
+            _check_int("k_init", self.k_init, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,35 +443,22 @@ def neighbour_table(model: FitModel, queries, k: int):
 
     A query so far out that every distance overflows to inf is rejected:
     no rule could rank its neighbours."""
+    _check_int("k", k, 1)
     # Overflow is allowed here and caught below, by each pool's nearest distance.
     with np.errstate(over="ignore"):
         V = _query_matrix(model, queries)
     pools = model._class_pools
-    return check_reach(_search(model.X, model._id_rank, V, pools, [k] * len(pools)))
-
-
-class _Unreachable(ValueError):
-    """A query whose distances all overflowed to inf; ``row`` is its row
-    in the table."""
-
-    def __init__(self, row: int):
-        super().__init__(f"query row {row}: every distance overflows to inf; "
+    table = _search(model.X, model._id_rank, V, pools, [k] * len(pools))
+    overflowed = np.flatnonzero(_overflowed(table))
+    if overflowed.size:
+        raise ValueError(f"query row {overflowed[0]}: every distance overflows to inf; "
                          "feature values are too large")
-        self.row = row
+    return table
 
 
 def _overflowed(table) -> np.ndarray:
     """Which queries of a table have every distance overflowed to inf."""
     return np.isinf([d[:, 0] for _, d in table]).all(axis=0)
-
-
-def check_reach(table):
-    """Return the table, or reject its first query whose distances all
-    overflowed to inf: no rule could rank its neighbours."""
-    overflowed = np.flatnonzero(_overflowed(table))
-    if overflowed.size:
-        raise _Unreachable(int(overflowed[0]))
-    return table
 
 
 def _nearest(d: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
@@ -506,6 +490,31 @@ def keller_k_init(cfg: ClassifierConfig, n: int) -> tuple[int, bool]:
     return k_init, False
 
 
+def _min_max(X: np.ndarray, feature_names) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X normalized to each column's range, and that range (lo, hi). A
+    column whose max - min overflows cannot be normalized."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    # Halves cannot overflow, and max - min does exactly when its half
+    # exceeds half the largest float.
+    wide = np.flatnonzero(hi / 2 - lo / 2 > _FMAX / 2)
+    if wide.size:
+        raise ValueError(
+            f"feature {feature_names[wide[0]]!r}: max - min overflows, "
+            "so it cannot be normalized"
+        )
+    return _normalize_rows(X, lo, hi), lo, hi
+
+
+def _keller(X: np.ndarray, rank: np.ndarray, label_index: np.ndarray, one_hot: np.ndarray,
+            k_init: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """The Keller memberships of ``rows`` of X, every row when None, from
+    each one's k_init nearest other rows of X."""
+    # Column 0 of each row is the row itself.
+    nbrs = _search(X, rank, rows, [np.arange(len(X))], [k_init + 1])[0][0][:, 1:]
+    return keller_from_neighbours(nbrs, label_index if rows is None else label_index[rows],
+                                  one_hot)
+
+
 def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     """Memorize the training set and assign per-sample class memberships.
 
@@ -518,34 +527,21 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     """
     if cfg is None:
         cfg = ClassifierConfig()
-    X = np.array(data.X, dtype=np.float64)
     if cfg.normalize:
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        # Halves cannot overflow, and max - min does exactly when its half
-        # exceeds half the largest float.
-        wide = np.flatnonzero(hi / 2 - lo / 2 > np.finfo(np.float64).max / 2)
-        if wide.size:
-            raise ValueError(
-                f"feature {data.feature_names[wide[0]]!r}: max - min overflows, "
-                "so it cannot be normalized"
-            )
-        X = _normalize_rows(X, lo, hi)
+        X, lo, hi = _min_max(data.X, data.feature_names)
     else:
-        lo = hi = None
+        X, lo, hi = np.array(data.X, dtype=np.float64), None, None
     X.flags.writeable = False
 
-    n = len(data)
     label_index = np.array([data.classes.index(lab) for lab in data.labels], dtype=np.intp)
     one_hot = np.eye(len(data.classes))[label_index]
     id_rank = np.argsort(_id_order(data.ids))
 
-    k_init, clamped = keller_k_init(cfg, n)
+    k_init, clamped = keller_k_init(cfg, len(data))
     memberships = one_hot
     # A lone training sample has nothing to vote and stays one-hot.
     if cfg.init == "keller" and k_init > 0:
-        # Column 0 of each row is the row itself.
-        nbrs = _search(X, id_rank, None, [np.arange(n)], [k_init + 1])[0][0][:, 1:]
-        memberships = keller_from_neighbours(nbrs, label_index, one_hot)
+        memberships = _keller(X, id_rank, label_index, one_hot, k_init)
     memberships.flags.writeable = False
 
     return FitModel(
@@ -598,8 +594,6 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
 
     Optionally restricted to one class; ties are broken by id.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if class_filter is not None and class_filter not in model.classes:
         raise ValueError(f"unknown class {class_filter!r}")
     table = neighbour_table(model, [x], k)

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classifiers import KINDS, ClassifierConfig
+from .classifiers import KINDS, ClassifierConfig, _check_int
 from .evaluation import (
     ComparisonRow,
     ComparisonTable,
@@ -65,14 +65,12 @@ def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
 def _extraction_config(args) -> ExtractionConfig:
     if not 2 <= args.levels <= _MAX_LEVELS:
         raise ValueError(f"--levels must be in [2, {_MAX_LEVELS}]")
-    if args.distance < 1:
-        raise ValueError("--distance must be >= 1")
-    if args.side is not None and args.side < 1:
-        raise ValueError("--side must be >= 1")
+    _check_int("--distance", args.distance, 1)
+    if args.side is not None:
+        _check_int("--side", args.side, 1)
     if args.side is not None and args.side <= args.distance:
         raise ValueError("--side must be greater than --distance")
-    if args.image_height < 1:
-        raise ValueError("--image-height must be >= 1")
+    _check_int("--image-height", args.image_height, 1)
     return ExtractionConfig(levels=args.levels, distance=args.distance,
                             symmetric=args.symmetric)
 
@@ -116,12 +114,11 @@ def cmd_extract(args) -> int:
 
 
 def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
-    if k < 1:
-        raise ValueError("--k must be >= 1")
+    _check_int("--k", k, 1)
     if not args.m > 1.0:
         raise ValueError("--m must be > 1")
-    if args.k_init is not None and args.k_init < 1:
-        raise ValueError("--k-init must be >= 1")
+    if args.k_init is not None:
+        _check_int("--k-init", args.k_init, 1)
     return ClassifierConfig(
         kind=kind,
         k=k,
@@ -135,11 +132,9 @@ def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
 def _protocol(args):
     if args.protocol == "loocv":
         return Loocv()
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
+    _check_int("--seed", args.seed, 0)
     if args.protocol == "kfold":
-        if args.folds < 2:
-            raise ValueError("--folds must be >= 2")
+        _check_int("--folds", args.folds, 2)
         return KFold(k=args.folds, seed=args.seed)
     if not 0.0 < args.fraction < 1.0:
         raise ValueError("--fraction must be in (0, 1)")
@@ -217,12 +212,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
-    if args.n_per_class < 1:
-        raise ValueError("--n-per-class must be >= 1")
-    if args.dim < 1:
-        raise ValueError("--dim must be >= 1")
+    _check_int("--seed", args.seed, 0)
+    _check_int("--n-per-class", args.n_per_class, 1)
+    _check_int("--dim", args.dim, 1)
     if not (math.isfinite(args.spread) and args.spread >= 0):
         raise ValueError("--spread must be finite and >= 0")
     if not math.isfinite(args.separation):

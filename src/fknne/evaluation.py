@@ -18,17 +18,17 @@ from .classifiers import (
     _BLOCK_BYTES,
     ClassifierConfig,
     Dataset,
-    FitModel,
+    _check_int,
     _id_order,
+    _keller,
+    _min_max,
     _normalize_rows,
     _overflowed,
     _search,
-    _Unreachable,
     fit,
     gather_entries,
     keller_from_neighbours,
     keller_k_init,
-    neighbour_table,
     predict,  # noqa: F401 -- re-exported; perfbench/worker.py wraps fknne.evaluation.predict
     predict_table,
 )
@@ -181,13 +181,15 @@ class KFold:
     k: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        _check_int("k", self.k, 2)
+        _check_int("seed", self.seed, 0)
+
     @property
     def name(self) -> str:
         return f"kfold({self.k})"
 
     def splits(self, data: Dataset):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
         order = _id_order(data.ids)
         folds = [[] for _ in range(self.k)]
         for c, places in _shuffled_by_class(data, order, self.seed):
@@ -206,6 +208,7 @@ class Holdout:
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("holdout fraction must be in (0, 1)")
+        _check_int("seed", self.seed, 0)
 
     @property
     def name(self) -> str:
@@ -304,44 +307,50 @@ def _counts_dict(c: ConfusionCounts) -> dict:
     return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
 
 
-def _refit(data: Dataset, test: np.ndarray, k: int, normalize: bool):
-    """The fold that tests ``test`` from its own training set, every other
-    row: one crisp fit and one search of the test rows, (model, table).
-    Every protocol can take this path."""
-    train = data._rows(np.delete(np.arange(len(data)), test))
-    model = fit(train, ClassifierConfig(normalize=normalize))
-    try:
-        table = neighbour_table(model, data.X[test], k)
-    except _Unreachable as e:
-        raise ValueError(f"sample {data.ids[test[e.row]]!r}: every distance to its fold's "
-                         "training rows overflows to inf; feature values are too large") from None
-    return model, table
-
-
-def _entries(model: FitModel, table, init: str, k_init: int | None):
-    """A refitted fold's table's (distances, id ranks, memberships), per
-    field one array per class pool, at k_init as the fold clamps it.
+def _refit(data: Dataset, label: np.ndarray, rank: np.ndarray, test: np.ndarray, k: int,
+           keys):
+    """The fold that tests ``test`` and trains on every other row, built
+    from arrays sliced from the checked dataset: the training rows, their
+    label indices renumbered over the classes still present and their
+    full-data id ranks ``rank``, whose order is the fold's own. Returns the
+    fold's classes and, per fit key in ``keys`` (all of one normalize
+    setting), its test rows' table at k, as the rules read it: (distances,
+    id ranks, memberships). The table is searched once for every key, and
     Keller memberships are computed as ``fit`` computes them, but only for
-    the training rows the table reaches, and gathered straight into the
-    entries."""
-    memberships = None  # the crisp model's
-    # A lone training sample has nothing to vote and stays one-hot.
-    if init == "keller" and len(model) > 1:
-        idx = [i for i, _ in table]
-        rows = np.unique(np.concatenate([i.ravel() for i in idx]))
-        # Column 0 of each row's search is the row itself.
-        nbrs = _search(model.X, model._id_rank, rows, [np.arange(len(model))],
-                       [min(k_init, len(model) - 1) + 1])[0][0][:, 1:]
-        reached = keller_from_neighbours(nbrs, model.label_index[rows], model.memberships)
-        memberships = [reached[np.searchsorted(rows, i)] for i in idx]
-    return gather_entries(model, table, memberships)
+    the training rows the table reaches. Every protocol can take this path."""
+    train = np.delete(np.arange(len(data)), test)
+    X, V = data.X[train], data.X[test]
+    if keys[0][0]:
+        X, lo, hi = _min_max(X, data.feature_names)
+        # A test row may lie far outside the fold's range.
+        with np.errstate(over="ignore"):
+            V = _normalize_rows(V, lo, hi)
+    present = np.bincount(label[train], minlength=len(data.classes)) > 0
+    label, rank = (np.cumsum(present) - 1)[label[train]], rank[train]
+    one_hot = np.eye(np.count_nonzero(present))[label]
+    table = _search(X, rank, V, [np.flatnonzero(c) for c in one_hot.T], [k] * len(one_hot.T))
+    overflowed = np.flatnonzero(_overflowed(table))
+    if overflowed.size:
+        raise ValueError(f"sample {data.ids[test[overflowed[0]]]!r}: every distance to its fold's "
+                         "training rows overflows to inf; feature values are too large")
+    dists, ranks, entries = [d for _, d in table], [rank[idx] for idx, _ in table], []
+    for _, init, k_init in keys:
+        memberships = [one_hot[idx] for idx, _ in table]
+        # A lone training sample has nothing to vote and stays one-hot.
+        if init == "keller" and len(X) > 1:
+            rows = np.unique(np.concatenate([idx.ravel() for idx, _ in table]))
+            reached = _keller(X, rank, label, one_hot, min(k_init, len(X) - 1), rows)
+            memberships = [reached[np.searchsorted(rows, idx)] for idx, _ in table]
+        entries.append((dists, ranks, memberships))
+    return tuple(c for c, p in zip(data.classes, present) if p), entries
 
 
 class _LeaveOneOut:
     """The leave-one-out folds of one ``normalize`` setting, gathered
     together per fit key with no fit per fold (``groups``). A fold that
-    holds out its class's only row lacks that class and is refitted
-    (``refit``, per fold), as is one whose tested row no distance reaches.
+    holds out its class's only row lacks that class; it, and any fold
+    whose tested row no distance reaches, is marked in ``refit`` and
+    built by ``_refit`` instead.
 
     One crisp fit and one self-search of the full data give each row its
     k + 1 nearest per class and, for Keller, its k_init + 2 nearest rows,
@@ -504,38 +513,19 @@ def _fit_key(cfg: ClassifierConfig):
     return cfg.normalize, cfg.init, k_init if cfg.init == "keller" else None
 
 
-def _stacked(folds, fold_of: np.ndarray):
-    """One fit key's refitted folds, each (fold, classes, entries), grouped
-    by classes and pool widths: per group, its classes, its folds' entries
-    concatenated query by query, and where its rows stand among all tested
-    rows."""
-    groups = {}
-    for f, classes, entries in folds:
-        groups.setdefault((classes, tuple(d.shape[1] for d in entries[0])), []).append(
-            (f, entries))
-    out = []
-    for (classes, _), members in groups.items():
-        fs, member_entries = zip(*members)
-        # Per field and class pool, the member folds' arrays concatenated.
-        fields = zip(*member_entries)
-        entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in fields)
-        out.append((classes, entries, np.flatnonzero(np.isin(fold_of, fs))))
-    return out
-
-
 def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
     """Run every config under the same splits; yield one report per
     config, in order.
 
     A fold is its test rows and trains on every other row. A refitted fold
-    (``_refit``) slices its training set from the already checked dataset,
-    fits crisp once per ``normalize`` setting, not once per config, and
-    searches its test rows' neighbours once with that model, at the
-    largest k among the configs sharing it. Per fit key, (normalize,
-    init, k_init), it then gathers what the rules read of each neighbour
-    entry: distance, id rank and membership row (``_entries``).
-    Keller memberships are computed for only the training rows the table
-    reaches; ``fit`` still computes every row's. Only the entries outlive
+    (``_refit``) is built from arrays sliced from the already checked
+    dataset, with no ``Dataset``, model or ``fit`` of its own: once per
+    ``normalize`` setting, not once per config, it normalizes its training
+    rows and searches its test rows' neighbours, at the largest k among
+    the configs sharing that setting. Per fit key, (normalize, init,
+    k_init), it then gathers what the rules read of each neighbour entry:
+    distance, id rank and membership row. Keller memberships are computed
+    for only the training rows the table reaches. Only the entries outlive
     the fold.
 
     Leave-one-out fits only the full data: ``_LeaveOneOut`` gathers the
@@ -579,25 +569,32 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
                 if key[0] == normalize:
                     groups[key] += loo.groups(*key[1:])
     del loo
-    # Per fit key, each refitted fold's (fold, classes, entries).
-    gathered, model, table = {key: [] for key in groups}, None, None
-    for f in np.flatnonzero(np.any(list(refit.values()), axis=0)):
+    # Per fit key, classes and pool widths, each refitted fold's (fold, entries).
+    gathered, folds = {}, np.flatnonzero(np.any(list(refit.values()), axis=0))
+    label = np.array([data.classes.index(c) for c in data.labels], dtype=np.intp)
+    # Leave-one-out seldom refits a fold, so the ids are sorted only for one.
+    rank = np.argsort(_id_order(data.ids)) if folds.size else None
+    for f in folds:
         for normalize, k in k_max.items():
             if refit[normalize][f]:
-                model, table = _refit(data, splits[f], k, normalize)
-                for key, fold_entries in gathered.items():
-                    if key[0] == normalize:
-                        fold_entries.append((f, model.classes, _entries(model, table, *key[1:])))
+                keys = [key for key in groups if key[0] == normalize]
+                classes, entries = _refit(data, label, rank, splits[f], k, keys)
+                for key, e in zip(keys, entries):
+                    widths = tuple(d.shape[1] for d in e[0])
+                    gathered.setdefault((key, classes, widths), []).append((f, e))
     rows = np.concatenate(splits)
     fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
-    for key, fold_entries in gathered.items():
-        groups[key] += _stacked(fold_entries, fold_of)
-    # Reports are yielded one at a time: hold only the stacked entries meanwhile.
-    del gathered, model, table
+    # Reports are yielded one at a time: each group is popped as it is
+    # stacked, so only the stacked entries are held meanwhile.
+    for key, classes, widths in list(gathered):
+        fs, entries = zip(*gathered.pop((key, classes, widths)))
+        # Per field and class pool, the member folds' arrays concatenated query by query.
+        entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in zip(*entries))
+        groups[key].append((classes, entries, np.flatnonzero(np.isin(fold_of, fs))))
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]
-    y = np.array(data.labels)[rows] == positive
+    y = label[rows] == data.classes.index(positive)
     for cfg in configs:
         hit, s = np.empty(len(rows), dtype=bool), np.zeros(len(rows))
         for classes, entries, at in groups[_fit_key(cfg)]:

@@ -21,7 +21,7 @@ from fknne import (
     predict_many,
     two_cluster_dataset,
 )
-from fknne.classifiers import keller_from_neighbours
+from fknne.classifiers import keller_from_neighbours, neighbour_table
 
 
 def dataset_1d(points, labels, ids=None):
@@ -506,6 +506,34 @@ class TestConfigValidation:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ClassifierConfig(kind="svm")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", "3", "k must be an integer, got '3'"),
+        ("k", 0, "k must be >= 1"),
+        ("k_init", 2.5, "k_init must be an integer, got 2.5"),
+        ("k_init", 1.0, "k_init must be an integer, got 1.0"),
+        ("k_init", 0, "k_init must be >= 1"),
+    ])
+    def test_neighbourhood_sizes_rejected_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassifierConfig(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        data = dataset_1d([0.0, 1.0, 2.0, 5.0, 6.0], ["A", "A", "A", "B", "B"])
+        cfg = ClassifierConfig(k=np.int64(2), init="keller", k_init=np.int32(2))
+        want = ClassifierConfig(k=2, init="keller", k_init=2)
+        got, expected = predict(fit(data, cfg), [4.0]), predict(fit(data, want), [4.0])
+        assert got.label == expected.label and got.scores.tolist() == expected.scores.tolist()
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1"), (-2, "k must be >= 1"), (2.5, "k must be an integer, got 2.5")])
+    def test_neighbour_table_rejects_a_bad_k(self, k, message):
+        model = fit(dataset_1d([0.0, 1.0, 2.0], ["A", "B", "A"]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            neighbour_table(model, [[0.5]], k)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kneighbors(model, [0.5], k)
 
 
 class TestDataset:

@@ -46,7 +46,7 @@ from fknne import (
     roc_curve,
     stratified_kfold,
 )
-from fknne.classifiers import _search, neighbour_table
+from fknne.classifiers import _keller, _min_max, _search, neighbour_table
 from fknne.evaluation import _cross_validate, _LeaveOneOut
 
 # ---------------------------------------------------------------------------
@@ -734,7 +734,7 @@ class TestFoldReuse:
                        ["benign", "malignant", "benign", "malignant", "benign", "malignant",
                         "benign"])
         cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=1)
-        fits, _, searches = self.counting(monkeypatch)
+        fits, _, searches, _ = self.counting(monkeypatch)
         rep = evaluate(data, cfg, Loocv())
         assert fits == [(data.ids, (True, "crisp"))]
         # On a fold axis of one fold: h in each class pool, then every row
@@ -775,7 +775,7 @@ class TestFoldReuse:
         entries = lost = 0
         for _, (_, ranks, memberships), at in reuse.groups("keller", k_init):
             for r, i in enumerate(order[at]):
-                want = fit(data._rows(np.delete(np.arange(n), i)), cfg).memberships
+                want = fit(data.subset(data.ids[:i] + data.ids[i + 1:]), cfg).memberships
                 reached = np.concatenate([order[rank[r]] for rank in ranks])
                 entries += len(reached)
                 lost += int((reuse.others[reached, :k_init] == i).any())
@@ -790,43 +790,39 @@ class TestFoldReuse:
     @staticmethod
     def counting(monkeypatch):
         """Record what cross-validation computes: each fit as (training
-        ids, (normalize, init)), each test table as (its model's X, table)
-        and each search of chosen rows as (X searched, rows, ks, result)."""
-        fits, tables, searches = [], [], []
+        ids, (normalize, init)), each training-set normalization of a
+        refitted fold as (rows given, rows normalized), each search with
+        query rows as (X searched, V, ks, result) and each Keller search of
+        a refitted fold as (X searched, rows, k_init)."""
+        fits, normalized, searches, kellers = [], [], [], []
 
         def counted_fit(data, cfg):
             fits.append((data.ids, (cfg.normalize, cfg.init)))
             return fit(data, cfg)
 
-        def counted_table(model, queries, k):
-            tables.append((model.X, neighbour_table(model, queries, k)))
-            return tables[-1][1]
+        def counted_min_max(X, feature_names):
+            out = _min_max(X, feature_names)
+            normalized.append((X, out[0]))
+            return out
 
         def counted_search(X, rank, V, pools, ks):
             found = _search(X, rank, V, pools, ks)
-            if V is not None and V.ndim < X.ndim:
+            if V is not None:
                 searches.append((X, V, ks, found))
             return found
 
-        monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
-        monkeypatch.setattr(fknne.evaluation, "neighbour_table", counted_table)
-        monkeypatch.setattr(fknne.evaluation, "_search", counted_search)
-        return fits, tables, searches
+        def counted_keller(X, rank, label_index, one_hot, k_init, rows=None):
+            kellers.append((X, rows, k_init))
+            return _keller(X, rank, label_index, one_hot, k_init, rows)
 
-    @staticmethod
-    def searched_tables(tables, searches):
-        """Each search's k_init and the table of the fold it was made for;
-        the rows it searched must be every training row that table reaches."""
-        out = []
-        for X, rows, ks, _ in searches:
-            (table,) = [t for tx, t in tables if tx is X]
-            reached = np.concatenate([idx.ravel() for idx, _ in table])
-            assert rows.tolist() == np.unique(reached).tolist()
-            out.append((ks[0] - 1, id(table)))
-        return out
+        monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
+        monkeypatch.setattr(fknne.evaluation, "_min_max", counted_min_max)
+        monkeypatch.setattr(fknne.evaluation, "_search", counted_search)
+        monkeypatch.setattr(fknne.evaluation, "_keller", counted_keller)
+        return fits, normalized, searches, kellers
 
     def test_one_fit_per_fold_and_fit_key(self, monkeypatch):
-        fits, tables, searches = self.counting(monkeypatch)
+        fits, normalized, searches, kellers = self.counting(monkeypatch)
         X = np.random.default_rng(0).normal(size=(30, 3))
         data = Dataset([f"s{i:02d}" for i in range(30)], X, ["benign", "malignant"] * 15)
         cfgs = ([ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (1, 3, 5)]
@@ -836,18 +832,33 @@ class TestFoldReuse:
                    ClassifierConfig(kind="fknne", k=3, normalize=False)])
         protocol = KFold(5, seed=0)
         compare_classifiers(data, cfgs, protocol)
-        # One crisp fit and one table per fold and normalize setting; no Keller fit.
-        assert fits == [(tuple(train), (normalize, "crisp"))
-                        for train, _ in stratified_kfold(data, 5, seed=0)
-                        for normalize in (True, False)]
-        assert len(tables) == len(fits)
-        # One search per fold and Keller k_init (3 and 5), all normalized.
-        normalized = [id(t) for _, t in tables[::2]]
-        assert self.searched_tables(tables, searches) == [
-            (k_init, fold) for fold in normalized for k_init in (3, 5)]
+        # No fit, only arrays: per fold, one normalization of its training
+        # rows, then per normalize setting one search of its test rows,
+        # each at the largest k; the searched rows are a fit's of the fold.
+        assert fits == []
+        folds = stratified_kfold(data, 5, seed=0)
+        assert len(normalized) == len(folds) and len(searches) == 2 * len(folds)
+        for f, (train, test) in enumerate(folds):
+            rows = [data.ids.index(i) for i in test]
+            raw = fit(data.subset(train), ClassifierConfig(normalize=False))
+            model = fit(data.subset(train), ClassifierConfig())
+            given, normal = normalized[f]
+            assert same_bits(given, raw.X) and same_bits(normal, model.X)
+            for (X, V, ks, _), want, k in zip(searches[2 * f:2 * f + 2], (model, raw), (5, 3)):
+                assert ks == [k, k] and same_bits(X, want.X)
+                assert same_bits(V, fknne.classifiers._query_matrix(want, data.X[rows]))
+            assert searches[2 * f][0] is normal
+        # One Keller search per fold and k_init (3 and 5), all normalized,
+        # of exactly the training rows the fold's table reaches.
+        tables = {id(X): found for X, _, _, found in searches}
+        assert [(id(X), k_init) for X, _, k_init in kellers] == [
+            (id(normal), k_init) for _, normal in normalized for k_init in (3, 5)]
+        for X, rows, _ in kellers:
+            reached = np.concatenate([idx.ravel() for idx, _ in tables[id(X)]])
+            assert rows.tolist() == np.unique(reached).tolist()
 
     def test_leave_one_out_refits_only_the_folds_it_cannot_reuse(self, monkeypatch):
-        fits, tables, searches = self.counting(monkeypatch)
+        fits, normalized, searches, kellers = self.counting(monkeypatch)
         # Every column min and max is held by two rows, except g's 4.0.
         X = [[0, 5], [1, 5], [2, 7], [3, 5], [0, 6], [3, 7], [4, 6]]
         data = Dataset(list("abcdefg"), X, ["benign", "malignant"] * 3 + ["benign"])
@@ -858,11 +869,11 @@ class TestFoldReuse:
         # other: normalizing, the fold without g has a narrower first
         # column, so its rows are the full data renormalized, not a fit.
         assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp"))]
-        assert tables == []
+        assert normalized == kellers == []
         # That fold, on a fold axis of one, searches g in each class pool,
         # then exactly the rows g's table reaches, in table order; both give
         # what a fit of the fold gives.
-        fold = fit(data._rows(np.arange(6)), cfgs[1])
+        fold = fit(data.subset(data.ids[:6]), cfgs[1])
         table = neighbour_table(fold, data.X[6:], 3)
         (_, g, g_ks, (benign, malignant)), (_, rows, ks, _) = searches
         assert (g.tolist(), g_ks) == ([[6]], [4, 4])
@@ -893,7 +904,7 @@ class TestFoldReuse:
         cfgs = [ClassifierConfig(kind=kind, k=k, init="crisp") for kind in KINDS] + [
             ClassifierConfig(kind=kind, k=k, init="keller", k_init=k_init)
             for kind in KINDS for k_init in (1, n - 2)]
-        fits, _, _ = self.counting(monkeypatch)
+        fits, _, _, _ = self.counting(monkeypatch)
         monkeypatch.setattr(fknne.evaluation, "_BLOCK_BYTES", block_bytes)
         reports = list(_cross_validate(data, cfgs, Loocv(), None))
         assert fits == [(data.ids, (True, "crisp"))]

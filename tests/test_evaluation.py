@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fknne.classifiers
 import fknne.evaluation
 from fknne import (
     ClassifierConfig,
@@ -393,30 +394,35 @@ class TestFoldSlices:
                        ["malignant" if i % 3 == 0 else "benign" for i in range(n)])
         built, fits = [], []
         init, subset, fitted = Dataset.__init__, Dataset.subset, fknne.evaluation.fit
+        model_init = fknne.classifiers.FitModel.__init__
 
-        def counted_init(self, *args, **kwargs):
-            built.append("__init__")
-            init(self, *args, **kwargs)
-
-        def counted_subset(self, keep_ids):
-            built.append("subset")
-            return subset(self, keep_ids)
+        def counted(name, wrapped):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return wrapped(*args, **kwargs)
+            return wrapper
 
         def counted_fit(train, cfg):
             fits.append(len(train))
             return fitted(train, cfg)
 
-        monkeypatch.setattr(Dataset, "__init__", counted_init)
-        monkeypatch.setattr(Dataset, "subset", counted_subset)
+        monkeypatch.setattr(Dataset, "__init__", counted("Dataset", init))
+        monkeypatch.setattr(Dataset, "subset", counted("subset", subset))
+        monkeypatch.setattr(fknne.classifiers.FitModel, "__init__", counted("FitModel", model_init))
+        for name in ("neighbour_table", "_query_matrix"):
+            monkeypatch.setattr(fknne.classifiers, name,
+                                counted(name, getattr(fknne.classifiers, name)))
         monkeypatch.setattr(fknne.evaluation, "fit", counted_fit)
-        compare_classifiers(data, [ClassifierConfig(kind=kind) for kind in KINDS],
-                            KFold(5, seed=0))
-        assert len(fits) == 5 and sum(fits) == 4 * n
+        compare_classifiers(data, [ClassifierConfig(kind=kind) for kind in KINDS]
+                            + [ClassifierConfig(kind="fknne", init="keller")], KFold(5, seed=0))
+        # Each fold is built from arrays sliced from the dataset: no
+        # dataset, model, fit or query validation of its own.
+        assert built == fits == []
         # Leave-one-out fits the full data alone, though some rows are alone
         # at a feature's min or max.
         evaluate(data, ClassifierConfig(kind="fknne", k=5, init="keller"), Loocv())
-        assert fits[5:] == [n]
-        assert built == []
+        assert fits == [n]
+        assert built == ["FitModel"]
 
 
 class TestLoocv:
@@ -449,6 +455,30 @@ class TestHoldout:
     def test_fraction_outside_unit_interval_rejected_at_construction(self, fraction):
         with pytest.raises(ValueError, match="fraction"):
             Holdout(fraction=fraction)
+
+
+class TestProtocolFields:
+    @pytest.mark.parametrize("protocol, fields, message", [
+        (KFold, dict(k=2.5), "k must be an integer, got 2.5"),
+        (KFold, dict(k=1), "k must be >= 2"),
+        (KFold, dict(seed=-1), "seed must be >= 0"),
+        (KFold, dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (Holdout, dict(seed=-1), "seed must be >= 0"),
+        (Holdout, dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (Holdout, dict(seed="0"), "seed must be an integer, got '0'"),
+    ])
+    def test_rejected_at_construction_naming_the_field(self, protocol, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            protocol(**fields)
+
+    @pytest.mark.parametrize("protocol, numpy_fields, fields", [
+        (KFold, dict(k=np.int64(3), seed=np.uint8(1)), dict(k=3, seed=1)),
+        (Holdout, dict(fraction=0.4, seed=np.int32(2)), dict(fraction=0.4, seed=2)),
+    ])
+    def test_numpy_integers_split_as_python_ones(self, protocol, numpy_fields, fields):
+        data = TestFoldAssignments.DATA
+        got, want = protocol(**numpy_fields).splits(data), protocol(**fields).splits(data)
+        assert [t.tolist() for t in got] == [t.tolist() for t in want]
 
 
 class TestEvaluate:
