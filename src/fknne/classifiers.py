@@ -20,13 +20,13 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
+from .ingestion import _check_int, _check_real
 from .texture import FeatureVector
 
 KINDS = ("knn", "fknn", "knne", "fknne")
@@ -124,17 +124,6 @@ class Dataset:
                        [c for c in self.classes if c in labels])
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """Reject a field ``value`` that is not an integer (numpy's included)
-    of at least ``least``, naming the field."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Hyperparameters shared by the four decision rules.
@@ -156,6 +145,7 @@ class ClassifierConfig:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         _check_int("k", self.k, 1)
+        _check_real("m", self.m)
         if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
         if self.init not in ("crisp", "keller"):
@@ -481,15 +471,6 @@ def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
     return memberships
 
 
-def keller_k_init(cfg: ClassifierConfig, n: int) -> tuple[int, bool]:
-    """The k_init a fit on n samples uses, and whether it was clamped to
-    n - 1."""
-    k_init = cfg.k_init if cfg.k_init is not None else cfg.k
-    if cfg.init == "keller" and k_init > n - 1:
-        return n - 1, True
-    return k_init, False
-
-
 def _min_max(X: np.ndarray, feature_names) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X normalized to each column's range, and that range (lo, hi). A
     column whose max - min overflows cannot be normalized."""
@@ -537,7 +518,10 @@ def fit(data: Dataset, cfg: ClassifierConfig | None = None) -> FitModel:
     one_hot = np.eye(len(data.classes))[label_index]
     id_rank = np.argsort(_id_order(data.ids))
 
-    k_init, clamped = keller_k_init(cfg, len(data))
+    k_init = cfg.k if cfg.k_init is None else cfg.k_init
+    clamped = cfg.init == "keller" and k_init > len(data) - 1
+    if clamped:
+        k_init = len(data) - 1
     memberships = one_hot
     # A lone training sample has nothing to vote and stays one-hot.
     if cfg.init == "keller" and k_init > 0:
@@ -718,26 +702,11 @@ def _fknne(table, cfg: ClassifierConfig):
 _RULES = {"knn": _knn, "fknn": _fknn, "knne": _knne, "fknne": _fknne}
 
 
-def gather_entries(model: FitModel, table, memberships=None):
-    """What the rules read of each entry of ``neighbour_table``'s table:
-    (distances, id ranks, memberships), per field one array per class
-    pool. Membership rows are the model's, unless given per pool."""
-    if memberships is None:
-        memberships = [model.memberships[idx] for idx, _ in table]
-    return [d for _, d in table], [model._id_rank[idx] for idx, _ in table], memberships
-
-
-def predict_table(model: FitModel | None, table, cfg: ClassifierConfig):
-    """Score every query of a table built at a k of at least ``cfg.k``
-    with the rule, k and m of ``cfg``. Returns the winning class index of
-    each query and its Q x C scores.
-
-    With a model, ``table`` is ``neighbour_table``'s and each entry's id
-    rank and membership row are gathered from the model. With None, it is
-    already gathered: the (distances, id ranks, memberships) the rules
-    read, per field one array per class pool."""
-    if model is not None:
-        table = gather_entries(model, table)
+def predict_table(table, cfg: ClassifierConfig):
+    """Score every query of a table gathered at a k of at least ``cfg.k``
+    with the rule, k and m of ``cfg``: the (distances, id ranks,
+    memberships) the rules read, per field one array per class pool.
+    Returns the winning class index of each query and its Q x C scores."""
     return _RULES[cfg.kind]([[a[:, :cfg.k] for a in field] for field in table], cfg)
 
 
@@ -749,7 +718,9 @@ def predict_many(model: FitModel, queries, kind: str | None = None) -> list[Pred
     ``predict`` returns for that query alone.
     """
     cfg = model.config if kind is None else replace(model.config, kind=kind)
-    winners, scores = predict_table(model, neighbour_table(model, queries, cfg.k), cfg)
+    table = neighbour_table(model, queries, cfg.k)
+    winners, scores = predict_table(([d for _, d in table], [model._id_rank[i] for i, _ in table],
+                                     [model.memberships[i] for i, _ in table]), cfg)
     return [Prediction(model.classes[w], model.classes, s) for w, s in zip(winners, scores)]
 
 

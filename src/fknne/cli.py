@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classifiers import KINDS, ClassifierConfig, _check_int
+from .classifiers import KINDS, ClassifierConfig
 from .evaluation import (
     ComparisonRow,
     ComparisonTable,
@@ -34,7 +34,7 @@ from .formats import (
     write_feature_csv,
     write_roc_csv,
 )
-from .ingestion import crop_roi, parse_mias_index, read_pgm
+from .ingestion import _check_int, crop_roi, parse_mias_index, read_pgm
 from .synthetic import two_cluster_dataset
 from .texture import _MAX_LEVELS, FEATURE_NAMES, ExtractionConfig, extract_all
 

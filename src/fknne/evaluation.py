@@ -10,7 +10,7 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,20 +18,18 @@ from .classifiers import (
     _BLOCK_BYTES,
     ClassifierConfig,
     Dataset,
-    _check_int,
     _id_order,
     _keller,
     _min_max,
     _normalize_rows,
     _overflowed,
     _search,
-    fit,
-    gather_entries,
+    fit,  # noqa: F401 -- re-exported; perfbench/spans.py wraps fknne.evaluation.fit
     keller_from_neighbours,
-    keller_k_init,
     predict,  # noqa: F401 -- re-exported; perfbench/worker.py wraps fknne.evaluation.predict
     predict_table,
 )
+from .ingestion import _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -206,6 +204,7 @@ class Holdout:
     seed: int = 0
 
     def __post_init__(self):
+        _check_real("fraction", self.fraction)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("holdout fraction must be in (0, 1)")
         _check_int("seed", self.seed, 0)
@@ -317,7 +316,8 @@ def _refit(data: Dataset, label: np.ndarray, rank: np.ndarray, test: np.ndarray,
     setting), its test rows' table at k, as the rules read it: (distances,
     id ranks, memberships). The table is searched once for every key, and
     Keller memberships are computed as ``fit`` computes them, but only for
-    the training rows the table reaches. Every protocol can take this path."""
+    the training rows the table reaches. Every protocol can take this path;
+    leave-one-out takes it for the folds ``_leave_one_out`` cannot reuse."""
     train = np.delete(np.arange(len(data)), test)
     X, V = data.X[train], data.X[test]
     if keys[0][0]:
@@ -345,21 +345,29 @@ def _refit(data: Dataset, label: np.ndarray, rank: np.ndarray, test: np.ndarray,
     return tuple(c for c, p in zip(data.classes, present) if p), entries
 
 
-class _LeaveOneOut:
-    """The leave-one-out folds of one ``normalize`` setting, gathered
-    together per fit key with no fit per fold (``groups``). A fold that
-    holds out its class's only row lacks that class; it, and any fold
-    whose tested row no distance reaches, is marked in ``refit`` and
-    built by ``_refit`` instead.
+def _leave_one_out(data: Dataset, label: np.ndarray, rank: np.ndarray, k: int, keys, gathered):
+    """The leave-one-out folds of one ``normalize`` setting, with no fit
+    per fold or of the full data. ``label`` and ``rank`` are the full
+    data's label indices and id ranks, and fold f holds out the row of id
+    rank f. Each class's reused folds go to ``gathered``, keyed by (fit
+    key, classes, pool widths) for every fit key in ``keys``, as (places
+    among tested rows, entries) just as ``_refit``'s folds do. Returns
+    which folds, in fold order, ``_refit`` builds instead: a fold that
+    holds out its class's only row and so lacks that class, one whose
+    tested row no distance reaches (its search then rejects that row), and
+    every fold when a feature's range does not normalize on the full data
+    (it may still do so on a fold).
 
-    One crisp fit and one self-search of the full data give each row its
-    k + 1 nearest per class and, for Keller, its k_init + 2 nearest rows,
-    its own entry first in both. Let held-out row i leave each feature's
-    min and max unchanged. Then the fold's normalized rows are the full
-    data's, bit for bit, and so is every distance between them. (The min
-    or max can only stay equal in value: the sign of a zero may change,
-    which no squared difference sees.) Dropping i keeps the (distance, id
-    rank) order of the others, so
+    One self-search of the full data, normalized as a fit would, gives
+    each row its k + 1 nearest per class and, for Keller, its k_init + 2
+    nearest rows, its own entry first in both. A fold's n - 1 rows give
+    each row n - 2 others, so a larger k_init is clamped to n - 2, as the
+    fold's fit clamps it. Let held-out row i leave each feature's min and
+    max unchanged. Then the fold's normalized rows are the full data's,
+    bit for bit, and so is every distance between them. (The min or max
+    can only stay equal in value: the sign of a zero may change, which no
+    squared difference sees.) Dropping i keeps the (distance, id rank)
+    order of the others, so
     * row i's per-class table is its own row of the search, with itself
       dropped from its own class;
     * a row's k_init nearest others in the fold are its k_init + 1 nearest
@@ -376,124 +384,90 @@ class _LeaveOneOut:
     entries first, whose Keller memberships are computed at once. Rows
     index the full data; row i is reached by no table of its fold.
     """
+    n, X, normalize = len(data), data.X, keys[0][0]
+    try:
+        Xn = _min_max(X, data.feature_names)[0] if normalize else X
+    except ValueError:
+        return np.ones(n, dtype=bool)
+    k_inits = {min(k_init, n - 2) for _, init, k_init in keys if init == "keller"}
+    pools = [np.flatnonzero(label == c) for c in range(len(data.classes))]
+    sizes, one_hot = np.bincount(label), np.eye(len(pools))[label]
+    # The pools of a fold are widths[c] wide, c the held-out row's class.
+    widths = np.minimum(k, sizes - np.eye(len(pools), dtype=np.intp))
+    # Own rows sort first, so each pool is searched one row deeper.
+    deep = [max(k_inits) + 2] if k_inits else []
+    found = _search(Xn, rank, None, pools + [np.arange(n)] * len(deep),
+                    [k + 1] * len(pools) + deep)
+    # Each row's nearest per class and, for Keller, its nearest others, own
+    # entry dropped.
+    nearest, others = found[:len(pools)], found[-1][0][:, 1:]
+    renormalized = np.zeros(n, dtype=bool)
+    if normalize:
+        # Per column, a fold's min is the second smallest value where its
+        # held-out row holds the smallest, else the smallest; its max likewise.
+        S = np.sort(X, axis=0)
+        first, last = X == S[0], X == S[-1]
+        renormalized = ((first & (S[1] != S[0])) | (last & (S[-2] != S[-1]))).any(axis=1)
 
-    def __init__(self, data: Dataset, configs, k: int):
-        n, X = len(data), data.X
-        self.model = model = fit(data, replace(configs[0], init="crisp"))
-        k_inits = {keller_k_init(c, n - 1)[0] for c in configs if c.init == "keller"}
-        rank, label, pools = model._id_rank, model.label_index, model._class_pools
-        sizes = np.bincount(label)
-        # The pools of a fold are widths[c] wide, c the held-out row's class.
-        widths = np.minimum(k, sizes - np.eye(len(pools), dtype=np.intp))
-        # Own rows sort first, so each pool is searched one row deeper.
-        deep = [max(k_inits) + 2] if k_inits else []
-        found = _search(model.X, rank, None, pools + ((np.arange(n),) if k_inits else ()),
-                        [k + 1] * len(pools) + deep)
-        nearest = found[:len(pools)]
-        # Each row's nearest others, own entry dropped.
-        self.others = found[-1][0][:, 1:] if k_inits else None
-        alone = sizes[label] == 1
-        self.renormalized = np.zeros(n, dtype=bool)
-        if configs[0].normalize:
-            # Per column, a fold's min is the second smallest value where
-            # its held-out row holds the smallest, else the smallest; its
-            # max likewise.
-            S = np.sort(X, axis=0)
-            first, last = X == S[0], X == S[-1]
-            self.renormalized = ~alone & (
-                (first & (S[1] != S[0])) | (last & (S[-2] != S[-1]))).any(axis=1)
-        folds = np.flatnonzero(self.renormalized)
-        # Per k_init and renormalized fold, the Keller memberships of its
-        # table's entries.
-        self.moved = {k_init: {} for k_init in k_inits}
-        # Renormalized folds go in chunks of one class whose rows take at
-        # most _BLOCK_BYTES, stacked on a leading fold axis.
-        step = max(1, _BLOCK_BYTES // (8 * X.size))
-        for c, w in enumerate(widths):
-            mine = folds[label[folds] == c]
-            for a in range(0, len(mine), step):
-                held = mine[a:a + step]
-                # A held-out row may lie far outside its fold's range, even at
-                # inf; its distance to itself, inf - inf, is set to -1 all the same.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Xf = _normalize_rows(X, np.where(first[held], S[1], S[0])[:, None],
-                                         np.where(last[held], S[-2], S[-1])[:, None])
-                    own = _search(Xf, rank, held[:, None], pools, [k + 1] * len(pools))
-                for (idx, d), (own_idx, own_d) in zip(nearest, own):
-                    idx[held], d[held] = own_idx[:, 0], own_d[:, 0]
-                if k_inits:
-                    reached = np.hstack([idx for idx, _ in _cut(nearest, label, held, w)])
-                    nbrs = _search(Xf, rank, reached, [np.arange(n)], deep)[0][0][..., 1:]
-                    for k_init, moved in self.moved.items():
-                        moved.update(zip(held, self._memberships(
-                            held, reached, nbrs[..., :k_init + 1], k_init)))
-        order = np.argsort(rank)
-        self.refit = alone[order]
-        # Per group of folds with equal pool widths, the held-out rows in
-        # fold order and their tables. A fold whose tested row no distance
-        # reaches is refitted too, and its search rejects that row.
-        self.layout = []
-        kept = order[~self.refit]
-        for c, w in enumerate(widths):
-            same = (widths == w).all(axis=1)
-            rows = kept[same[label[kept]]]
-            if same[:c].any() or not rows.size:
-                continue
-            table = _cut(nearest, label, rows, w)
-            self.layout.append((rows, table))
-            self.refit[rank[rows[_overflowed(table)]]] = True
-
-    @classmethod
-    def build(cls, data: Dataset, configs, k: int):
-        """The reuse for these configs, or None where every fold refits:
-        a Keller k_init past n - 2 is clamped in the folds, and a feature
-        whose range does not normalize on the full data may still do so on
-        a fold."""
-        if any(c.init == "keller" and keller_k_init(c, len(data) - 1)[1] for c in configs):
-            return None
-        try:
-            return cls(data, configs, k)
-        except ValueError:
-            return None
-
-    def groups(self, init: str, k_init: int | None):
-        """One fit key's folds, stacked per group of equal pool widths:
-        each group's classes, (distances, id ranks, memberships) and the
-        places of its tested rows among all tested rows."""
-        out = []
-        for rows, table in self.layout:
-            memberships = self._keller(rows, table, k_init) if init == "keller" else None
-            out.append((self.model.classes, gather_entries(self.model, table, memberships),
-                        self.model._id_rank[rows]))
-        return out
-
-    def _keller(self, rows: np.ndarray, table, k_init: int):
-        """Per class pool, the Keller memberships of every entry of the
-        folds that hold out ``rows``, each as its fold's fit computes it."""
-        idx = np.concatenate([i for i, _ in table], axis=1)
-        width, classes = idx.shape[1], len(self.model.classes)
-        memberships = np.empty((len(rows), width, classes))
-        # Held-out rows go in chunks whose entries' neighbours' one-hot rows
-        # take at most _BLOCK_BYTES.
-        step = max(1, _BLOCK_BYTES // (8 * width * (k_init + 1) * classes))
-        others = self.others[:, :k_init + 1]
-        for a in range(0, len(rows), step):
-            memberships[a:a + step] = self._memberships(rows[a:a + step], idx[a:a + step],
-                                                        others[idx[a:a + step]], k_init)
-        # Renormalized folds' memberships were computed from their own search.
-        for r in np.flatnonzero(self.renormalized[rows]):
-            memberships[r] = self.moved[k_init][rows[r]]
-        return np.split(memberships, np.cumsum([i.shape[1] for i, _ in table])[:-1], axis=1)
-
-    def _memberships(self, held: np.ndarray, reached: np.ndarray, nbrs: np.ndarray, k_init: int):
-        """Keller memberships (folds, entries, classes) of the rows ``reached``
-        in the folds that hold out ``held``, from their k_init + 1 nearest others
-        ``nbrs``, the held-out row replaced by the last where among the first k_init."""
-        nbrs = np.where(nbrs[..., :k_init] == held[:, None, None], nbrs[..., k_init:],
+    def keller(held, reached, nbrs, k_init):
+        """Keller memberships (folds, entries, classes) of the rows
+        ``reached`` in the folds that hold out ``held``, from their nearest
+        others ``nbrs``, the held-out row replaced by the (k_init + 1)-th
+        where among the first k_init."""
+        nbrs = np.where(nbrs[..., :k_init] == held[:, None, None], nbrs[..., k_init, None],
                         nbrs[..., :k_init])
-        label = self.model.label_index[reached.ravel()]
-        return keller_from_neighbours(nbrs.reshape(-1, k_init), label,
-                                      self.model.memberships).reshape(reached.shape + (-1,))
+        return keller_from_neighbours(nbrs.reshape(-1, k_init), label[reached.ravel()],
+                                      one_hot).reshape(reached.shape + (-1,))
+
+    order = np.argsort(rank)
+    refit = sizes[label] == 1
+    for c, w in enumerate(widths):
+        if sizes[c] == 1:
+            continue
+        # The held-out rows of class c in fold order, and where each
+        # renormalized fold's stands among them.
+        rows = order[label[order] == c]
+        moved = np.flatnonzero(renormalized[rows])
+        memberships = {k_init: np.empty((len(rows), w.sum(), len(pools))) for k_init in k_inits}
+        # Renormalized folds go in chunks whose rows take at most
+        # _BLOCK_BYTES, stacked on a leading fold axis.
+        step = max(1, _BLOCK_BYTES // (8 * X.size))
+        for a in range(0, len(moved), step):
+            held = rows[moved[a:a + step]]
+            # A held-out row may lie far outside its fold's range, even at
+            # inf; its distance to itself, inf - inf, is set to -1 all the same.
+            with np.errstate(over="ignore", invalid="ignore"):
+                Xf = _normalize_rows(X, np.where(first[held], S[1], S[0])[:, None],
+                                     np.where(last[held], S[-2], S[-1])[:, None])
+                own = _search(Xf, rank, held[:, None], pools, [k + 1] * len(pools))
+            for (idx, d), (own_idx, own_d) in zip(nearest, own):
+                idx[held], d[held] = own_idx[:, 0], own_d[:, 0]
+            if k_inits:
+                reached = np.hstack([idx for idx, _ in _cut(nearest, label, held, w)])
+                nbrs = _search(Xf, rank, reached, [np.arange(n)], deep)[0][0][..., 1:]
+                for k_init, m in memberships.items():
+                    m[moved[a:a + step]] = keller(held, reached, nbrs, k_init)
+        table = _cut(nearest, label, rows, w)
+        refit[rows[_overflowed(table)]] = True
+        idx = np.concatenate([i for i, _ in table], axis=1)
+        kept = np.flatnonzero(~renormalized[rows])
+        for k_init, m in memberships.items():
+            # Other folds go in chunks whose entries' neighbours' one-hot
+            # rows take at most _BLOCK_BYTES.
+            step = max(1, _BLOCK_BYTES // (8 * idx.shape[1] * (k_init + 1) * len(pools)))
+            for a in range(0, len(kept), step):
+                at = idx[kept[a:a + step]]
+                m[kept[a:a + step]] = keller(rows[kept[a:a + step]], at,
+                                             others[at, :k_init + 1], k_init)
+        entries, split = ([d for _, d in table], [rank[i] for i, _ in table]), np.cumsum(w)[:-1]
+        for key in keys:
+            if key[1] == "keller":
+                entry = np.split(memberships[min(key[2], n - 2)], split, axis=1)
+            else:
+                entry = [one_hot[i] for i, _ in table]
+            gathered.setdefault((key, data.classes, tuple(w.tolist())), []).append(
+                (rank[rows], (*entries, entry)))
+    return refit[order]
 
 
 def _cut(nearest, label: np.ndarray, rows: np.ndarray, widths):
@@ -528,17 +502,17 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     for only the training rows the table reaches. Only the entries outlive
     the fold.
 
-    Leave-one-out fits only the full data: ``_LeaveOneOut`` gathers the
-    entries of every fold that keeps both classes, per fit key in one set
-    of array operations (for Keller, over chunks of held-out rows of
-    bounded memory). It refits only a fold that holds out its class's
-    only row, or whose tested row no distance reaches (the fold's search
-    then rejects it, naming its id, in fold order as any fold would). The
-    folds of each fit key are then stacked into one table per group of
-    folds with the same classes and pool widths: ordinarily one group, and
-    a fold that lacks a class or has a pool narrower than its k forms its
-    own. Each config scores each group in one ``predict_table`` call, and
-    one ``bincount`` gives every fold's confusion.
+    Leave-one-out fits nothing: ``_leave_one_out`` gathers the entries of
+    every fold that keeps both classes from one search of the full data,
+    per class and fit key in one set of array operations (for Keller, over
+    chunks of held-out rows of bounded memory). Only a fold it cannot
+    reuse is refitted. Every fold's entries go to one dict, keyed by fit
+    key, classes and pool widths, with the places of its tested rows among
+    all tested rows. Each key's folds are then stacked into one table:
+    ordinarily one per fit key, and a fold that lacks a class or has a
+    pool narrower than its k forms its own. Each config scores each table
+    in one ``predict_table`` call, and one ``bincount`` gives every fold's
+    confusion.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -556,41 +530,35 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
     splits = protocol.splits(data)
-    # Per fit key, its stacked groups; per normalize setting, which folds
-    # are refitted.
-    groups = {key: [] for key in map(_fit_key, configs)}
-    refit = {normalize: np.ones(len(splits), dtype=bool) for normalize in k_max}
-    for normalize, k in k_max.items():
-        loo = isinstance(protocol, Loocv) and _LeaveOneOut.build(
-            data, [c for c in configs if c.normalize == normalize], k)
-        if loo:
-            refit[normalize] = loo.refit
-            for key in groups:
-                if key[0] == normalize:
-                    groups[key] += loo.groups(*key[1:])
-    del loo
-    # Per fit key, classes and pool widths, each refitted fold's (fold, entries).
-    gathered, folds = {}, np.flatnonzero(np.any(list(refit.values()), axis=0))
     label = np.array([data.classes.index(c) for c in data.labels], dtype=np.intp)
-    # Leave-one-out seldom refits a fold, so the ids are sorted only for one.
-    rank = np.argsort(_id_order(data.ids)) if folds.size else None
-    for f in folds:
+    rank = np.argsort(_id_order(data.ids))
+    # Per fit key, its stacked groups; per normalize setting, its fit keys
+    # and which folds are refitted.
+    groups = {key: [] for key in map(_fit_key, configs)}
+    keys = {normalize: [key for key in groups if key[0] == normalize] for normalize in k_max}
+    # Per fit key, classes and pool widths, each fold's (places, entries).
+    gathered, refit = {}, {}
+    for normalize, k in k_max.items():
+        refit[normalize] = (_leave_one_out(data, label, rank, k, keys[normalize], gathered)
+                            if isinstance(protocol, Loocv) else np.ones(len(splits), dtype=bool))
+    start = np.cumsum([0] + [len(t) for t in splits])
+    for f in np.flatnonzero(np.any(list(refit.values()), axis=0)):
         for normalize, k in k_max.items():
             if refit[normalize][f]:
-                keys = [key for key in groups if key[0] == normalize]
-                classes, entries = _refit(data, label, rank, splits[f], k, keys)
-                for key, e in zip(keys, entries):
+                classes, entries = _refit(data, label, rank, splits[f], k, keys[normalize])
+                for key, e in zip(keys[normalize], entries):
                     widths = tuple(d.shape[1] for d in e[0])
-                    gathered.setdefault((key, classes, widths), []).append((f, e))
+                    gathered.setdefault((key, classes, widths), []).append(
+                        (np.arange(start[f], start[f + 1]), e))
     rows = np.concatenate(splits)
     fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
     # Reports are yielded one at a time: each group is popped as it is
     # stacked, so only the stacked entries are held meanwhile.
     for key, classes, widths in list(gathered):
-        fs, entries = zip(*gathered.pop((key, classes, widths)))
+        places, entries = zip(*gathered.pop((key, classes, widths)))
         # Per field and class pool, the member folds' arrays concatenated query by query.
         entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in zip(*entries))
-        groups[key].append((classes, entries, np.flatnonzero(np.isin(fold_of, fs))))
+        groups[key].append((classes, entries, np.concatenate(places)))
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]
@@ -598,7 +566,7 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     for cfg in configs:
         hit, s = np.empty(len(rows), dtype=bool), np.zeros(len(rows))
         for classes, entries, at in groups[_fit_key(cfg)]:
-            winners, scores = predict_table(None, entries, cfg)
+            winners, scores = predict_table(entries, cfg)
             # Folds that never saw the positive class predict it nowhere, scoring 0.
             p = classes.index(positive) if positive in classes else -1
             hit[at] = winners == p

@@ -8,6 +8,7 @@ abnormality centre and approximate radius in pixels.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -31,6 +32,22 @@ _P2_FAULTS = ("malformed P2 raster: non-numeric pixel value",
               "P2 pixel value outside [0, {max_val}]",
               "pixel value exceeds declared max_val",
               "pixel values must lie in [0, max_val]")
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Reject a field ``value`` that is not an integer (numpy's included,
+    bool not) of at least ``least``, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a field ``value`` that is not a real number (numpy's
+    included, bool not), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _pixel_dtype(max_val: int) -> np.dtype:
@@ -331,8 +348,9 @@ def quantize(img: GrayImage, levels: int) -> GrayImage:
     The result has max_val = levels - 1. Quantization is monotone and maps
     the full input range onto {0, ..., levels-1}.
     """
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    _check_int("levels", levels, 2)
+    # A numpy integer would fix the product's dtype below.
+    levels = int(levels)
     if levels > img.max_val + 1:
         raise ValueError(f"levels={levels} exceeds available depth {img.max_val + 1}")
     # g*levels in the smallest dtype holding max_val*levels (< 2**32), so nothing

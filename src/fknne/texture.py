@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .ingestion import GrayImage, quantize
+from .ingestion import GrayImage, _check_int, quantize
 
 # Direction set used throughout: right, down-right, down, up-right.
 # dx is a column offset, dy a row offset (top-left raster origin).
@@ -393,10 +393,10 @@ class ExtractionConfig:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not 2 <= self.levels <= _MAX_LEVELS:
+        _check_int("levels", self.levels, 2)
+        if self.levels > _MAX_LEVELS:
             raise ValueError(f"levels must be in [2, {_MAX_LEVELS}]")
-        if self.distance < 1:
-            raise ValueError("distance must be >= 1")
+        _check_int("distance", self.distance, 1)
 
 
 FEATURE_NAMES = (

@@ -503,6 +503,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="m must be > 1"):
             ClassifierConfig(m=1.0)
 
+    @pytest.mark.parametrize("m", ["2", True])
+    def test_non_real_fuzzifier_rejected_naming_the_field(self, m):
+        with pytest.raises(ValueError, match=f"^m must be a real number, got {m!r}$"):
+            ClassifierConfig(m=m)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ClassifierConfig(kind="svm")
@@ -514,6 +519,8 @@ class TestConfigValidation:
         ("k_init", 2.5, "k_init must be an integer, got 2.5"),
         ("k_init", 1.0, "k_init must be an integer, got 1.0"),
         ("k_init", 0, "k_init must be >= 1"),
+        ("k", True, "k must be an integer, got True"),
+        ("k_init", False, "k_init must be an integer, got False"),
     ])
     def test_neighbourhood_sizes_rejected_naming_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -47,7 +47,7 @@ from fknne import (
     stratified_kfold,
 )
 from fknne.classifiers import _keller, _min_max, _search, neighbour_table
-from fknne.evaluation import _cross_validate, _LeaveOneOut
+from fknne.evaluation import _cross_validate, _fit_key, _leave_one_out
 
 # ---------------------------------------------------------------------------
 # Scalar oracle
@@ -736,7 +736,7 @@ class TestFoldReuse:
         cfg = ClassifierConfig(kind="fknne", k=3, init="keller", k_init=1)
         fits, _, searches, _ = self.counting(monkeypatch)
         rep = evaluate(data, cfg, Loocv())
-        assert fits == [(data.ids, (True, "crisp"))]
+        assert fits == []
         # On a fold axis of one fold: h in each class pool, then every row
         # h's table reaches, in table order.
         (fold, h, h_ks, _), (same, rows, ks, found) = searches
@@ -746,6 +746,25 @@ class TestFoldReuse:
         nearest = found[0][0][0]
         assert nearest[rows[0].tolist().index(2), :2].tolist() == [2, 1]
         self.assert_equals_oracle(rep, data, cfg, Loocv())
+
+    @pytest.mark.parametrize("past", [0, 4])
+    def test_keller_k_init_past_the_folds_is_clamped_with_no_refit(self, monkeypatch, past):
+        # At k_init = n - 1 + past, every fold's fit clamps k_init to its
+        # n - 2 other rows, and so does the reuse: no fold is refitted,
+        # renormalized or not.
+        rng = np.random.default_rng(7)
+        n = 12
+        data = Dataset([f"s{i:02d}" for i in range(n)], rng.normal(size=(n, 3)),
+                       ["benign", "malignant"] * (n // 2))
+        cfgs = [ClassifierConfig(kind=kind, k=3, init="keller", k_init=n - 1 + past,
+                                 normalize=normalize)
+                for kind in KINDS for normalize in (False, True)]
+        refit = mock.Mock(wraps=fknne.evaluation._refit)
+        monkeypatch.setattr(fknne.evaluation, "_refit", refit)
+        reports = list(_cross_validate(data, cfgs, Loocv(), None))
+        assert refit.call_count == 0
+        for cfg, rep in zip(cfgs, reports):
+            self.assert_equals_oracle(rep, data, cfg, Loocv())
 
     def test_refitted_fold_of_one_training_sample_stays_one_hot(self):
         # Each fold holds out one of two rows, and its lone training sample
@@ -769,22 +788,26 @@ class TestFoldReuse:
         keller = fknne.evaluation.keller_from_neighbours
         monkeypatch.setattr(fknne.evaluation, "keller_from_neighbours",
                             lambda nbrs, *args: computed.append(len(nbrs)) or keller(nbrs, *args))
-        reuse = _LeaveOneOut.build(data, [cfg], cfg.k)
-        assert not reuse.refit.any()
-        order = np.argsort(fit(data, cfg)._id_rank)
+        model, gathered = fit(data, cfg), {}
+        assert not _leave_one_out(data, model.label_index, model._id_rank, cfg.k,
+                                  [_fit_key(cfg)], gathered).any()
+        order = np.argsort(model._id_rank)
+        # Each row's nearest others in the full data, own entry dropped.
+        others = _search(model.X, model._id_rank, None, [np.arange(n)], [n])[0][0][:, 1:]
         entries = lost = 0
-        for _, (_, ranks, memberships), at in reuse.groups("keller", k_init):
-            for r, i in enumerate(order[at]):
+        for places, (_, ranks, memberships) in [g for group in gathered.values() for g in group]:
+            for r, i in enumerate(order[places]):
                 want = fit(data.subset(data.ids[:i] + data.ids[i + 1:]), cfg).memberships
                 reached = np.concatenate([order[rank[r]] for rank in ranks])
                 entries += len(reached)
-                lost += int((reuse.others[reached, :k_init] == i).any())
+                lost += int((others[reached, :k_init] == i).any())
                 # Memberships come for the reached rows alone, never row i,
                 # each as the fold's fit computes it.
                 assert i not in reached
                 assert same_bits(np.concatenate([m[r] for m in memberships]),
                                  want[reached - (reached > i)])
-        assert entries == n * 6 and computed == [entries]
+        # One computation per held-out class, of exactly the reached rows.
+        assert entries == n * 6 and len(computed) == 2 and sum(computed) == entries
         assert lost
 
     @staticmethod
@@ -820,6 +843,14 @@ class TestFoldReuse:
         monkeypatch.setattr(fknne.evaluation, "_search", counted_search)
         monkeypatch.setattr(fknne.evaluation, "_keller", counted_keller)
         return fits, normalized, searches, kellers
+
+    @staticmethod
+    def renormalized(searches):
+        """The held-out rows of the folds searched stacked on a fold axis,
+        ascending: in each such search of the class pools, the one row of
+        each fold (the rows their tables reach take a search of their own)."""
+        return sorted(i for X, V, _, _ in searches if X.ndim == 3 and V.shape[1] == 1
+                      for i in V[:, 0].tolist())
 
     def test_one_fit_per_fold_and_fit_key(self, monkeypatch):
         fits, normalized, searches, kellers = self.counting(monkeypatch)
@@ -865,11 +896,12 @@ class TestFoldReuse:
         cfgs = [ClassifierConfig(kind="fknne", k=3, init="keller", k_init=2, normalize=normalize)
                 for normalize in (False, True)]
         compare_classifiers(data, cfgs, Loocv())
-        # One crisp fit of the full data per normalize setting, and no
-        # other: normalizing, the fold without g has a narrower first
+        # No fit, not even of the full data, which is normalized once for
+        # the normalizing config: the fold without g has a narrower first
         # column, so its rows are the full data renormalized, not a fit.
-        assert fits == [(data.ids, (False, "crisp")), (data.ids, (True, "crisp"))]
-        assert normalized == kellers == []
+        assert fits == kellers == []
+        [(given, normal)] = normalized
+        assert given is data.X and same_bits(normal, fit(data, cfgs[1]).X)
         # That fold, on a fold axis of one, searches g in each class pool,
         # then exactly the rows g's table reaches, in table order; both give
         # what a fit of the fold gives.
@@ -904,12 +936,11 @@ class TestFoldReuse:
         cfgs = [ClassifierConfig(kind=kind, k=k, init="crisp") for kind in KINDS] + [
             ClassifierConfig(kind=kind, k=k, init="keller", k_init=k_init)
             for kind in KINDS for k_init in (1, n - 2)]
-        fits, _, _, _ = self.counting(monkeypatch)
+        fits, _, searches, _ = self.counting(monkeypatch)
         monkeypatch.setattr(fknne.evaluation, "_BLOCK_BYTES", block_bytes)
         reports = list(_cross_validate(data, cfgs, Loocv(), None))
-        assert fits == [(data.ids, (True, "crisp"))]
-        assert _LeaveOneOut.build(data, cfgs, k).renormalized.tolist() == [
-            i in (0, 3, 4, 7) for i in range(n)]
+        assert fits == []
+        assert self.renormalized(searches) == [0, 3, 4, 7]
         for cfg, rep in zip(cfgs, reports):
             self.assert_equals_oracle(rep, data, cfg, Loocv())
 
@@ -924,9 +955,11 @@ class TestFoldReuse:
         seen = []
         for dim in (1, 4):
             data = Dataset([f"s{i:02d}" for i in range(40)], X[:, :dim], ["benign", "malignant"] * 20)
-            search = mock.Mock(wraps=_search)
+            _, _, searches, _ = self.counting(monkeypatch)
+            search = mock.Mock(wraps=fknne.evaluation._search)
             monkeypatch.setattr(fknne.evaluation, "_search", search)
-            folds = np.flatnonzero(_LeaveOneOut.build(data, [cfg], cfg.k).renormalized)
+            evaluate(data, cfg, Loocv())
+            folds = self.renormalized(searches)
             seen.append((len(folds), {data.labels[i] for i in folds}, search.call_count))
         assert seen == [(2, {"benign", "malignant"}, 5), (8, {"benign", "malignant"}, 5)]
 
@@ -946,10 +979,10 @@ class TestFoldReuse:
         cfgs = [ClassifierConfig(kind=kind, k=3, init="crisp") for kind in KINDS] + [
             ClassifierConfig(kind=kind, k=3, init="keller", k_init=k_init)
             for kind in KINDS for k_init in (1, n - 2)]
+        _, _, searches, _ = self.counting(monkeypatch)
         monkeypatch.setattr(fknne.evaluation, "_BLOCK_BYTES", block_bytes)
         reports = list(_cross_validate(data, cfgs, Loocv(), None))
-        assert _LeaveOneOut.build(data, cfgs, 3).renormalized.tolist() == [
-            i in (4, 5, 6) for i in range(n)]
+        assert self.renormalized(searches) == [4, 5, 6]
         for cfg, rep in zip(cfgs, reports):
             self.assert_equals_oracle(rep, data, cfg, Loocv())
 
@@ -1038,9 +1071,9 @@ class TestStackedScoring:
         calls = []
         scored = fknne.evaluation.predict_table
 
-        def counted(model, table, cfg):
+        def counted(table, cfg):
             calls.append((cfg, len(table[0][0]), len(table[0])))
-            return scored(model, table, cfg)
+            return scored(table, cfg)
 
         monkeypatch.setattr(fknne.evaluation, "predict_table", counted)
         return calls

@@ -418,11 +418,10 @@ class TestFoldSlices:
         # Each fold is built from arrays sliced from the dataset: no
         # dataset, model, fit or query validation of its own.
         assert built == fits == []
-        # Leave-one-out fits the full data alone, though some rows are alone
-        # at a feature's min or max.
+        # Leave-one-out fits nothing, not even the full data, though some
+        # rows are alone at a feature's min or max.
         evaluate(data, ClassifierConfig(kind="fknne", k=5, init="keller"), Loocv())
-        assert fits == [n]
-        assert built == ["FitModel"]
+        assert built == fits == []
 
 
 class TestLoocv:
@@ -466,6 +465,10 @@ class TestProtocolFields:
         (Holdout, dict(seed=-1), "seed must be >= 0"),
         (Holdout, dict(seed=1.5), "seed must be an integer, got 1.5"),
         (Holdout, dict(seed="0"), "seed must be an integer, got '0'"),
+        (KFold, dict(k=True), "k must be an integer, got True"),
+        (KFold, dict(seed=False), "seed must be an integer, got False"),
+        (Holdout, dict(fraction="0.3"), "fraction must be a real number, got '0.3'"),
+        (Holdout, dict(fraction=True), "fraction must be a real number, got True"),
     ])
     def test_rejected_at_construction_naming_the_field(self, protocol, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -591,10 +594,9 @@ class TestScoredRows:
         checked = []
         scored = fknne.evaluation.predict_table
 
-        def checking(model, table, cfg):
-            winners, scores = scored(model, table, cfg)
-            # One distance array per class: cross-validation scores gathered
-            # tables, with no model.
+        def checking(table, cfg):
+            winners, scores = scored(table, cfg)
+            # One distance array per class.
             assert scores.shape == (len(winners), len(table[0]))
             assert np.isfinite(scores).all()
             assert ((scores >= 0.0) & (scores <= 1.0 + 1e-9)).all()

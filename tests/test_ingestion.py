@@ -303,6 +303,11 @@ class TestQuantize:
         with pytest.raises(ValueError, match="levels"):
             quantize(GrayImage([[0]], 255), 1)
 
+    @pytest.mark.parametrize("levels", [8.5, True, "8"])
+    def test_non_integer_levels_rejected_naming_the_field(self, levels):
+        with pytest.raises(ValueError, match=f"^levels must be an integer, got {levels!r}$"):
+            quantize(GrayImage([[0, 255]], 255), levels)
+
     def test_result_is_uint8_for_at_most_256_levels(self):
         q = quantize(GrayImage(np.arange(256).reshape(16, 16), 255), 16)
         assert q.pixels.dtype == np.uint8 and not q.pixels.flags.writeable

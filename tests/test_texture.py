@@ -633,6 +633,19 @@ class TestExtractAll:
         assert np.all(np.isfinite(fv.values))
 
 
+class TestExtractionConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("levels", 8.5), ("levels", True), ("distance", 1.5), ("distance", True)])
+    def test_non_integer_sizes_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ExtractionConfig(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        img = random_quantized(np.random.default_rng(16), (8, 8), 8)
+        got = extract_all(img, ExtractionConfig(levels=np.int64(4), distance=np.int32(2)))
+        assert got.values.tobytes() == extract_all(img, ExtractionConfig(levels=4, distance=2)).values.tobytes()
+
+
 class TestFeatureVector:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
