@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ingestion import _check_int, _check_real
+from .ingestion import _check_bool, _check_int, _check_real
 from .texture import FeatureVector
 
 KINDS = ("knn", "fknn", "knne", "fknne")
@@ -152,6 +152,7 @@ class ClassifierConfig:
             raise ValueError("init must be 'crisp' or 'keller'")
         if self.k_init is not None:
             _check_int("k_init", self.k_init, 1)
+        _check_bool("normalize", self.normalize)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,6 +50,12 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_bool(name: str, value) -> None:
+    """Reject a field ``value`` that is not a bool (numpy's included), naming the field."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+
+
 def _pixel_dtype(max_val: int) -> np.dtype:
     """Smallest native unsigned dtype holding [0, max_val]."""
     return np.dtype(np.uint8 if max_val <= 255 else np.uint16)
@@ -79,7 +85,9 @@ class GrayImage:
         max_val = int(self.max_val)
         if not 1 <= max_val <= 65535:
             raise ValueError("max_val must be an integer in [1, 65535]")
-        if arr.min() < 0 or arr.max() > max_val:
+        # No scan when the dtype cannot leave [0, max_val] (uint8 at 255, uint16 at 65535).
+        info = np.iinfo(arr.dtype)
+        if (info.min < 0 or info.max > max_val) and (arr.min() < 0 or arr.max() > max_val):
             raise ValueError("pixel values must lie in [0, max_val]")
         dtype = _pixel_dtype(max_val)
         if arr.dtype != dtype or arr.flags.writeable:

@@ -12,11 +12,13 @@ The GLDM is the |i-j| marginal of the GLCM's integer pair counts, so
 the paper's 25-feature schema, and so every distance, includes them.
 
 ``extract_all`` averages them over the four standard directions into one
-fixed-schema feature vector per image, in one pass: pixels coded once as uint16
-``gray * levels``, index grids kept per level count, one row of statistics per
-direction. Statistics and runs stay per direction, in the kernels the public
-functions wrap: batching four directions' dot products or row sums changes the
-summation order and so the last bits, and one four-direction run buffer was slower.
+fixed-schema feature vector per image. Each direction's pair counts and run
+marginals (runs per gray and per length) are counted from pixels coded once as
+``gray * levels``; the statistics of all four then come from one pass over the
+stacks, the code the public ``*_features`` run on a stack of one. Stacked forms
+keep the bits of one matrix alone: one bincount over row-offset codes, sums over
+the contiguous last axis, (n, 1, g) @ (g, 1) matmuls (one BLAS dot per row), and
+one reduce per row for the ragged sums over positive entries.
 """
 
 from __future__ import annotations
@@ -26,28 +28,17 @@ from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .ingestion import GrayImage, _check_int, quantize
+from .ingestion import GrayImage, _check_bool, _check_int, quantize
 
 # Direction set used throughout: right, down-right, down, up-right.
 # dx is a column offset, dy a row offset (top-left raster origin).
 DIRECTIONS = ((1, 0), (1, 1), (0, 1), (1, -1))
 
-HARALICK_NAMES = (
-    "asm",
-    "contrast",
-    "correlation",
-    "variance",
-    "idm",
-    "sum_average",
-    "sum_variance",
-    "sum_entropy",
-    "entropy",
-    "diff_variance",
-    "diff_entropy",
-    "imc1",
-    "imc2",
-)
+HARALICK_NAMES = ("asm", "contrast", "correlation", "variance", "idm", "sum_average",
+                  "sum_variance", "sum_entropy", "entropy", "diff_variance", "diff_entropy",
+                  "imc1", "imc2")
 
 RUNLENGTH_NAMES = ("sre", "lre", "gln", "rln", "rp", "lgre", "hgre")
 
@@ -102,7 +93,7 @@ class Glcm:
         p = np.asarray(self.p, dtype=np.float64)
         if p.shape != (self.levels, self.levels):
             raise ValueError("p must be a levels x levels matrix")
-        _check_probability(p, self.symmetric)
+        _check_probability(p[None], self.symmetric)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -118,9 +109,12 @@ class Glrlm:
     n_pixels: int
 
     def __post_init__(self):
-        r = np.asarray(self.r)
-        _check_runs(r, self.levels, self.max_run, self.n_pixels)
-        r = r.copy()
+        r = np.array(self.r)
+        if r.shape != (self.levels, self.max_run) or not np.issubdtype(r.dtype, np.integer):
+            raise ValueError("r must be a levels x max_run integer matrix")
+        if (r < 0).any():
+            raise ValueError("run counts must be non-negative")
+        _check_coverage(r.sum(axis=0)[None], self.n_pixels)
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
@@ -137,55 +131,53 @@ class Gldm:
         d = np.asarray(self.d, dtype=np.float64)
         if d.shape != (self.levels,):
             raise ValueError("d must have one entry per gray level")
-        _check_probability(d)
+        _check_probability(d[None])
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
 
 def _check_probability(x: np.ndarray, symmetric: bool = False) -> None:
-    """Check a GLCM's p (2-D) or a GLDM's d (1-D)."""
-    if (x < 0).any() or abs(x.sum() - 1.0) > 1e-9:
-        name = "p must be a probability matrix" if x.ndim == 2 else "d must be a probability vector"
+    """Check a stack of GLCM p's (n, g, g) or GLDM d's (n, g); raise for the first failing."""
+    flat = x.reshape(len(x), -1)
+    off = (flat < 0).any(axis=1) | (np.abs(flat.sum(axis=1) - 1.0) > 1e-9)
+    skew = symmetric and ~np.isclose(x, np.swapaxes(x, 1, 2), atol=1e-12).all(axis=(1, 2))
+    for k in np.flatnonzero(off | skew)[:1]:
+        if not off[k]:
+            raise ValueError("symmetric GLCM must equal its transpose")
+        name = "p must be a probability matrix" if x.ndim == 3 else "d must be a probability vector"
         raise ValueError(f"{name} summing to 1")
-    if symmetric and not np.allclose(x, x.T, atol=1e-12):
-        raise ValueError("symmetric GLCM must equal its transpose")
 
 
-def _check_runs(r: np.ndarray, levels: int, max_run: int, n_pixels: int) -> None:
-    if r.shape != (levels, max_run) or not np.issubdtype(r.dtype, np.integer):
-        raise ValueError("r must be a levels x max_run integer matrix")
-    if (r < 0).any():
-        raise ValueError("run counts must be non-negative")
-    covered = int((r * np.arange(1, max_run + 1)).sum())
-    if covered != n_pixels:
-        raise ValueError(f"runs cover {covered} pixels, expected {n_pixels}")
+def _check_coverage(by_len: np.ndarray, n_pixels: int) -> None:
+    """Every pixel lies in one maximal run: check each row of runs per length (n, max_run)."""
+    covered = (by_len * np.arange(1, by_len.shape[1] + 1)).sum(axis=1)
+    for c in covered[covered != n_pixels][:1]:
+        raise ValueError(f"runs cover {int(c)} pixels, expected {n_pixels}")
 
 
 @cache
-def _grids(g: int) -> SimpleNamespace:
-    """Index grids of a g-level matrix, built on first use of each g."""
+def _grids(g: int, n: int = 1) -> SimpleNamespace:
+    """Index grids of a g-level matrix, raveled, built on first use. The i + j and |i - j|
+    bins of a stack of n are offset by row, so one bincount sums each row as alone."""
     i = np.arange(g, dtype=np.float64)
-    ii, jj = np.indices((g, g))
-    sq = (ii - jj) ** 2
-    return SimpleNamespace(i=i, sums=(ii + jj).ravel(), diffs=np.abs(ii - jj).ravel(), sq=sq,
-                           prod=ii * jj, idm=1.0 + sq, ks=np.arange(2 * g - 1, dtype=np.float64),
+    ii, jj = (a.ravel() for a in np.indices((g, g)))
+    rows, sq = np.arange(n)[:, None], (ii - jj) ** 2
+    return SimpleNamespace(i=i, sums=(ii + jj + (2 * g - 1) * rows).ravel(),
+                           diffs=(np.abs(ii - jj) + g * rows).ravel(), sq=sq, prod=ii * jj,
+                           idm=1.0 + sq, ks=np.arange(2 * g - 1, dtype=np.float64),
                            k2=i**2, k2_1=i**2 + 1.0, grays=i + 1.0)
 
 
 def _coded(img: GrayImage) -> tuple[np.ndarray, np.ndarray, int]:
     """The pixels, their uint16 codes gray * levels (below 4096) and the level count."""
-    levels = _levels(img)
+    levels = img.max_val + 1
+    if levels > _MAX_LEVELS:
+        raise ValueError(f"image must be quantized to <= {_MAX_LEVELS} levels")
     return img.pixels, np.multiply(img.pixels, levels, dtype=np.uint16), levels
 
 
-def _levels(img: GrayImage) -> int:
-    if img.max_val + 1 > _MAX_LEVELS:
-        raise ValueError(f"image must be quantized to <= {_MAX_LEVELS} levels")
-    return img.max_val + 1
-
-
 def _glcm(pixels: np.ndarray, codes: np.ndarray, levels: int, dx: int, dy: int, symmetric: bool):
-    """int64 counts of (gray at p, gray at p + (dx, dy)), reversed too if symmetric, and p."""
+    """int64 counts of (gray at p, gray at p + (dx, dy)), reversed too if symmetric."""
     if (dx, dy) == (0, 0):
         raise ValueError("offset must be nonzero")
     h, w = pixels.shape
@@ -196,11 +188,7 @@ def _glcm(pixels: np.ndarray, codes: np.ndarray, levels: int, dx: int, dy: int, 
     # uint16 + uint8 stays uint16 under value-based promotion and NEP 50 alike.
     pairs = codes[y0:y1, x0:x1] + pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
     counts = np.bincount(pairs.ravel(), minlength=levels * levels).reshape(levels, levels)
-    if symmetric:
-        counts = counts + counts.T
-    p = counts / counts.sum()
-    _check_probability(p, symmetric)
-    return counts, p
+    return counts + counts.T if symmetric else counts
 
 
 def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> Glcm:
@@ -210,63 +198,57 @@ def compute_glcm(img: GrayImage, dx: int, dy: int, symmetric: bool = False) -> G
     ``symmetric`` each pair is also counted in reverse, making p its own
     transpose.
     """
-    counts, p = _glcm(*_coded(img), dx, dy, symmetric)
+    counts = _glcm(*_coded(img), dx, dy, symmetric)
     counts.flags.writeable = False
-    return Glcm(len(counts), p, (dx, dy), symmetric, counts)
+    return Glcm(len(counts), counts / counts.sum(), (dx, dy), symmetric, counts)
 
 
-def _entropy(q: np.ndarray) -> float:
-    nz = q[q > 0]  # natural log with the 0*log(0) = 0 convention
-    return float(-(nz * np.log(nz)).sum())
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a @ b of stacks of rows (or one shared row), one BLAS dot per row as a
+    1-D a @ b makes; an (n, g) @ (g,) product, einsum or (a * b).sum(-1) sum otherwise."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def _haralick(p: np.ndarray) -> list:
-    G = _grids(len(p))
-    i = G.i
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mu_x = float(i @ px)
-    mu_y = float(i @ py)
-    var_x = float(((i - mu_x) ** 2) @ px)
-    var_y = float(((i - mu_y) ** 2) @ py)
+def _plogs(*pairs) -> np.ndarray:
+    """Row sums of q * log(r) where q > 0, a column per (q, r) pair of (n, k) stacks
+    (minus an entropy if r = q). Each row's terms are summed by one reduce over its
+    slice, in the order of q[q > 0].sum(); np.add.reduceat sums in another."""
+    q = np.concatenate([q for q, _ in pairs], axis=1)
+    mask = q > 0  # natural log with the 0*log(0) = 0 convention
+    terms = q[mask] * np.log(np.concatenate([r for _, r in pairs], axis=1)[mask])
+    edges = np.cumsum([0] + [q.shape[1] for q, _ in pairs[:-1]])
+    ends = np.cumsum(np.add.reduceat(mask, edges, axis=1, dtype=np.intp)).tolist()
+    sums = [np.add.reduce(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return np.array(sums).reshape(len(q), len(pairs))
 
-    psum = np.bincount(G.sums, weights=p.ravel(), minlength=2 * len(p) - 1)
-    pdiff = np.bincount(G.diffs, weights=p.ravel(), minlength=len(p))
 
-    asm = float((p**2).sum())
-    contrast = float((G.sq * p).sum())
-    cov = float((G.prod * p).sum()) - mu_x * mu_y
+def _haralick(p: np.ndarray) -> np.ndarray:
+    """The 13 statistics of each matrix of a stack p (n, g, g), one row each."""
+    n, g = p.shape[:2]
+    G, flat = _grids(g, n), p.reshape(n, -1)
+    px, py = p.sum(axis=2), p.sum(axis=1)
+    psum = np.bincount(G.sums, weights=flat.ravel()).reshape(n, -1)
+    pdiff = np.bincount(G.diffs, weights=flat.ravel()).reshape(n, -1)
+    # Means and variances of px, py, the pooled marginal (px+py)/2 and the |i-j| distribution.
+    m = np.stack([px, py, 0.5 * (px + py), pdiff])
+    mu_x, mu_y, mu, diff_mean = means = _dot(G.i, m)
+    var_x, var_y, variance, diff_variance = _dot((G.i - means[..., None]) ** 2, m)
+    sum_average = _dot(G.ks, psum)
+    sum_variance = _dot((G.ks - sum_average[:, None]) ** 2, psum)
+    asm, contrast, prod, idm = np.stack([flat**2, G.sq * flat, G.prod * flat, flat / G.idm]).sum(2)
+    cov = prod - mu_x * mu_y
     # A marginal on one gray has variance 0, though its float sum may round above 0.
-    degenerate = np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1
-    correlation = 0.0 if degenerate else cov / np.sqrt(var_x * var_y)
-
-    pooled = 0.5 * (px + py)
-    mu = float(i @ pooled)
-    variance = float(((i - mu) ** 2) @ pooled)
-
-    idm = float((p / G.idm).sum())
-
-    sum_average = float(G.ks @ psum)
-    sum_variance = float(((G.ks - sum_average) ** 2) @ psum)
-    sum_entropy = _entropy(psum)
-
-    entropy = _entropy(p)
-
-    diff_mean = float(i @ pdiff)
-    diff_variance = float(((i - diff_mean) ** 2) @ pdiff)
-    diff_entropy = _entropy(pdiff)
-
-    outer = np.outer(px, py)
-    mask = p > 0  # p(i,j) > 0 implies px(i)py(j) > 0
-    hxy1 = float(-(p[mask] * np.log(outer[mask])).sum())
-    hxy2 = _entropy(outer)
-    hx, hy = _entropy(px), _entropy(py)
-    denom = max(hx, hy)
-    imc1 = 0.0 if denom == 0.0 else (entropy - hxy1) / denom
-    imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - entropy)))))
-
-    return [asm, contrast, correlation, variance, idm, sum_average, sum_variance, sum_entropy,
-            entropy, diff_variance, diff_entropy, imc1, imc2]
+    degenerate = ((px > 0).sum(axis=1) == 1) | ((py > 0).sum(axis=1) == 1)
+    correlation = np.where(degenerate, 0.0, cov / np.sqrt(np.where(degenerate, 1, var_x * var_y)))
+    outer = (px[:, :, None] * py[:, None, :]).reshape(n, -1)
+    # p(i,j) > 0 implies px(i)py(j) > 0, so hxy1 takes no log of 0.
+    pairs = ((psum, psum), (flat, flat), (pdiff, pdiff), (outer, outer), (px, px), (py, py))
+    sum_entropy, entropy, diff_entropy, hxy2, hx, hy, hxy1 = -_plogs(*pairs, (flat, outer)).T
+    denom = np.maximum(hx, hy)
+    imc1 = np.where(denom == 0.0, 0.0, (entropy - hxy1) / np.where(denom == 0.0, 1.0, denom))
+    imc2 = np.sqrt(np.maximum(0.0, 1.0 - np.exp(-2.0 * (hxy2 - entropy))))
+    return np.stack([asm, contrast, correlation, variance, idm, sum_average, sum_variance,
+                     sum_entropy, entropy, diff_variance, diff_entropy, imc1, imc2], axis=1)
 
 
 def haralick_features(glcm: Glcm) -> FeatureVector:
@@ -289,35 +271,42 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
     All logarithms are natural; the maximal-correlation coefficient is
     deliberately not computed (eigen-solver, fragile on sparse matrices).
     """
-    return FeatureVector(HARALICK_NAMES, _haralick(glcm.p))
+    return FeatureVector(HARALICK_NAMES, _haralick(glcm.p[None])[0])
 
 
-def _runs(p: np.ndarray, levels: int, dx: int, dy: int) -> np.ndarray:
+def _runs(p: np.ndarray, levels: int, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gray and length of every maximal run along (dx, dy), in buffer order;
+    the separator runs between lines have gray ``levels`` and length 0."""
     if (dx, dy) not in DIRECTIONS:
         raise ValueError(f"unsupported run direction ({dx},{dy})")
-    h, w = p.shape
-    max_run = max(h, w)
-    # Each line of (dx, dy) becomes one column of a one-byte buffer, above a row of
-    # 255: no quantized gray is 255, so no run crosses lines, and the runs of 255 are
-    # dropped. The (1, 1) lines of p, reversed, are the (1, -1) lines x + y = c of
-    # p[::-1], and a transpose keeps x + y. So the rows of the shorter side are sheared,
-    # row y right by y, putting line c in column c of (min(h, w) + 1) * (h + w - 1) cells.
-    shear = int(dx * dy != 0)
-    q = p.T if dy == 0 else p[::-1] if dx * dy > 0 else p
-    q = q.T if shear and h > w else q
-    s, t = q.shape
-    buf = np.full((s + 1, t + shear * (s - 1)), 255, np.uint8)
-    buf.reshape(-1)[: s * (t + shear * s)].reshape(s, -1)[:, :t] = q
-    flat = buf.T.ravel()
+    # Each line of (dx, dy) becomes part of a row of a one-byte buffer, cut off from the
+    # next line by cells of gray `levels`, above every quantized gray.
+    if dx * dy == 0:
+        q = p if dy == 0 else p.T
+        buf = np.full((q.shape[0], q.shape[1] + 1), levels, np.uint8)
+        buf[:, :-1] = q
+        flat = buf.ravel()
+    else:
+        # The (1, 1) lines of p, reversed, are the (1, -1) lines x + y = c of p[::-1], and
+        # a transpose keeps x + y. With s = min(h, w) rows in q, t rows of s + 2 cells hold
+        # line c < t at columns y, then a separator, then line c + t at columns y + 1. So
+        # q[y, x] goes to cell x(s + 2) + y(s + 3) modulo m, the buffer's length: written
+        # unwrapped in 2m cells, whose halves never share a written cell, and folded.
+        q = p[::-1] if dx * dy > 0 else p
+        q = q.T if q.shape[0] > q.shape[1] else q
+        s, t = q.shape
+        m = t * (s + 2) - 1
+        buf = np.full(2 * m, levels, np.uint8)
+        as_strided(buf, (s, t), (s + 3, s + 2))[...] = q
+        flat = np.minimum(buf[:m], buf[m:])
     change = np.ones(flat.size, bool)
     np.not_equal(flat[1:], flat[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    # The buffer's last cell is a 255, so each counted run ends where the next starts.
+    # The buffer's last cell is a separator, so each counted run ends where the next starts.
     grays = flat[starts[:-1]]
-    cells = np.multiply(grays, max_run, dtype=np.int64) + np.diff(starts) - 1
-    r = np.bincount(cells[grays != 255], minlength=levels * max_run).reshape(levels, max_run)
-    _check_runs(r, levels, max_run, h * w)
-    return r
+    lengths = np.diff(starts)
+    lengths[grays == levels] = 0
+    return grays, lengths
 
 
 def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
@@ -327,22 +316,25 @@ def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     weighted by count always sum to the pixel count. The image must already
     be quantized (max_val + 1 <= 64 levels).
     """
-    r = _runs(img.pixels, _levels(img), dx, dy)
-    return Glrlm(len(r), r.shape[1], r, (dx, dy), img.pixels.size)
+    (pixels, _, levels), width = _coded(img), max(img.pixels.shape) + 1
+    grays, lengths = _runs(pixels, levels, dx, dy)
+    cells = np.multiply(grays, width, dtype=np.int64) + lengths
+    r = np.bincount(cells, minlength=(levels + 1) * width).reshape(levels + 1, width)[:levels, 1:]
+    return Glrlm(levels, width - 1, r, (dx, dy), img.pixels.size)
 
 
-def _runlength(r: np.ndarray, n_pixels: int) -> list:
-    r = r.astype(np.float64)
-    n_runs = r.sum()
-    if n_runs == 0:
+def _runlength(by_gray: np.ndarray, by_len: np.ndarray, n_pixels: int) -> np.ndarray:
+    """The 7 statistics of each row of stacked run counts per gray (n, levels)
+    and per length (n, max_run): integers, so their float sums are exact."""
+    by_gray, by_len = np.asarray(by_gray, np.float64), np.asarray(by_len, np.float64)
+    n_runs = by_gray.sum(axis=1)
+    if (n_runs == 0).any():
         raise ValueError("empty run-length matrix")
-    lengths = np.arange(1, r.shape[1] + 1, dtype=np.float64)
-    grays = _grids(len(r)).grays
-    by_gray = r.sum(axis=1)
-    by_len = r.sum(axis=0)
-    return [(by_len / lengths**2).sum() / n_runs, (by_len * lengths**2).sum() / n_runs,
-            (by_gray**2).sum() / n_runs, (by_len**2).sum() / n_runs, n_runs / n_pixels,
-            (by_gray / grays**2).sum() / n_runs, (by_gray * grays**2).sum() / n_runs]
+    l2, g2 = np.arange(1, by_len.shape[1] + 1.0) ** 2, _grids(by_gray.shape[1]).grays ** 2
+    sre, lre, gln, rln, lgre, hgre = np.stack([  # one max_run-wide temporary at a time
+        (by_len / l2).sum(1), (by_len * l2).sum(1), (by_gray**2).sum(1), (by_len**2).sum(1),
+        (by_gray / g2).sum(1), (by_gray * g2).sum(1)]) / n_runs
+    return np.stack([sre, lre, gln, rln, n_runs / n_pixels, lgre, hgre], axis=1)
 
 
 def runlength_features(glrlm: Glrlm) -> FeatureVector:
@@ -353,35 +345,36 @@ def runlength_features(glrlm: Glrlm) -> FeatureVector:
     rp          run percentage: total runs over total pixels
     lgre / hgre low/high gray emphasis, gray levels indexed from 1
     """
-    return FeatureVector(RUNLENGTH_NAMES, _runlength(glrlm.r, glrlm.n_pixels))
+    by_gray, by_len = glrlm.r.sum(axis=1)[None], glrlm.r.sum(axis=0)[None]
+    return FeatureVector(RUNLENGTH_NAMES, _runlength(by_gray, by_len, glrlm.n_pixels)[0])
 
 
 def _gldm(counts: np.ndarray) -> np.ndarray:
-    # Integer weights sum exactly in float64, so this equals counting the
-    # pixel differences one by one, bit for bit.
-    d = np.bincount(_grids(len(counts)).diffs, weights=counts.ravel(), minlength=len(counts))
-    d = d / counts.sum()
-    _check_probability(d)
-    return d
+    """The |i-j| distribution of each pair-count matrix of a stack (n, g, g). Integer weights
+    sum exactly in float64: bit for bit the pixel differences counted one by one."""
+    n, flat = len(counts), counts.reshape(len(counts), -1)
+    d = np.bincount(_grids(counts.shape[1], n).diffs, weights=flat.ravel()).reshape(n, -1)
+    return d / flat.sum(axis=1)[:, None]
 
 
 def compute_gldm(img: GrayImage, dx: int, dy: int) -> Gldm:
     """Distribution of absolute gray differences at offset (dx, dy): the
     |i-j| marginal of the pair counts."""
-    d = _gldm(_glcm(*_coded(img), dx, dy, False)[0])
+    d = _gldm(_glcm(*_coded(img), dx, dy, False)[None])[0]
     return Gldm(levels=len(d), d=d, offset=(dx, dy))
 
 
-def _gldm_stats(d: np.ndarray) -> list:
-    G = _grids(len(d))
-    return [float(G.i @ d), float(G.k2 @ d), float((d**2).sum()), _entropy(d),
-            float((d / G.k2_1).sum())]
+def _gldm_stats(d: np.ndarray) -> np.ndarray:
+    """The 5 statistics of each distribution of a stack d (n, g), one row each."""
+    G = _grids(d.shape[1])
+    return np.stack([_dot(G.i, d), _dot(G.k2, d), (d**2).sum(axis=1), -_plogs((d, d))[:, 0],
+                     (d / G.k2_1).sum(axis=1)], axis=1)
 
 
 def gldm_features(gldm: Gldm) -> FeatureVector:
     """Mean, contrast, angular second moment, entropy and inverse difference
     moment of the gray-difference distribution."""
-    return FeatureVector(GLDM_NAMES, _gldm_stats(gldm.d))
+    return FeatureVector(GLDM_NAMES, _gldm_stats(gldm.d[None])[0])
 
 
 @dataclass(frozen=True)
@@ -397,13 +390,11 @@ class ExtractionConfig:
         if self.levels > _MAX_LEVELS:
             raise ValueError(f"levels must be in [2, {_MAX_LEVELS}]")
         _check_int("distance", self.distance, 1)
+        _check_bool("symmetric", self.symmetric)
 
 
-FEATURE_NAMES = (
-    tuple(f"glcm.{n}" for n in HARALICK_NAMES)
-    + tuple(f"rl.{n}" for n in RUNLENGTH_NAMES)
-    + tuple(f"gldm.{n}" for n in GLDM_NAMES)
-)
+FEATURE_NAMES = tuple([f"glcm.{n}" for n in HARALICK_NAMES] + [f"rl.{n}" for n in RUNLENGTH_NAMES]
+                      + [f"gldm.{n}" for n in GLDM_NAMES])
 
 
 def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureVector:
@@ -414,15 +405,24 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
     "rl." statistics, then the 5 "gldm." statistics (see FEATURE_NAMES).
     Images already at or below the target depth are used as-is.
     """
-    if cfg is None:
-        cfg = ExtractionConfig()
+    cfg = ExtractionConfig() if cfg is None else cfg
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
     pixels, codes, levels = _coded(q)
-    rows = np.empty((len(DIRECTIONS), len(FEATURE_NAMES)))
-    for row, (ux, uy) in zip(rows, DIRECTIONS):
+    n, max_run = len(DIRECTIONS), max(pixels.shape)
+    counts = np.empty((n, levels, levels), np.int64)
+    by_gray = np.empty((n, levels), np.int64)
+    by_len = np.empty((n, max_run))  # float64 holds these integers exactly
+    for k, (ux, uy) in enumerate(DIRECTIONS):
         off = (ux * cfg.distance, uy * cfg.distance)
-        counts, p = _glcm(pixels, codes, levels, *off, cfg.symmetric)
-        row[:13] = _haralick(p)
-        row[13:20] = _runlength(_runs(pixels, levels, ux, uy), pixels.size)
-        row[20:] = _gldm_stats(_gldm(counts))
+        counts[k] = _glcm(pixels, codes, levels, *off, cfg.symmetric)
+        grays, lengths = _runs(pixels, levels, ux, uy)
+        by_gray[k] = np.bincount(grays, minlength=levels + 1)[:levels]
+        by_len[k] = np.bincount(lengths, minlength=max_run + 1)[1:]
+    del grays, lengths  # the statistics need only the marginals
+    p = counts / counts.sum(axis=(1, 2))[:, None, None]
+    _check_probability(p, cfg.symmetric)
+    _check_coverage(by_len, pixels.size)
+    d = _gldm(counts)
+    _check_probability(d)
+    rows = np.hstack([_haralick(p), _runlength(by_gray, by_len, pixels.size), _gldm_stats(d)])
     return FeatureVector(FEATURE_NAMES, np.mean(rows, axis=0))

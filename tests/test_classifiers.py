@@ -526,6 +526,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ClassifierConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_boolean_normalize_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=f"^normalize must be a boolean, got {value!r}$"):
+            ClassifierConfig(normalize=value)
+
+    def test_numpy_boolean_normalize_accepted(self):
+        data = dataset_1d([0.0, 1.0, 2.0, 5.0, 6.0], ["A", "A", "A", "B", "B"])
+        got = predict(fit(data, ClassifierConfig(normalize=np.False_)), [4.0])
+        want = predict(fit(data, ClassifierConfig(normalize=False)), [4.0])
+        assert got.label == want.label and got.scores.tolist() == want.scores.tolist()
+
     def test_numpy_integer_sizes_accepted(self):
         data = dataset_1d([0.0, 1.0, 2.0, 5.0, 6.0], ["A", "A", "A", "B", "B"])
         cfg = ClassifierConfig(k=np.int64(2), init="keller", k_init=np.int32(2))

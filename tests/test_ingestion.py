@@ -115,6 +115,13 @@ class TestGrayImagePixels:
             with pytest.raises(ValueError):
                 img.pixels[0, 0] = 0
 
+    @pytest.mark.parametrize("dtype, value, max_val", [
+        (np.int64, 256, 255), (np.int64, -1, 255), (np.uint16, 256, 255), (np.int32, 65536, 65535),
+        (np.int8, -1, 127), (np.uint8, 200, 199)])
+    def test_values_outside_max_val_rejected_whatever_the_dtype(self, dtype, value, max_val):
+        with pytest.raises(ValueError, match=r"^pixel values must lie in \[0, max_val\]$"):
+            GrayImage(np.array([[0, value]], dtype=dtype), max_val)
+
     def test_max_val_beyond_sixteen_bits_rejected(self):
         with pytest.raises(ValueError, match="max_val"):
             GrayImage([[0]], 65536)

@@ -34,6 +34,7 @@ from fknne import (
     quantize,
     runlength_features,
 )
+from fknne.texture import HARALICK_NAMES, _gldm, _gldm_stats, _haralick, _runlength
 
 EXAMPLE_3X3 = GrayImage([[0, 0, 1], [0, 0, 1], [0, 2, 2]], 2)
 
@@ -241,6 +242,48 @@ def quantized_images(draw, min_side=1, max_side=20):
     pixels = draw(arrays(np.int64, (h, w), elements=st.integers(0, top)))
     return GrayImage(pixels, levels - 1)
 
+
+def count_matrix(rng, g, kind):
+    """A g x g pair-count matrix: "sparse" or "dense" cells, "one_row" (px on one
+    gray, so correlation 0) or "one_cell" (HX = HY = 0, so imc1 = 0)."""
+    counts = rng.integers(1, 1000, (g, g))
+    if kind == "sparse":
+        counts *= rng.random((g, g)) < rng.uniform(0.01, 0.5)
+    elif kind == "one_row":
+        counts[np.arange(g) != rng.integers(g)] = 0
+    elif kind == "one_cell":
+        counts = np.zeros((g, g), np.int64)
+        counts[rng.integers(g), rng.integers(g)] = 7
+    counts[0, 0] += not counts.any()
+    return counts
+
+
+@st.composite
+def count_stacks(draw):
+    """Stacks of 1-6 pair-count matrices of one level count, each row of its own
+    kind and so with its own number of nonzero cells."""
+    g = draw(st.integers(2, 64))
+    kinds = draw(st.lists(st.sampled_from(("sparse", "dense", "one_row", "one_cell")),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([count_matrix(rng, g, kind) for kind in kinds])
+
+
+@st.composite
+def run_stacks(draw):
+    """Stacks of 1-6 run-length matrices with up to 400 run lengths, some rows
+    with a single run."""
+    n, levels = draw(st.integers(1, 6)), draw(st.integers(2, 64))
+    max_run = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = rng.integers(0, 50, (n, levels, max_run)) * (rng.random((n, levels, max_run)) < 0.3)
+    r[:, 0, 0] += ~r.any(axis=(1, 2))
+    return r
+
+
+# 64 levels: 4096-cell rows, past numpy's 128-element pairwise-summation block.
+MIXED_64 = np.stack([count_matrix(np.random.default_rng(k), 64, kind)
+                     for k, kind in enumerate(("dense", "one_row", "sparse", "one_cell", "dense"))])
 
 EDGE_SHAPES = (GrayImage([[0]], 1), GrayImage([[0, 1, 1, 3, 3, 3]], 3),
                GrayImage([[5], [5], [0], [5]], 7))
@@ -533,6 +576,40 @@ class TestPerDirectionFunctionsAgainstOracles:
         assert rl.tobytes() == oracle_runlength_features(r, img.pixels.size).tobytes()
 
 
+class TestStackedStatistics:
+    """extract_all computes the statistics of all directions stacked; each row must
+    equal its matrix alone through the per-direction oracles, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_stacks())
+    @example(MIXED_64)
+    @example(MIXED_64[[1, 0]])
+    @example(MIXED_64[[3, 4, 3]])
+    def test_co_occurrence_rows_match_each_matrix_alone(self, counts):
+        p = counts / counts.sum(axis=(1, 2))[:, None, None]
+        d = _gldm(counts)
+        haralick, gldm = _haralick(p), _gldm_stats(d)
+        for k, c in enumerate(counts):
+            pk, dk = c / c.sum(), oracle_gldm_from_counts(c)
+            assert p[k].tobytes() == pk.tobytes() and d[k].tobytes() == dk.tobytes()
+            assert haralick[k].tobytes() == oracle_haralick_features(pk).tobytes()
+            assert gldm[k].tobytes() == oracle_gldm_features(dk).tobytes()
+
+    def test_degenerate_rows_sit_next_to_normal_ones(self):
+        p = MIXED_64 / MIXED_64.sum(axis=(1, 2))[:, None, None]
+        haralick = dict(zip(HARALICK_NAMES, _haralick(p).T))
+        assert haralick["correlation"][1] == 0.0 and haralick["correlation"][0] != 0.0
+        assert haralick["imc1"][3] == 0.0 and haralick["imc1"][4] != 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_stacks())
+    def test_run_length_rows_match_each_matrix_alone(self, r):
+        n_pixels = int((r.sum(axis=1) * np.arange(1, r.shape[2] + 1)).sum(axis=1).max())
+        got = _runlength(r.sum(axis=2), r.sum(axis=1), n_pixels)
+        for k, rk in enumerate(r):
+            assert got[k].tobytes() == oracle_runlength_features(rk, n_pixels).tobytes()
+
+
 class TestExtractAll:
     def test_schema_is_stable_across_images(self):
         rng = np.random.default_rng(10)
@@ -612,9 +689,9 @@ class TestExtractAll:
 
     @pytest.mark.parametrize("shape", [(2, 20000), (20000, 2)])
     def test_thin_images_take_linear_memory(self, shape):
-        # The run matrix is 16 levels x 20000 run lengths, held as int64 and as
-        # float64: about 160 B per pixel of a two-pixel-wide image. Anything
-        # quadratic in the long side would take gigabytes.
+        # Only run counts per gray and per length are held, never the 16 levels x
+        # 20000 run lengths matrix (160 B per pixel of a two-pixel-wide image as
+        # int64 and float64). Anything quadratic in the long side would take gigabytes.
         img = random_quantized(np.random.default_rng(22), shape, 16)
         extract_all(img)  # the 16-level index grids are built once, outside the bound
         tracemalloc.start()
@@ -623,7 +700,7 @@ class TestExtractAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200 * img.pixels.size, peak
+        assert peak < 100 * img.pixels.size, peak
 
     def test_propagates_quantization(self):
         # raw 8-bit input is quantized down to the configured depth
@@ -639,6 +716,16 @@ class TestExtractionConfig:
     def test_non_integer_sizes_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             ExtractionConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_boolean_symmetric_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=f"^symmetric must be a boolean, got {value!r}$"):
+            ExtractionConfig(symmetric=value)
+
+    def test_numpy_boolean_symmetric_accepted(self):
+        img = random_quantized(np.random.default_rng(17), (8, 8), 8)
+        got = extract_all(img, ExtractionConfig(symmetric=np.True_)).values
+        assert got.tobytes() == extract_all(img, ExtractionConfig(symmetric=True)).values.tobytes()
 
     def test_numpy_integer_sizes_accepted(self):
         img = random_quantized(np.random.default_rng(16), (8, 8), 8)
