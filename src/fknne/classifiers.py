@@ -224,9 +224,8 @@ def _normalize_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 # of them order neighbours the same way. The k nearest overall are merged
 # from the per-class lists (_nearest), never searched a second time.
 
-# Queries are processed in blocks whose largest temporary -- (block x n)
-# approximate distances, or the fallback's (block x n x d) differences --
-# stays near this many bytes. Candidates are re-ranked in chunks whose
+# Queries are processed in blocks whose (block x n) approximate distances
+# stay near this many bytes. Candidates are re-ranked in chunks whose
 # differences stay within that too.
 _BLOCK_BYTES = 1 << 20
 
@@ -246,52 +245,16 @@ def _id_order(ids) -> np.ndarray:
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def _gram_blocks(X: np.ndarray, V: np.ndarray, nx: np.ndarray, nv: np.ndarray):
-    """Yield (first query row, block) covering all rows of V, each entry
-    the approximate squared distance ||v||^2 + ||x||^2 - 2 v.x, from the
-    squared row norms nv and nx and one matrix product per block."""
-    step = max(1, _BLOCK_BYTES // (8 * max(1, nx.size)))
-    for s in range(0, V.shape[-2], step):
-        A = (-2.0 * V[..., s:s + step, :]) @ np.swapaxes(X, -1, -2)
-        A += nx[..., None, :]
-        A += nv[..., s:s + step, None]
-        yield s, A
-
-
-def _k_smallest(D: np.ndarray, rank: np.ndarray, k: int):
-    """(columns, distances) of the min(k, n) smallest entries of each row
-    of D, ordered by (distance, rank)."""
-    rows = np.arange(len(D))[:, None]
-    if k >= D.shape[1]:
-        sel = np.lexsort((np.broadcast_to(rank, D.shape), D), axis=1)
-        return sel, D[rows, sel]
-    part = np.argpartition(D, k - 1, axis=1)[:, :k]
-    d = D[rows, part]
-    order = np.lexsort((rank[part], d), axis=1)
-    sel, d = part[rows, order], d[rows, order]
-    # More than k entries at or below the k-th smallest distance: the tie
-    # straddles the cut, and rank decides which of the tied entries make it.
-    straddle = (D <= d[:, -1:]).sum(axis=1) > k
-    if straddle.any():
-        tied = D[straddle]
-        full = np.lexsort((np.broadcast_to(rank, tied.shape), tied), axis=1)[:, :k]
-        sel[straddle] = full
-        d[straddle] = tied[np.arange(len(tied))[:, None], full]
-    return sel, d
-
-
-def _rerank(X, rank, pool, V, A, k, margin, own):
+def _rerank(X, rank, pool, V, cand, k, own):
     """(rows of X, distances) of the min(k, pool size) nearest rows of
     X[pool] to each row of V, nearest first by (distance, rank).
 
-    A holds approximate squared distances from V to X[pool]. Only the
-    entries within ``margin`` of their row's k-th smallest are candidates,
-    and only their distances are computed, with the arithmetic of
-    _search_blocks. When ``own`` is not None, own[r] is the row of X that
-    row r of V is, and its distance is -1. All but pool and rank may share
-    a leading fold axis: V[f] is ranked among X[f]'s rows."""
-    k = min(k, A.shape[-1])
-    cand = A <= (np.partition(A, k - 1, axis=-1)[..., k - 1] + margin)[..., None]
+    cand marks, for each row of V, the entries of the pool that may rank
+    among its k nearest, at least k of them; only their distances are
+    computed. When ``own`` is not None, own[r] is the row of X that row r
+    of V is, and its distance is -1. All but pool and rank may share a
+    leading fold axis: V[f] is ranked among X[f]'s rows."""
+    k, out = min(k, cand.shape[-1]), cand.shape[:-1]
     per, (n, dim) = V.shape[-2], X.shape[-2:]
     X, V, cand = X.reshape(-1, dim), V.reshape(-1, dim), cand.reshape(-1, cand.shape[-1])
     own = None if own is None else own.ravel()
@@ -314,7 +277,7 @@ def _rerank(X, rank, pool, V, A, k, margin, own):
         order = np.lexsort((rank[rows], D, r))
         first = order[(np.cumsum(held) - held)[:, None] + np.arange(k)]
         sel[a:a + step], dist[a:a + step] = rows[first], D[first]
-    return sel.reshape(A.shape[:-1] + (k,)), dist.reshape(A.shape[:-1] + (k,))
+    return sel.reshape(out + (k,)), dist.reshape(out + (k,))
 
 
 def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
@@ -334,7 +297,8 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     and the results carry the fold axis too.
 
     Each distance is sqrt(S), S = sum((v - x)^2) reduced over the
-    contiguous feature axis as _search_blocks does, but few are computed.
+    contiguous feature axis, bit for bit as one query alone would compute
+    it, but few are computed.
     One matrix product per block of V gives approximate squared distances
     A = ||v||^2 + ||x||^2 - 2 v.x. A row's candidates in a pool are the
     entries with A <= A_k + margin, A_k its k-th smallest A there, and
@@ -372,8 +336,8 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
     12d + 12. Own entries are -1, exactly, in both A and S.
 
     When a squared norm may reach a quarter of the largest float, a
-    product, an A or an S could overflow, and every distance is computed
-    and ranked instead (_search_blocks).
+    product, an A or an S could overflow: no A is formed, and every entry
+    of the pool is a candidate of the same re-rank.
     """
     # own[..., r] is the row of X that row r of V is, when X searches itself.
     own = np.arange(len(X)) if V is None else V if V.ndim < X.ndim else None
@@ -383,44 +347,32 @@ def _search(X: np.ndarray, rank: np.ndarray, V, pools, ks):
                    np.empty(V.shape[:-1] + (min(k, len(p)),))) for p, k in zip(pools, ks))
     # A pool of every row reads each block in place: a copy costs ~4 % of a Keller fit.
     cols = [slice(None) if len(p) == X.shape[-2] else p for p in pools]
+    dim = X.shape[-1]
+    gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
     with np.errstate(over="ignore"):
         nx = np.einsum("...j,...j->...", X, X)
         nv = np.einsum("...j,...j->...", V, V) if own is None else np.take_along_axis(nx, own, -1)
         gram = nx.max(initial=0.0) + nv.max(initial=0.0) <= _FMAX / 4
-    if not gram:
-        _search_blocks(X, rank, V, own, pools, cols, ks, found)
-        return found
-    reaches = [nx[..., c].max(axis=-1, keepdims=True) for c in cols]
-    dim = X.shape[-1]
-    gamma, tiny = _gamma(12 * dim + 48), (12 * dim + 12) * _TINY
-    for s, A in _gram_blocks(X, V, nx, nv):
-        b = A.shape[-2]
-        own_rows = None
-        if own is not None:
-            own_rows = own[..., s:s + b]
-            np.put_along_axis(A, own_rows[..., None], -1.0, axis=-1)
-        for p, col, reach, k, (idx, dist) in zip(pools, cols, reaches, ks, found):
-            idx[..., s:s + b, :], dist[..., s:s + b, :] = _rerank(
-                X, rank, p, V[..., s:s + b, :], A[..., col], k,
-                gamma * (nv[..., s:s + b] + reach) + tiny, own_rows)
-    return found
-
-
-def _search_blocks(X, rank, V, own, pools, cols, ks, found):
-    """Fill ``found`` as _search does, ranking every distance: each is
-    sqrt(sum((x - v)^2)) reduced over the contiguous feature axis,
-    bit-identical to computing it one query at a time."""
-    step = max(1, _BLOCK_BYTES // (8 * max(1, X.size)))
-    with np.errstate(over="ignore"):
+        reaches = [nx[..., c].max(axis=-1, keepdims=True) for c in cols]
+        step = max(1, _BLOCK_BYTES // (8 * max(1, nx.size)))
         for s in range(0, V.shape[-2], step):
-            D = np.sqrt(((V[..., s:s + step, None, :] - X[..., None, :, :]) ** 2).sum(axis=-1))
-            b = D.shape[-2]
-            if own is not None:
-                np.put_along_axis(D, own[..., s:s + b, None], -1.0, axis=-1)
-            for pool, col, k, (idx, dist) in zip(pools, cols, ks, found):
-                sel, d = _k_smallest(D[..., col].reshape(-1, len(pool)), rank[col], k)
-                out = D.shape[:-1] + idx.shape[-1:]
-                idx[..., s:s + b, :], dist[..., s:s + b, :] = pool[sel].reshape(out), d.reshape(out)
+            Vs, own_rows = V[..., s:s + step, :], None if own is None else own[..., s:s + step]
+            if gram:
+                A = (-2.0 * Vs) @ np.swapaxes(X, -1, -2)
+                A += nx[..., None, :]
+                A += nv[..., s:s + step, None]
+                if own is not None:
+                    np.put_along_axis(A, own_rows[..., None], -1.0, axis=-1)
+            for p, col, reach, k, (idx, dist) in zip(pools, cols, reaches, ks, found):
+                if gram:
+                    a, kp = A[..., col], min(k, len(p))
+                    margin = gamma * (nv[..., s:s + step] + reach) + tiny
+                    cand = a <= (np.partition(a, kp - 1, axis=-1)[..., kp - 1] + margin)[..., None]
+                else:
+                    cand = np.ones(Vs.shape[:-1] + (len(p),), dtype=bool)
+                idx[..., s:s + step, :], dist[..., s:s + step, :] = _rerank(
+                    X, rank, p, Vs, cand, k, own_rows)
+    return found
 
 
 def neighbour_table(model: FitModel, queries, k: int):

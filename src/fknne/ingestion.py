@@ -34,12 +34,12 @@ _P2_FAULTS = ("malformed P2 raster: non-numeric pixel value",
               "pixel values must lie in [0, max_val]")
 
 
-def _check_int(name: str, value, least: int) -> None:
+def _check_int(name: str, value, least: int | None = None) -> None:
     """Reject a field ``value`` that is not an integer (numpy's included,
-    bool not) of at least ``least``, naming the field."""
+    bool not) of at least ``least``, if given, naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
 
 
@@ -82,6 +82,7 @@ class GrayImage:
             raise ValueError("pixels must form a non-empty 2-D grid")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("pixel values must be integers")
+        _check_int("max_val", self.max_val)
         max_val = int(self.max_val)
         if not 1 <= max_val <= 65535:
             raise ValueError("max_val must be an integer in [1, 65535]")
@@ -126,8 +127,9 @@ class RoiSpec:
     reference: str | None = None
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+        _check_int("center_x", self.center_x)
+        _check_int("center_y", self.center_y)
+        _check_int("radius", self.radius, 1)
         if self.label not in (BENIGN, MALIGNANT):
             raise ValueError(f"label must be {BENIGN!r} or {MALIGNANT!r}, got {self.label!r}")
         object.__setattr__(self, "id", str(self.id))
@@ -340,8 +342,8 @@ def crop_roi(img: GrayImage, roi: RoiSpec, side: int | None = None) -> GrayImage
         )
     if side is None:
         side = 2 * roi.radius + 1
-    elif side < 1:
-        raise ValueError("side must be a positive integer")
+    else:
+        _check_int("side", side, 1)
     x0 = roi.center_x - (side - 1) // 2
     y0 = roi.center_y - (side - 1) // 2
     x1, y1 = x0 + side, y0 + side

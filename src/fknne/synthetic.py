@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classifiers import Dataset
-from .ingestion import BENIGN, MALIGNANT, GrayImage
+from .ingestion import BENIGN, MALIGNANT, GrayImage, _check_int
 
 
 def two_cluster_dataset(n_per_class: int = 30, n_features: int = 4,
@@ -17,8 +17,8 @@ def two_cluster_dataset(n_per_class: int = 30, n_features: int = 4,
     The default margin dwarfs the spread, so any sane classifier separates
     the classes perfectly; useful as an end-to-end smoke fixture.
     """
-    if n_per_class < 1 or n_features < 1:
-        raise ValueError("n_per_class and n_features must be >= 1")
+    _check_int("n_per_class", n_per_class, 1)
+    _check_int("n_features", n_features, 1)
     rng = np.random.default_rng(seed)
     benign = rng.normal(0.0, spread, size=(n_per_class, n_features))
     malignant = rng.normal(separation, spread, size=(n_per_class, n_features))

@@ -498,6 +498,18 @@ class TestOverflowingFeatureSpan:
         assert predict(model, [span, 1.0]).label == "y"
 
 
+class TestTwoClusterDataset:
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_per_class", 2.5, "n_per_class must be an integer, got 2.5"),
+        ("n_per_class", 0, "n_per_class must be >= 1"),
+        ("n_features", True, "n_features must be an integer, got True"),
+        ("n_features", 0, "n_features must be >= 1"),
+    ])
+    def test_synthetic_sizes_rejected_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            two_cluster_dataset(**{field: value})
+
+
 class TestConfigValidation:
     def test_bad_fuzzifier_rejected(self):
         with pytest.raises(ValueError, match="m must be > 1"):

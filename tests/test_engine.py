@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -273,6 +274,19 @@ def oracle_search(X, rank, V, pools, ks):
                 sel, dist[s:s + len(D)] = oracle_k_smallest(D[:, pool], rank[pool], k)
                 idx[s:s + len(D)] = pool[sel]
     return found
+
+
+@contextmanager
+def spied_masks():
+    """Record each (X, candidate mask) that _search hands _rerank."""
+    masks, rerank = [], fknne.classifiers._rerank
+
+    def spy(X, rank, pool, V, cand, k, own):
+        masks.append((X, cand))
+        return rerank(X, rank, pool, V, cand, k, own)
+
+    with mock.patch.object(fknne.classifiers, "_rerank", spy):
+        yield masks
 
 
 def same_search(got, want) -> bool:
@@ -589,14 +603,13 @@ class TestSearchAgainstExhaustiveOracle:
     @given(searches())
     def test_every_k_matches_the_oracle_bit_for_bit(self, case):
         X, rank, V, pools, scale = case
-        blocks = fknne.classifiers._search_blocks
-        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+        with spied_masks() as masks:
             for k in range(1, max(map(len, pools)) + 2):
                 ks = [k] * len(pools)
                 assert same_search(_search(X, rank, V, pools, ks),
                                    oracle_search(X, rank, V, pools, ks))
-        # Only a squared norm near overflow takes the exhaustive path.
-        assert fallback.called == (scale == "huge")
+        # A squared norm near overflow makes every entry a candidate.
+        assert scale != "huge" or all(cand.all() for _, cand in masks)
 
     @settings(max_examples=300, deadline=None)
     @given(searches(), st.data())
@@ -605,15 +618,14 @@ class TestSearchAgainstExhaustiveOracle:
         # Any rows, in any order, repeats allowed.
         rows = np.array(draw.draw(st.lists(st.integers(0, len(X) - 1), max_size=len(X) + 2)),
                         dtype=np.intp)
-        blocks = fknne.classifiers._search_blocks
-        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+        with spied_masks() as masks:
             for k in range(1, max(map(len, pools)) + 2):
                 ks = [k] * len(pools)
                 got = _search(X, rank, rows, pools, ks)
                 assert same_search(got, oracle_search(X, rank, rows, pools, ks))
                 full = _search(X, rank, None, pools, ks)
                 assert same_search(got, tuple((idx[rows], d[rows]) for idx, d in full))
-        assert fallback.called == (scale == "huge")
+        assert scale != "huge" or all(cand.all() for _, cand in masks)
 
     @settings(max_examples=300, deadline=None)
     @given(searches(), st.data())
@@ -625,14 +637,33 @@ class TestSearchAgainstExhaustiveOracle:
         width = draw.draw(st.integers(0, len(X) + 2))
         rows = np.array(draw.draw(st.lists(st.integers(0, len(X) - 1), min_size=3 * width,
                                            max_size=3 * width)), dtype=np.intp).reshape(3, width)
-        blocks = fknne.classifiers._search_blocks
-        with mock.patch.object(fknne.classifiers, "_search_blocks", wraps=blocks) as fallback:
+        with spied_masks() as masks:
             for k in range(1, max(map(len, pools)) + 2):
                 ks = [k] * len(pools)
                 each = [oracle_search(f, rank, r, pools, ks) for f, r in zip(folds, rows)]
                 assert same_search(_search(folds, rank, rows, pools, ks),
                                    [tuple(map(np.stack, zip(*found))) for found in zip(*each)])
-        assert fallback.called == (scale == "huge")
+        assert scale != "huge" or all(cand.all() for _, cand in masks)
+
+    def test_distinct_rows_prune_candidates_at_k_1(self):
+        # Far from overflow, the margin keeps each row's nearest entry and
+        # few others: every mask holds fewer entries than its pool, so no
+        # ordinary search makes every entry a candidate.
+        rng = np.random.default_rng(3)
+        X, rank = rng.random((60, 5)), rng.permutation(60)
+        pools = [np.arange(60), np.arange(0, 60, 3)]
+        searches = [(X, None), (X, rng.random((9, 5))), (X, np.array([4, 0, 4])),
+                    (np.stack([X, X[::-1]]), np.array([[1, 2], [30, 59]]))]
+        with spied_masks() as masks:
+            for Xs, V in searches:
+                if Xs.ndim == 3:
+                    each = [oracle_search(f, rank, v, pools, [1, 1]) for f, v in zip(Xs, V)]
+                    want = [tuple(map(np.stack, zip(*found))) for found in zip(*each)]
+                else:
+                    want = oracle_search(Xs, rank, V, pools, [1, 1])
+                assert same_search(_search(Xs, rank, V, pools, [1, 1]), want)
+        assert len(masks) == 2 * len(searches)
+        assert all((cand.sum(axis=-1) < cand.shape[-1]).all() for _, cand in masks)
 
     @settings(max_examples=300, deadline=None)
     @given(searches(), st.sampled_from((1, 1 << 8, 1 << 10)))
@@ -661,15 +692,19 @@ class TestSearchAgainstExhaustiveOracle:
             assert done.returncode == 0, done.stderr.decode()
             assert done.stdout == want, f"OPENBLAS_NUM_THREADS={threads}"
 
-    @pytest.mark.parametrize("clusters", [1, 2])
+    @pytest.mark.parametrize("clusters", [1, 2, "near overflow"])
     def test_tied_rows_take_bounded_memory(self, clusters):
         # Every entry of 2000 equal rows is a candidate; in two clusters of
-        # 1000 equal rows, each row has 1000. Either way the candidates are
-        # re-ranked a few rows at a time. A 2000 x 2000 distance matrix alone
-        # would take 32 MB.
+        # 1000 equal rows, each row has 1000. Rows of about +-1.5e153 have
+        # squared norms past a quarter of the largest float, and every entry
+        # is a candidate again. Each way the candidates are re-ranked a few
+        # rows at a time. A 2000 x 2000 distance matrix alone would take 32 MB.
         n = 2000
         X = np.zeros((n, 25))
-        X[::clusters] = 1.0
+        if clusters == "near overflow":
+            X = np.random.default_rng(5).uniform(-1.5e153, 1.5e153, (n, 25))
+        else:
+            X[::clusters] = 1.0
         tracemalloc.start()
         try:
             _search(X, np.arange(n), None, [np.arange(n)], [6])
@@ -989,23 +1024,22 @@ class TestFoldReuse:
     def test_a_renormalized_fold_near_overflow_ranks_every_distance(self, monkeypatch):
         # Normalizing, z is alone at column 0's max, 1e154, and its fold's
         # range there is [0, 1]: z's normalized row has a squared norm of
-        # 1e308, past a quarter of the largest float, so both searches of
-        # that fold rank every distance. Column 1 ties at both ends.
+        # 1e308, past a quarter of the largest float, so both stacked
+        # searches of that fold make every entry a candidate and rank every
+        # distance. Column 1 ties at both ends.
         X = [[0, 1], [0.25, 0.5], [0.5, 0.25], [0.75, 0.75], [1, 0], [0, 0.6], [0.9, 1],
              [1e154, 0.4]]
         data = Dataset(list("abcdefgz"), X, ["benign", "malignant"] * 4)
         cfgs = [ClassifierConfig(kind=kind, k=3, init=init, k_init=k_init)
                 for kind in KINDS for init, k_init in (("crisp", None), ("keller", 1),
                                                         ("keller", 6))]
-        blocks, stacked = fknne.classifiers._search_blocks, []
-
-        def counted_blocks(X, *args):
-            stacked.append(X.ndim == 3)
-            return blocks(X, *args)
-
-        monkeypatch.setattr(fknne.classifiers, "_search_blocks", counted_blocks)
-        reports = list(_cross_validate(data, cfgs, Loocv(), None))
-        assert stacked == [True, True]
+        _, _, searches, _ = self.counting(monkeypatch)
+        with spied_masks() as masks:
+            reports = list(_cross_validate(data, cfgs, Loocv(), None))
+        near = [X for X, _, _, _ in searches if np.abs(X).max() >= 1e154]
+        assert [X.ndim for X in near] == [3, 3]
+        near_masks = [cand for X, cand in masks if any(X is x for x in near)]
+        assert near_masks and all(cand.all() for cand in near_masks)
         for cfg, rep in zip(cfgs, reports):
             self.assert_equals_oracle(rep, data, cfg, Loocv())
 

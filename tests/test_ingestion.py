@@ -106,6 +106,17 @@ class TestReadPgm:
 
 
 class TestGrayImagePixels:
+    @pytest.mark.parametrize("max_val", [255.9, 255.0, True, "255"])
+    def test_non_integer_max_val_rejected_naming_the_field(self, max_val):
+        with pytest.raises(ValueError, match=f"^max_val must be an integer, got {re.escape(repr(max_val))}$"):
+            GrayImage([[0, 1]], max_val)
+
+    def test_numpy_integer_max_val_kept_as_int(self):
+        img = GrayImage([[0, 1]], np.uint16(300))
+        assert img.max_val == 300 and type(img.max_val) is int
+        with pytest.raises(ValueError, match=r"^max_val must be an integer in \[1, 65535\]$"):
+            GrayImage([[0, 1]], np.int64(0))
+
     def test_read_only_in_the_smallest_unsigned_dtype(self):
         for max_val, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
                                (65535, np.uint16)):
@@ -247,6 +258,21 @@ class TestParseMiasIndex:
         with pytest.raises(ValueError, match="^line 2: radius must be >= 1"):
             parse_mias_index("mdb001 G CIRC B 1 2 3\nmdb002 G CIRC B 1 2 0\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("center_x", 1.7), ("center_y", 2.2), ("radius", 3.9), ("radius", "x"),
+        ("center_x", True), ("radius", np.float64(3.0)),
+    ])
+    def test_non_integer_roi_field_rejected_naming_it(self, field, value):
+        fields = dict(center_x=1, center_y=2, radius=3)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            RoiSpec("a", label=BENIGN, **fields)
+
+    def test_numpy_integer_roi_fields_kept_as_int(self):
+        roi = RoiSpec("a", np.int32(1), np.int64(-2), np.uint8(3), BENIGN)
+        assert (roi.center_x, roi.center_y, roi.radius) == (1, -2, 3)
+        assert {type(v) for v in (roi.center_x, roi.center_y, roi.radius)} == {int}
+
     def test_custom_image_height(self):
         (roi,) = parse_mias_index("mdb001 G CIRC B 5 3 2", image_height=10)
         assert roi.center_y == 10 - 1 - 3
@@ -288,6 +314,20 @@ class TestCropRoi:
         img = GrayImage(pix, 255)
         crop = crop_roi(img, RoiSpec("r", 6, 4, 3, MALIGNANT))
         assert np.array_equal(crop.pixels, pix[1:8, 3:10])
+
+    @pytest.mark.parametrize("side, message", [
+        (2.5, "side must be an integer, got 2.5"), (True, "side must be an integer, got True"),
+        (0, "side must be >= 1"),
+    ])
+    def test_bad_side_rejected_naming_the_field(self, side, message):
+        img = GrayImage(np.zeros((20, 20), dtype=int), 255)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            crop_roi(img, RoiSpec("r", 10, 10, 8, BENIGN), side=side)
+
+    def test_numpy_integer_side_accepted(self):
+        img = GrayImage(np.zeros((20, 20), dtype=int), 255)
+        crop = crop_roi(img, RoiSpec("r", 10, 10, 8, BENIGN), side=np.int64(5))
+        assert (crop.width, crop.height) == (5, 5)
 
     def test_explicit_side_overrides_radius(self):
         img = GrayImage(np.zeros((20, 20), dtype=int), 255)
