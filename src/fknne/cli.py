@@ -256,15 +256,7 @@ def _add_protocol_flags(p):
     p.add_argument("--seed", type=int, default=0, help="shuffling seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fknne",
-        description="Texture feature extraction and nearest-neighbour "
-                    "classification for benign/malignant mass ROIs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="extract texture features from PGM images")
+def _add_extract_flags(p):
     p.add_argument("--images", required=True, help="directory of <ref>.pgm files")
     p.add_argument("--index", required=True, help="annotation index file")
     p.add_argument("--out", default=None, help="output feature CSV path")
@@ -275,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="square ROI side in pixels (default: 2*radius+1)")
     p.add_argument("--image-height", type=int, default=1024, dest="image_height",
                    help="image height used to flip index y coordinates")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("eval", help="evaluate one classifier on a feature CSV")
+
+def _add_eval_flags(p):
     p.add_argument("--features", required=True, help="feature CSV path")
     _add_classifier_flags(p)
     _add_protocol_flags(p)
     p.add_argument("--out-json", default=None, dest="out_json")
     p.add_argument("--out-roc", default=None, dest="out_roc")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="compare several classifiers on one CSV")
+
+def _add_compare_flags(p):
     p.add_argument("--features", required=True, help="feature CSV path")
     p.add_argument("--methods", default=",".join(KINDS),
                    help="comma-separated subset of knn,fknn,knne,fknne")
@@ -294,22 +286,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_classifier_flags(p, with_method=False)
     _add_protocol_flags(p)
     p.add_argument("--out-json", default=None, dest="out_json")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", help="write the bundled synthetic two-cluster CSV")
+
+def _add_synth_flags(p):
     p.add_argument("--out", default=None, help="output feature CSV path")
     p.add_argument("--n-per-class", type=int, default=30, dest="n_per_class")
     p.add_argument("--dim", type=int, default=4, help="feature count")
     p.add_argument("--separation", type=float, default=8.0)
     p.add_argument("--spread", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_synth)
 
+
+_COMMANDS = {
+    "extract": ("extract texture features from PGM images", _add_extract_flags, cmd_extract),
+    "eval": ("evaluate one classifier on a feature CSV", _add_eval_flags, cmd_eval),
+    "compare": ("compare several classifiers on one CSV", _add_compare_flags, cmd_compare),
+    "synth": ("write the bundled synthetic two-cluster CSV", _add_synth_flags, cmd_synth),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The fknne parser, with every subcommand; only ``command``'s flags are
+    added, or every subcommand's when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="fknne",
+        description="Texture feature extraction and nearest-neighbour "
+                    "classification for benign/malignant mass ROIs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if command in (None, name):
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # argument not starting with '-' is the one argparse dispatches on.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

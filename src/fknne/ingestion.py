@@ -301,6 +301,7 @@ def parse_mias_index(text: str, image_height: int = 1024) -> list[RoiSpec]:
     still repeats one parsed before is rejected with its line. Each ROI
     keeps its reference, which names its image.
     """
+    _check_int("image_height", image_height, 1)
     specs = []
     seen: dict[str, int] = {}
     ids: set[str] = set()

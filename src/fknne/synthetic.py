@@ -34,6 +34,13 @@ def textured_image(width: int = 32, height: int = 32, levels: int = 256,
                    smoothness: int = 4, seed: int = 0) -> GrayImage:
     """A random grayscale patch with local correlation, handy for demos and
     PGM fixtures. Larger ``smoothness`` gives coarser texture."""
+    for name, value, least in (("width", width, 1), ("height", height, 1),
+                               ("levels", levels, 2), ("smoothness", smoothness, 1)):
+        _check_int(name, value, least)
+    # As Python ints: a numpy unsigned one would wrap in the ceiling division below.
+    width, height, levels, smoothness = int(width), int(height), int(levels), int(smoothness)
+    if levels > 65536:
+        raise ValueError("levels must be <= 65536")
     rng = np.random.default_rng(seed)
     coarse = rng.integers(0, levels, size=(-(-height // smoothness),
                                            -(-width // smoothness)))

@@ -19,6 +19,7 @@ from fknne import (
     kneighbors,
     predict,
     predict_many,
+    textured_image,
     two_cluster_dataset,
 )
 from fknne.classifiers import keller_from_neighbours, neighbour_table
@@ -508,6 +509,28 @@ class TestTwoClusterDataset:
     def test_synthetic_sizes_rejected_naming_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             two_cluster_dataset(**{field: value})
+
+
+class TestTexturedImage:
+    @pytest.mark.parametrize("field, value, message", [
+        ("width", 2.5, "width must be an integer, got 2.5"),
+        ("width", 0, "width must be >= 1"),
+        ("height", True, "height must be an integer, got True"),
+        ("height", "8", "height must be an integer, got '8'"),
+        ("levels", 1, "levels must be >= 2"),
+        ("levels", 300.0, "levels must be an integer, got 300.0"),
+        ("levels", 65537, "levels must be <= 65536"),
+        ("smoothness", 0, "smoothness must be >= 1"),
+        ("smoothness", 1.5, "smoothness must be an integer, got 1.5"),
+    ])
+    def test_bad_field_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            textured_image(**{field: value})
+
+    def test_numpy_integer_fields_and_the_level_bounds_accepted(self):
+        img = textured_image(np.int64(5), np.uint8(3), levels=np.int32(2), smoothness=np.int16(2))
+        assert (img.width, img.height, img.max_val) == (5, 3, 1)
+        assert textured_image(4, 4, levels=65536).max_val == 65535
 
 
 class TestConfigValidation:

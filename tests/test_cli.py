@@ -1,12 +1,15 @@
 """End-to-end command behavior: artifacts, determinism and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import re
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,19 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fknne.cli
+import fknne.formats
 from fknne import (
+    KINDS,
+    ClassifierConfig,
+    ConfusionCounts,
     Dataset,
+    EvaluationReport,
+    FoldResult,
+    Holdout,
+    KFold,
+    Loocv,
+    RocCurve,
     crop_roi,
     extract_all,
     feature_csv_text,
     parse_mias_index,
     read_feature_csv,
     read_pgm,
+    report_json_text,
     two_cluster_dataset,
     write_feature_csv,
     write_pgm,
 )
-from fknne.cli import main
+from fknne.cli import build_parser, main
 from fknne.formats import feature_rows_text
 from fknne.synthetic import textured_image
 from fknne.texture import FEATURE_NAMES
@@ -515,3 +529,200 @@ class TestFeatureCsv:
             read_feature_csv(p)
         assert main(["eval", "--features", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}:3: not UTF-8 text (byte 0xd8)\n"
+
+
+def _read_outcome(path):
+    """read_feature_csv's Dataset as (ids, labels, names, X bytes), or its
+    error: a ValueError's message, or a csv.Error's (a NUL byte on Python
+    3.10, a field past the field size limit)."""
+    try:
+        data = read_feature_csv(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return data.ids, data.labels, data.feature_names, data.X.tobytes()
+
+
+# Values the C reader and float() may disagree on, or that either rejects.
+_VALUE_TOKENS = ("0.5", "-0", "1e-3", "2.5E+2", ".5", "7.", "inf", "-Infinity", "nan", "+nan",
+                 "1e400", "-1e400", "1_0", "\u0661", "\u0663.\u0665", " 2 ", "\t3", "3\x0b",
+                 "\xa04", "", " ", "0x1f", "1\x1c", "\x1f2", "1e", "\u22121", "1 2")
+# Single characters a mutation inserts: CSV syntax, line breaks and value text.
+_MUTATIONS = ('"', "\r\n", "\r", "\n", "\n\n", ",", "\x00", "\x1c", "_", " ", "\u0661", "e",
+              "-", ".", "\xe9")
+
+
+@st.composite
+def feature_csv_texts(draw):
+    """A feature CSV of 1-4 rows and 1-3 features, then a few inserted
+    characters. About one in six takes the C reader; the rest hold a
+    character it is never given, or a line or value it declines."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(("a", "b", "c", "\u00e9", "a b")), min_size=d,
+                          max_size=d))
+    good = st.floats().map(repr)
+    value = st.one_of(good, good, good, good, st.sampled_from(_VALUE_TOKENS))
+    lines = [",".join(["id", "label"] + names)]
+    for _ in range(n):
+        cells = [draw(st.sampled_from(("x", "\u00e9", "r 1"))) + draw(st.sampled_from("01234567")),
+                 draw(st.sampled_from(("benign", "malignant")))]
+        cells += [draw(value) for _ in range(d)]
+        if draw(st.sampled_from((False,) * 9 + (True,))):
+            cells[-1] = f'"{cells[-1]}"'
+        lines.append(",".join(cells))
+    text = draw(st.sampled_from(("\n",) * 5 + ("\r\n",))).join(lines) + draw(
+        st.sampled_from(("\n", "\n", "\n", "", "\n\n")))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from(_MUTATIONS)) + text[pos:]
+    return text
+
+
+class TestFeatureCsvFastPath:
+    """read_feature_csv parses an unquoted, LF-only file with np.loadtxt and
+    any other through csv.reader; both give one Dataset or one error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(feature_csv_texts())
+    def test_same_dataset_or_error_as_the_csv_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = _read_outcome(path)
+            with mock.patch.object(fknne.formats, "_loadtxt_rows", return_value=None):
+                oracle = _read_outcome(path)
+        assert fast == oracle
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("text", [
+        "id,label,a,b\nx,benign,1,2\ny,malignant,-0,3e-7\n",
+        "id,label,a\n\u00e9,benign, 1 \ny,malignant,\t2",
+        "id,label,a\nx,benign,1\ny,malignant,inf\n",
+        "id,label,a\n",
+    ])
+    def test_unquoted_lf_files_take_the_c_reader(self, text, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        oracle = _read_outcome(path)
+        with mock.patch.object(fknne.formats, "_csv_rows", wraps=fknne.formats._csv_rows) as spy:
+            assert _read_outcome(path) == oracle
+        # A file without data rows is left to csv.reader, which names the fault.
+        assert spy.called == (text == "id,label,a\n")
+
+    def test_a_fault_before_the_first_non_utf8_byte_is_reported(self, tmp_path):
+        # Past the first 8 KiB a text stream has not decoded the bad byte yet.
+        rows = b"".join(b"r%d,benign,1\n" % i for i in range(3000))
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"id,label,a\nx,benign,1\nx,malignant,2\n" + rows + b"y,b\xd8,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: duplicate id 'x'"):
+            read_feature_csv(path)
+        path.write_bytes(b"id,label,a\nx,benign,1\n" + rows + b"y,b\xd8,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3003: not UTF-8 text"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        'id,label,a\nx,benign,"1"\n',
+        "id,label,a\r\nx,benign,1\r\n",
+        "id,label,a\nx,benign,1\n\ny,malignant,2\n",
+        "id,label,a\nx,benign,1_0\n",
+        "id,label,a\nx,benign,\u0661\n",
+        "id,label,a,b\nx,benign,,1\n",
+        "id,label,a\nx,benign,1\x1c\n",
+        "id,label,a\nx\x00,benign,1\n",
+        "id,label,a\nx,benign\n",
+        "id,label,a\nx,benign,1,2\n",
+        "id,label,a\nx,benign,1\nx,malignant,2\n",
+        pytest.param("id,label,a\n" + "x" * 131073 + ",benign,1\n", id="field-past-limit"),
+    ])
+    def test_other_files_go_through_csv_reader(self, text, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(fknne.formats, "_csv_rows", wraps=fknne.formats._csv_rows) as spy:
+            outcome = _read_outcome(path)
+        assert spy.called
+        with mock.patch.object(fknne.formats, "_loadtxt_rows", return_value=None):
+            assert outcome == _read_outcome(path)
+
+
+_NAMES = st.text(st.characters(codec="utf-8"), max_size=5) | st.sampled_from(
+    ('folds": []', '\n  "folds": []', "\\", '"', "\u00e9\u4e2d"))
+# Classes of values equal under == that print apart.
+_EQUAL_RATES = ((None,), (0, 0.0, -0.0, False), (1, 1.0, True, np.float64(1.0)),
+                (0.5, np.float64(0.5)), (float("nan"),))
+
+
+@st.composite
+def evaluation_reports(draw):
+    """A report whose folds repeat a few distinct ones, as a LOOCV report's
+    do. In half the reports the distinct folds share a class of
+    _EQUAL_RATES per rate and one of two confusions, so folds equal as
+    dicts often print apart."""
+    if draw(st.booleans()):
+        counts = st.sampled_from((ConfusionCounts(1, 0, 0, 0), ConfusionCounts(0, 0, 1, 0)))
+        rates = [st.sampled_from(draw(st.sampled_from(_EQUAL_RATES))) for _ in range(3)]
+    else:
+        counts = st.builds(ConfusionCounts, *[st.integers(0, 3)] * 4)
+        rates = [st.none() | st.floats()] * 3
+    distinct = draw(st.lists(st.builds(FoldResult, counts, *rates), min_size=1, max_size=5))
+    rate = lambda: draw(st.none() | st.floats())  # noqa: E731
+    return EvaluationReport(
+        config=ClassifierConfig(kind=draw(st.sampled_from(KINDS)), k=draw(st.integers(1, 9)),
+                                init=draw(st.sampled_from(("crisp", "keller")))),
+        protocol=draw(st.sampled_from((Loocv(), KFold(3, 1), Holdout(0.25, 2)))),
+        positive_class=draw(_NAMES),
+        pooled=draw(counts),
+        sensitivity=rate(), specificity=rate(), accuracy=rate(),
+        roc=RocCurve(((0.0, 0.0, 1.0), (1.0, 1.0, 0.0)), 0.5),
+        auc=rate(),
+        averaged={"sensitivity": rate(), "specificity": rate(), "accuracy": rate()},
+        folds=tuple(draw(st.lists(st.sampled_from(distinct), max_size=12))),
+        predictions=(),  # not in the JSON, so no id is either
+    )
+
+
+class TestReportJsonFolds:
+    """report_json_text renders each distinct fold once and reuses its text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation_reports(), st.none() | st.lists(_NAMES, max_size=4))
+    def test_text_is_json_dumps_of_the_report(self, report, features):
+        obj = report.to_dict() | ({} if features is None else {"features": features})
+        assert report_json_text(report, features) == json.dumps(
+            obj, indent=2, sort_keys=True) + "\n"
+
+
+_USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text(
+    encoding="utf-8"))
+
+
+class TestUsageText:
+    """Help and usage errors, recorded from the parser that added every
+    subcommand's flags on each call, at 80 columns."""
+
+    @pytest.mark.parametrize("case", _USAGE, ids=lambda c: " ".join(c["argv"]) or "no-args")
+    def test_matches_the_recorded_text(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("command, argv", [
+        ("extract", ["--images", "i", "--index", "x.txt", "--side", "9"]),
+        ("eval", ["--features", "f.csv", "--protocol", "loocv", "--init", "keller"]),
+        ("compare", ["--features", "f.csv", "--k-sweep", "1,3", "--no-normalize"]),
+        ("synth", ["--dim", "2"]),
+    ])
+    def test_one_subcommand_parser_parses_and_helps_as_the_full_one(self, command, argv):
+        helps = []
+        for parser in (build_parser(command), build_parser()):
+            with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(out.getvalue())
+        assert helps[0] == helps[1]
+        assert build_parser(command).parse_args([command] + argv) == build_parser().parse_args(
+            [command] + argv)

@@ -277,6 +277,20 @@ class TestParseMiasIndex:
         (roi,) = parse_mias_index("mdb001 G CIRC B 5 3 2", image_height=10)
         assert roi.center_y == 10 - 1 - 3
 
+    @pytest.mark.parametrize("value, message", [
+        (True, "image_height must be an integer, got True"),
+        (10.0, "image_height must be an integer, got 10.0"),
+        ("10", "image_height must be an integer, got '10'"),
+        (0, "image_height must be >= 1"),
+    ])
+    def test_bad_image_height_rejected_naming_it(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_mias_index("mdb001 G CIRC B 5 3 2", image_height=value)
+
+    def test_numpy_integer_image_height_accepted(self):
+        (roi,) = parse_mias_index("mdb001 G CIRC B 5 3 2", image_height=np.int64(10))
+        assert roi.center_y == 6 and type(roi.center_y) is int
+
     def test_repeated_reference_gets_unique_ids(self):
         text = "mdb005 F CIRC B 477 133 30\nmdb005 F CIRC B 500 168 26\n"
         specs = parse_mias_index(text)
