@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import mmap
 import os
 import sys
 from pathlib import Path
@@ -45,12 +46,31 @@ def _out_path(explicit, default_name: str) -> Path:
     return Path(os.environ.get("FKNNE_OUT", ".")) / default_name
 
 
+def _image_data(path: Path):
+    """The bytes of image file ``path``: a read-only memory map when the file
+    starts with the P5 magic, so only the pages of the rows cropped are read,
+    else the whole file. A file the kernel does not map (a pipe, a device) is
+    read whole. The map is unmapped when its last view is freed."""
+    with open(path, "rb", buffering=0) as f:
+        head = f.read(2)
+        if head == b"P5":
+            try:
+                return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            except OSError:
+                pass
+        if not f.seekable():
+            return head + f.readall()
+        # Read from the start: joining the head to the rest would copy the file.
+        f.seek(0)
+        return f.readall()
+
+
 def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
     """Read one image once and extract every ROI on it: per ROI id, its
     feature values and None, or None and the failure message. The image is
     freed on return, so one raster is held at a time."""
     try:
-        img = read_pgm(path.read_bytes())
+        img = read_pgm(_image_data(path))
     except (OSError, ValueError) as exc:
         return {roi.id: (None, str(exc)) for roi in rois}
     results = {}

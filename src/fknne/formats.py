@@ -75,10 +75,22 @@ def _feature_names(path, header) -> tuple:
     return names
 
 
+def _records(path, lines):
+    """csv.reader's records of ``lines``. A record it cannot read (a field
+    over csv.field_size_limit(), or a NUL byte before Python 3.11) raises
+    ValueError naming the path and its line, counted as records are."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=1):
+            yield row
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{lineno + 1}: {exc}") from None
+
+
 def _csv_rows(path, lines):
     """(names, ids, labels, X, line of each row) of a feature CSV's lines,
     read by csv.reader: any RFC-4180 file, blank lines skipped."""
-    reader = csv.reader(lines)
+    reader = _records(path, lines)
     try:
         header = next(reader)
     except StopIteration:

@@ -244,6 +244,8 @@ def read_pgm(data: bytes) -> GrayImage:
     '#' comments are allowed anywhere in the header. P5 raster values are
     one byte per pixel, or two bytes big-endian when max_val > 255. P2 and
     P5 encodings of the same content parse to equal GrayImage values.
+    ``data`` may be any bytes-like buffer. An 8-bit P5 image's pixels are a
+    view of it, so of a memory-mapped file only the pixels used are read.
     """
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
@@ -272,9 +274,11 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"truncated P5 pixel data: expected {nbytes} bytes, got {len(data) - pos}"
             )
         # A read-only view of the bytes; GrayImage keeps 8-bit rasters as they
-        # are and byte-swaps 16-bit ones into one native copy.
+        # are and byte-swaps 16-bit ones into one native copy. No scan when the
+        # dtype cannot exceed max_val (uint8 at 255, uint16 at 65535), so only
+        # the rows a caller reads are touched.
         pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-        if pixels.max() > max_val:
+        if max_val < np.iinfo(dtype).max and pixels.max() > max_val:
             raise ValueError("pixel value exceeds declared max_val")
     return GrayImage(pixels.reshape(height, width), max_val)
 

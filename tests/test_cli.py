@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import mmap
+import os
 import re
 import tempfile
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -219,7 +222,8 @@ class TestExtractReadsEachImageOnce:
         def counting_read(data):
             # The image read before this one has already been freed.
             assert all(ref() is None for ref in alive)
-            reads.append(data)
+            # A P5 image comes as a memory map, which never equals bytes.
+            reads.append(bytes(data))
             img = real_read(data)
             alive.append(weakref.ref(img.pixels))
             return img
@@ -250,7 +254,27 @@ class TestExtractReadsEachImageOnce:
 
 
 _FUZZ_IMAGE = write_pgm(textured_image(24, 24, seed=9))
-_FUZZ_INDEX = "img G CIRC B 12 11 6\nimg G CIRC M 6 6 3\n"
+# Rows 20 and 11 of a 24-row image, at --image-height 32.
+_FUZZ_INDEX = "img G CIRC B 12 11 6\nimg G CIRC M 6 20 3\n"
+
+
+def extract_outcome(tmp):
+    """Exit code, stdout, stderr and output file bytes of extract over the
+    images and index.txt in ``tmp``, twice: as the command reads images
+    (a P5 file through a memory map) and with every image read whole, as
+    Path.read_bytes reads it. Output files are removed after each run."""
+    outcomes = []
+    for read in (fknne.cli._image_data, Path.read_bytes):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(fknne.cli, "_image_data", read), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(extract_args(tmp, tmp / "index.txt", tmp / "features.csv"))
+        files = {}
+        for path in sorted(tmp.glob("features.csv*")):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        outcomes.append((code, out.getvalue(), err.getvalue(), files))
+    return outcomes
 
 
 class TestExtractMutatedImage:
@@ -266,21 +290,105 @@ class TestExtractMutatedImage:
             tmp = Path(tmp)
             (tmp / "img.pgm").write_bytes(bytes(data[:keep]))
             (tmp / "index.txt").write_text(_FUZZ_INDEX)
-            out = tmp / "features.csv"
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(extract_args(tmp, tmp / "index.txt", out))
-            if code == 0:
-                assert read_feature_csv(out).ids == ("img", "img-2")
-                return
-            assert code == 2
-            partial = out.with_name("features.csv.partial").read_text(encoding="utf-8")
-            written = [line.split(",", 1)[0] for line in partial.splitlines()[1:]]
-            failed = [sid for sid in ("img", "img-2") if sid not in written]
-            lines = err.getvalue().splitlines()
-            assert [line.split(": ", 1)[0] for line in lines[:-1]] == [
-                f"failed {sid}" for sid in failed]
-            assert lines[-1] == f"{len(failed)} of 2 ROIs failed"
+            mapped, whole = extract_outcome(tmp)
+        # A mutation that keeps the P5 magic is read through the map.
+        assert mapped == whole
+        code, _, err, files = mapped
+        assert list(files) == ["features.csv" if code == 0 else "features.csv.partial"]
+        lines = next(iter(files.values())).decode("utf-8").splitlines()
+        written = [line.split(",", 1)[0] for line in lines[1:]]
+        if code == 0:
+            assert written == ["img", "img-2"]
+            return
+        assert code == 2
+        failed = [sid for sid in ("img", "img-2") if sid not in written]
+        lines = err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines[:-1]] == [
+            f"failed {sid}" for sid in failed]
+        assert lines[-1] == f"{len(failed)} of 2 ROIs failed"
+
+
+def _p5_with_pixel(img, value):
+    """img's P5 bytes with its last pixel set to ``value``."""
+    data = bytearray(write_pgm(img))
+    width = 1 if img.max_val <= 255 else 2
+    data[-width:] = value.to_bytes(width, "big")
+    return bytes(data)
+
+
+_IMAGE_FILES = {
+    "empty": b"",
+    "magic only": b"P5",
+    "P5 header only": b"P5\n24 24\n255\n",
+    "truncated P5": _FUZZ_IMAGE[:-100],
+    "P2": write_pgm(textured_image(24, 24, seed=9), binary=False),
+    "8-bit P5 at max_val 255": _FUZZ_IMAGE,
+    "8-bit P5 above max_val 200": _p5_with_pixel(textured_image(24, 24, levels=201, seed=2),
+                                                 255),
+    "16-bit P5 at max_val 4095": write_pgm(textured_image(24, 24, levels=4096, seed=5)),
+    "16-bit P5 above max_val 4095": _p5_with_pixel(
+        textured_image(24, 24, levels=4096, seed=5), 4096),
+    "16-bit P5 at max_val 65535": write_pgm(textured_image(24, 24, levels=65536, seed=6)),
+}
+
+
+class TestExtractMappedRead:
+    """extract reads a file that starts with the P5 magic through a memory
+    map and any other whole; the output, messages and exit code are those
+    of reading every image whole."""
+
+    @pytest.mark.parametrize("name", sorted(_IMAGE_FILES))
+    def test_same_outcome_as_reading_the_file_whole(self, tmp_path, name):
+        (tmp_path / "img.pgm").write_bytes(_IMAGE_FILES[name])
+        (tmp_path / "index.txt").write_text(_FUZZ_INDEX)
+        mapped, whole = extract_outcome(tmp_path)
+        assert mapped == whole
+        expect_ok = name in ("P2", "8-bit P5 at max_val 255", "16-bit P5 at max_val 4095",
+                             "16-bit P5 at max_val 65535")
+        assert mapped[0] == (0 if expect_ok else 2)
+
+    def test_directory_named_as_the_image(self, tmp_path):
+        (tmp_path / "img.pgm").mkdir()
+        (tmp_path / "index.txt").write_text(_FUZZ_INDEX)
+        mapped, whole = extract_outcome(tmp_path)
+        assert mapped == whole
+        assert mapped[0] == 2 and "Is a directory" in mapped[2]
+
+    def test_an_8_bit_p5_image_is_a_view_of_its_map(self, tmp_path, monkeypatch):
+        for ref, seed in (("a", 1), ("b", 2)):
+            (tmp_path / f"{ref}.pgm").write_bytes(write_pgm(textured_image(24, 24, seed=seed)))
+        (tmp_path / "index.txt").write_text("a G CIRC B 12 11 6\nb G CIRC M 6 20 3\n")
+        real_read = fknne.cli.read_pgm
+        maps = []
+
+        def mapped_read(data):
+            assert isinstance(data, mmap.mmap)
+            # The map read before this one has been let go.
+            assert all(ref() is None for ref in maps)
+            maps.append(weakref.ref(data))
+            img = real_read(data)
+            base = img.pixels
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert base.obj is data  # a memoryview of the map
+            return img
+
+        monkeypatch.setattr(fknne.cli, "read_pgm", mapped_read)
+        assert main(extract_args(tmp_path, tmp_path / "index.txt",
+                                 tmp_path / "features.csv")) == 0
+        assert len(maps) == 2 and maps[-1]() is None
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        fifo = tmp_path / "img.pgm"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(_FUZZ_IMAGE,))
+        writer.start()
+        try:
+            data = fknne.cli._image_data(fifo)
+        finally:
+            writer.join()
+        assert type(data) is bytes and data == _FUZZ_IMAGE
 
 
 class TestEval:
@@ -530,14 +638,25 @@ class TestFeatureCsv:
         assert main(["eval", "--features", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}:3: not UTF-8 text (byte 0xd8)\n"
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_past_the_size_limit_exits_2_naming_the_line(self, tmp_path, capsys, line):
+        lines = ["id,label,a", "x,benign,1", "y,malignant,2"]
+        lines[line - 1] = "z" * csv.field_size_limit() + lines[line - 1]  # the first field too long
+        p = tmp_path / "long.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--features", str(p)]) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {p}:{line}: field larger than field limit ({limit})\n")
+
 
 def _read_outcome(path):
     """read_feature_csv's Dataset as (ids, labels, names, X bytes), or its
-    error: a ValueError's message, or a csv.Error's (a NUL byte on Python
-    3.10, a field past the field size limit)."""
+    ValueError's message (a NUL byte on Python 3.10 and a field past the
+    field size limit included)."""
     try:
         data = read_feature_csv(path)
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
     return data.ids, data.labels, data.feature_names, data.X.tobytes()
 

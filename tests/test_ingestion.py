@@ -727,3 +727,50 @@ class TestP2RasterMemory:
         outcome, peak = self.traced_peak(b"P2 %d %d 255 1 2 3" % (side, side))
         assert str(outcome) == f"truncated P2 pixel data: expected {side * side} values, got 3"
         assert peak < 1 << 20, peak
+
+
+def _p5_range_oracle(data):
+    """read_pgm's P5 outcome with the raster's range always scanned."""
+    header = re.match(rb"P5\n(\d+) (\d+)\n(\d+)\n", data)
+    width, height, max_val = map(int, header.groups())
+    values = np.frombuffer(data, dtype=">u1" if max_val <= 255 else ">u2",
+                           offset=header.end())
+    if values.max() > max_val:
+        return ValueError("pixel value exceeds declared max_val")
+    return GrayImage(values.astype(np.int64).reshape(height, width), max_val)
+
+
+class TestP5RangeScan:
+    """read_pgm skips the P5 range scan where the dtype cannot exceed
+    max_val (uint8 at 255, uint16 at 65535) and scans at every other
+    max_val."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_always_scanning_oracle(self, data):
+        max_val = data.draw(st.sampled_from((1, 200, 254, 255, 256, 4095, 65534, 65535))
+                            | st.integers(1, 65535))
+        dtype = np.dtype(">u1" if max_val <= 255 else ">u2")
+        width, height = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        pixel = st.integers(0, max_val) | st.integers(max_val, np.iinfo(dtype).max)
+        raster = np.array(data.draw(st.lists(pixel, min_size=width * height,
+                                             max_size=width * height)), dtype=dtype)
+        pgm = f"P5\n{width} {height}\n{max_val}\n".encode() + raster.tobytes()
+        new, old = _read_pgm_outcome(pgm), _p5_range_oracle(pgm)
+        if isinstance(old, ValueError):
+            assert isinstance(new, ValueError) and str(new) == str(old)
+        else:
+            assert new == old and new.pixels.dtype == dtype.newbyteorder("=")
+
+    @pytest.mark.parametrize("max_val", [255, 65535])
+    def test_every_value_of_the_dtype_loads(self, max_val):
+        values = np.arange(max_val + 1).reshape(-1, 256)
+        assert read_pgm(write_pgm(GrayImage(values, max_val))) == GrayImage(values, max_val)
+
+    @pytest.mark.parametrize("max_val", [1, 127, 254, 256, 4095, 65534])
+    def test_a_pixel_above_max_val_below_the_dtype_maximum_raises(self, max_val):
+        width = 1 if max_val <= 255 else 2
+        data = bytearray(write_pgm(GrayImage(np.zeros((3, 4), np.int64), max_val)))
+        data[-5 * width : -4 * width] = (max_val + 1).to_bytes(width, "big")
+        with pytest.raises(ValueError, match="^pixel value exceeds declared max_val$"):
+            read_pgm(bytes(data))
