@@ -131,6 +131,8 @@ def _loadtxt_rows(path, text):
     names = _feature_names(path, lines[0].split(","))
     try:
         ids, labels, values = zip(*[line.split(",", 2) for line in lines[1:]])
+        if "" in values:  # loadtxt skips an empty line, warning when all are
+            return None
         X = np.loadtxt(values, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:  # a line of fewer than three fields, or a value loadtxt rejects
         return None
