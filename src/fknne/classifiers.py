@@ -148,6 +148,8 @@ class ClassifierConfig:
         _check_real("m", self.m)
         if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
+        if self.m == np.inf:  # not np.isfinite, which raises on an int past float range
+            raise ValueError("fuzzifier m must be finite")
         if self.init not in ("crisp", "keller"):
             raise ValueError("init must be 'crisp' or 'keller'")
         if self.k_init is not None:

@@ -137,6 +137,8 @@ def _classifier_config(args, kind: str, k: int) -> ClassifierConfig:
     _check_int("--k", k, 1)
     if not args.m > 1.0:
         raise ValueError("--m must be > 1")
+    if not math.isfinite(args.m):
+        raise ValueError("--m must be finite")
     if args.k_init is not None:
         _check_int("--k-init", args.k_init, 1)
     return ClassifierConfig(

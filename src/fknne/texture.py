@@ -12,13 +12,17 @@ The GLDM is the |i-j| marginal of the GLCM's integer pair counts, so
 the paper's 25-feature schema, and so every distance, includes them.
 
 ``extract_all`` averages them over the four standard directions into one
-fixed-schema feature vector per image. Each direction's pair counts and run
-marginals (runs per gray and per length) are counted from pixels coded once as
-``gray * levels``; the statistics of all four then come from one pass over the
-stacks, the code the public ``*_features`` run on a stack of one. Stacked forms
-keep the bits of one matrix alone: one bincount over row-offset codes, sums over
-the contiguous last axis, (n, 1, g) @ (g, 1) matmuls (one BLAS dot per row), and
-one reduce per row for the ragged sums over positive entries.
+fixed-schema feature vector per image. Each direction's runs are found once and
+kept only as marginals (runs per gray and per length) and a table of consecutive
+run pairs. At distance 1 every co-occurring pixel pair is two neighbours on one
+run line, so that table also gives the direction's pair counts: pairs of
+different grays are run boundaries, and pairs of gray g number its pixels minus
+its runs. At larger distances the pairs are counted from pixels coded once as
+``gray * levels``. The statistics of all four directions then come from one pass
+over the stacks, the code the public ``*_features`` run on a stack of one.
+Stacked forms keep the bits of one matrix alone: one bincount over row-offset
+codes, sums over the contiguous last axis, (n, 1, g) @ (g, 1) matmuls (one BLAS
+dot per row), and one reduce per row for the ragged sums over positive entries.
 """
 
 from __future__ import annotations
@@ -168,23 +172,35 @@ def _grids(g: int, n: int = 1) -> SimpleNamespace:
                            k2=i**2, k2_1=i**2 + 1.0, grays=i + 1.0)
 
 
-def _coded(img: GrayImage) -> tuple[np.ndarray, np.ndarray, int]:
-    """The pixels, their uint16 codes gray * levels (below 4096) and the level count."""
+def _levels(img: GrayImage) -> int:
+    """The level count of a quantized image, at most 64."""
     levels = img.max_val + 1
     if levels > _MAX_LEVELS:
         raise ValueError(f"image must be quantized to <= {_MAX_LEVELS} levels")
+    return levels
+
+
+def _coded(img: GrayImage) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pixels, their uint16 codes gray * levels (below 4096) and the level count."""
+    levels = _levels(img)
     return img.pixels, np.multiply(img.pixels, levels, dtype=np.uint16), levels
+
+
+def _window(shape: tuple[int, int], dx: int, dy: int) -> tuple[int, int, int, int]:
+    """Rows y0:y1 and columns x0:x1 of the pixels p with p + (dx, dy) in the image."""
+    h, w = shape
+    x0, x1 = max(0, -dx), w - max(0, dx)
+    y0, y1 = max(0, -dy), h - max(0, dy)
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError("empty co-occurrence: no pixel pair fits the offset")
+    return y0, y1, x0, x1
 
 
 def _glcm(pixels: np.ndarray, codes: np.ndarray, levels: int, dx: int, dy: int, symmetric: bool):
     """int64 counts of (gray at p, gray at p + (dx, dy)), reversed too if symmetric."""
     if (dx, dy) == (0, 0):
         raise ValueError("offset must be nonzero")
-    h, w = pixels.shape
-    x0, x1 = max(0, -dx), w - max(0, dx)
-    y0, y1 = max(0, -dy), h - max(0, dy)
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError("empty co-occurrence: no pixel pair fits the offset")
+    y0, y1, x0, x1 = _window(pixels.shape, dx, dy)
     # uint16 + uint8 stays uint16 under value-based promotion and NEP 50 alike.
     pairs = codes[y0:y1, x0:x1] + pixels[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
     counts = np.bincount(pairs.ravel(), minlength=levels * levels).reshape(levels, levels)
@@ -275,8 +291,9 @@ def haralick_features(glcm: Glcm) -> FeatureVector:
 
 
 def _runs(p: np.ndarray, levels: int, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gray and length of every maximal run along (dx, dy), in buffer order;
-    the separator runs between lines have gray ``levels`` and length 0."""
+    """Gray and length of every maximal run along (dx, dy), in buffer order: each
+    line's runs in the order (dx, dy) steps through them, followed by a separator
+    run of gray ``levels`` and length 0."""
     if (dx, dy) not in DIRECTIONS:
         raise ValueError(f"unsupported run direction ({dx},{dy})")
     # Each line of (dx, dy) becomes part of a row of a one-byte buffer, cut off from the
@@ -292,21 +309,44 @@ def _runs(p: np.ndarray, levels: int, dx: int, dy: int) -> tuple[np.ndarray, np.
         # line c < t at columns y, then a separator, then line c + t at columns y + 1. So
         # q[y, x] goes to cell x(s + 2) + y(s + 3) modulo m, the buffer's length: written
         # unwrapped in 2m cells, whose halves never share a written cell, and folded.
+        # A line is written from (x, y) to (x - 1, y + 1) of q, which is (dx, dy) of p
+        # after the transpose; without it, a half turn (lines x + y = c, each reversed)
+        # makes it so.
         q = p[::-1] if dx * dy > 0 else p
-        q = q.T if q.shape[0] > q.shape[1] else q
+        q = q.T if q.shape[0] > q.shape[1] else q[::-1, ::-1]
         s, t = q.shape
         m = t * (s + 2) - 1
         buf = np.full(2 * m, levels, np.uint8)
         as_strided(buf, (s, t), (s + 3, s + 2))[...] = q
         flat = np.minimum(buf[:m], buf[m:])
-    change = np.ones(flat.size, bool)
-    np.not_equal(flat[1:], flat[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    # The buffer's last cell is a separator, so each counted run ends where the next starts.
-    grays = flat[starts[:-1]]
-    lengths = np.diff(starts)
+    # Each run's start, then the buffer's end.
+    change = np.ones(flat.size + 1, bool)
+    np.not_equal(flat[1:], flat[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    grays = flat[bounds[:-1]]
+    lengths = bounds[1:] - bounds[:-1]
     lengths[grays == levels] = 0
     return grays, lengths
+
+
+def _run_pairs(grays: np.ndarray, levels: int, per_gray: np.ndarray):
+    """Unit-offset pair counts (levels x levels int64) along the direction of runs
+    from ``_runs``, and the runs per gray, given the pixels per gray.
+
+    Neighbours of different grays on a line are the ends of consecutive runs;
+    a pair touching a separator falls in the last row or column of the
+    (levels + 1)-square table of consecutive run grays, which is dropped. Every
+    run but the buffer's last is followed by one, so a row sums to the runs of its
+    gray, and a run of gray g and length l holds l - 1 pairs (g, g)."""
+    edge = levels + 1
+    # uint16 products of uint8 grays plus a uint8 gray: below 65 * 65, and uint16
+    # under value-based promotion and NEP 50 alike.
+    codes = np.multiply(grays[:-1], edge, dtype=np.uint16) + grays[1:]
+    table = np.bincount(codes, minlength=edge * edge).reshape(edge, edge)
+    by_gray = table[:levels].sum(axis=1)
+    counts = table[:levels, :levels]
+    np.fill_diagonal(counts, per_gray - by_gray)
+    return counts, by_gray
 
 
 def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
@@ -316,8 +356,8 @@ def compute_glrlm(img: GrayImage, dx: int, dy: int) -> Glrlm:
     weighted by count always sum to the pixel count. The image must already
     be quantized (max_val + 1 <= 64 levels).
     """
-    (pixels, _, levels), width = _coded(img), max(img.pixels.shape) + 1
-    grays, lengths = _runs(pixels, levels, dx, dy)
+    levels, width = _levels(img), max(img.pixels.shape) + 1
+    grays, lengths = _runs(img.pixels, levels, dx, dy)
     cells = np.multiply(grays, width, dtype=np.int64) + lengths
     r = np.bincount(cells, minlength=(levels + 1) * width).reshape(levels + 1, width)[:levels, 1:]
     return Glrlm(levels, width - 1, r, (dx, dy), img.pixels.size)
@@ -407,17 +447,24 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
     """
     cfg = ExtractionConfig() if cfg is None else cfg
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
-    pixels, codes, levels = _coded(q)
+    pixels, levels = q.pixels, _levels(q)
+    codes = _coded(q)[1] if cfg.distance > 1 else None
     n, max_run = len(DIRECTIONS), max(pixels.shape)
     counts = np.empty((n, levels, levels), np.int64)
     by_gray = np.empty((n, levels), np.int64)
     by_len = np.empty((n, max_run))  # float64 holds these integers exactly
     for k, (ux, uy) in enumerate(DIRECTIONS):
-        off = (ux * cfg.distance, uy * cfg.distance)
-        counts[k] = _glcm(pixels, codes, levels, *off, cfg.symmetric)
         grays, lengths = _runs(pixels, levels, ux, uy)
-        by_gray[k] = np.bincount(grays, minlength=levels + 1)[:levels]
+        if k == 0:  # every pixel lies in one run of each direction
+            per_gray = np.bincount(grays, weights=lengths)[:levels].astype(np.int64)
+        unit, by_gray[k] = _run_pairs(grays, levels, per_gray)
         by_len[k] = np.bincount(lengths, minlength=max_run + 1)[1:]
+        if codes is None:
+            _window(pixels.shape, ux, uy)  # raises if no pair fits
+            counts[k] = unit + unit.T if cfg.symmetric else unit
+        else:
+            off = (ux * cfg.distance, uy * cfg.distance)
+            counts[k] = _glcm(pixels, codes, levels, *off, cfg.symmetric)
     del grays, lengths  # the statistics need only the marginals
     p = counts / counts.sum(axis=(1, 2))[:, None, None]
     _check_probability(p, cfg.symmetric)

@@ -538,6 +538,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="m must be > 1"):
             ClassifierConfig(m=1.0)
 
+    @pytest.mark.parametrize("m, message", [
+        (float("nan"), "fuzzifier m must be > 1"), (float("inf"), "fuzzifier m must be finite"),
+        (np.float64(np.inf), "fuzzifier m must be finite")])
+    def test_non_finite_fuzzifier_rejected_naming_the_field(self, m, message):
+        # An infinite m would be written to the report JSON as Infinity, which is not JSON.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassifierConfig(m=m)
+
     @pytest.mark.parametrize("m", ["2", True])
     def test_non_real_fuzzifier_rejected_naming_the_field(self, m):
         with pytest.raises(ValueError, match=f"^m must be a real number, got {m!r}$"):

@@ -480,6 +480,8 @@ class TestEval:
         (["--k", "0"], "error: --k must be >= 1"),
         (["--init", "keller", "--k-init", "0"], "error: --k-init must be >= 1"),
         (["--m", "1"], "error: --m must be > 1"),
+        (["--m", "nan"], "error: --m must be > 1"),
+        (["--m", "inf"], "error: --m must be finite"),
         (["--protocol", "holdout", "--fraction", "1.5"], "error: --fraction must be in (0, 1)"),
         (["--feature-mask", ","], "error: --feature-mask lists no feature"),
         (["--feature-mask", ""], "error: --feature-mask lists no feature"),
@@ -555,6 +557,7 @@ class TestCompare:
         (["--k", "0"], "error: --k must be >= 1"),
         (["--k-sweep", "3,0"], "error: --k-sweep: '0' is below 1"),
         (["--m", "0.5"], "error: --m must be > 1"),
+        (["--m", "inf"], "error: --m must be finite"),
         (["--methods", ","], "error: --methods lists no method"),
         (["--methods", ""], "error: --methods lists no method"),
         (["--k-sweep", ","], "error: --k-sweep lists no k"),

@@ -34,7 +34,16 @@ from fknne import (
     quantize,
     runlength_features,
 )
-from fknne.texture import HARALICK_NAMES, _gldm, _gldm_stats, _haralick, _runlength
+from fknne import texture
+from fknne.texture import (
+    HARALICK_NAMES,
+    _gldm,
+    _gldm_stats,
+    _haralick,
+    _run_pairs,
+    _runlength,
+    _runs,
+)
 
 EXAMPLE_3X3 = GrayImage([[0, 0, 1], [0, 0, 1], [0, 2, 2]], 2)
 
@@ -662,6 +671,11 @@ class TestExtractAll:
     @example(EDGE_SHAPES[0], 2, 1, False)
     @example(EDGE_SHAPES[1], 64, 1, True)
     @example(EDGE_SHAPES[2], 4, 2, False)
+    @example(LONG_SHAPES[2], 2, 1, False)
+    @example(LONG_SHAPES[3], 2, 1, False)
+    @example(GRAY_63, 64, 1, False)
+    @example(LONG_SHAPES[0], 2, 1, False)
+    @example(LONG_SHAPES[1], 2, 1, True)
     def test_matches_oracle_bitwise(self, img, levels, distance, symmetric):
         cfg = ExtractionConfig(levels=levels, distance=distance, symmetric=symmetric)
         try:
@@ -708,6 +722,47 @@ class TestExtractAll:
         img = GrayImage(rng.integers(0, 256, size=(8, 8)), 255)
         fv = extract_all(img, ExtractionConfig(levels=8))
         assert np.all(np.isfinite(fv.values))
+
+
+class TestRunPairCounts:
+    """At distance 1 extract_all takes each direction's pair counts from its runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(quantized_images(), directions)
+    @example(LONG_SHAPES[0], (0, 1))
+    @example(LONG_SHAPES[0], (1, 1))
+    @example(LONG_SHAPES[1], (1, 0))
+    @example(LONG_SHAPES[2], (1, 1))
+    @example(LONG_SHAPES[2], (1, -1))
+    @example(LONG_SHAPES[3], (1, 1))
+    @example(LONG_SHAPES[3], (1, -1))
+    @example(CONSTANT, (1, 1))
+    @example(checkerboard(7), (1, -1))
+    @example(GRAY_63, (1, -1))
+    def test_unit_pair_counts_and_runs_per_gray_match_the_oracles(self, img, direction):
+        levels = img.max_val + 1
+        per_gray = np.bincount(img.pixels.ravel(), minlength=levels)
+        grays = _runs(img.pixels, levels, *direction)[0]
+        counts, by_gray = _run_pairs(grays, levels, per_gray)
+        expected = oracle_pair_counts(img.pixels, levels, *direction)
+        if expected is None:  # no pair fits: none is counted
+            expected = np.zeros((levels, levels), np.int64)
+        assert counts.dtype == by_gray.dtype == expected.dtype
+        assert counts.tobytes() == expected.tobytes()
+        assert by_gray.tobytes() == oracle_glrlm(img, *direction).sum(axis=1).tobytes()
+
+
+class TestUnitDistanceDispatch:
+    def test_pixel_pair_count_runs_only_past_distance_1(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pixel pair count called")
+
+        monkeypatch.setattr(texture, "_glcm", refuse)
+        img = random_quantized(np.random.default_rng(23), (9, 7), 8)
+        for symmetric in (False, True):
+            extract_all(img, ExtractionConfig(distance=1, symmetric=symmetric))
+            with pytest.raises(AssertionError, match="pixel pair count called"):
+                extract_all(img, ExtractionConfig(distance=2, symmetric=symmetric))
 
 
 class TestExtractionConfig:
