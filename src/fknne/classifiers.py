@@ -20,6 +20,7 @@ derived from each sample's own neighbourhood.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -148,7 +149,7 @@ class ClassifierConfig:
         _check_real("m", self.m)
         if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
-        if self.m == np.inf:  # not np.isfinite, which raises on an int past float range
+        if self.m > sys.float_info.max:  # inf, or an int past float range (m - 1.0 overflows)
             raise ValueError("fuzzifier m must be finite")
         if self.init not in ("crisp", "keller"):
             raise ValueError("init must be 'crisp' or 'keller'")

@@ -37,7 +37,8 @@ from .formats import (
 )
 from .ingestion import _check_int, crop_roi, parse_mias_index, read_pgm
 from .synthetic import two_cluster_dataset
-from .texture import _MAX_LEVELS, FEATURE_NAMES, ExtractionConfig, extract_all
+from .texture import _MAX_LEVELS, FEATURE_NAMES, ExtractionConfig, _features, _marginals
+from .texture import extract_all  # noqa: F401 -- perfbench/spans.py wraps fknne.cli.extract_all
 
 
 def _out_path(explicit, default_name: str) -> Path:
@@ -65,21 +66,22 @@ def _image_data(path: Path):
         return f.readall()
 
 
-def _extract_image(path: Path, rois, cfg: ExtractionConfig, side) -> dict:
-    """Read one image once and extract every ROI on it: per ROI id, its
-    feature values and None, or None and the failure message. The image is
-    freed on return, so one raster is held at a time."""
+def _roi_marginals(path: Path, rois, cfg: ExtractionConfig, side):
+    """Read one image once and yield (id, marginals, None) for each ROI on it, or
+    (id, None, message) for each that fails. The image is freed once its last ROI is
+    drawn, so one raster is held at a time."""
     try:
-        img = read_pgm(_image_data(path))
+        img, error = read_pgm(_image_data(path)), None
     except (OSError, ValueError) as exc:
-        return {roi.id: (None, str(exc)) for roi in rois}
-    results = {}
+        img, error = None, str(exc)
     for roi in rois:
-        try:
-            results[roi.id] = (extract_all(crop_roi(img, roi, side=side), cfg).values, None)
-        except ValueError as exc:
-            results[roi.id] = (None, str(exc))
-    return results
+        marginals = None
+        if img is not None:
+            try:
+                marginals, error = _marginals(crop_roi(img, roi, side=side), cfg), None
+            except ValueError as exc:
+                error = str(exc)
+        yield roi.id, marginals, error
 
 
 def _extraction_config(args) -> ExtractionConfig:
@@ -106,10 +108,11 @@ def cmd_extract(args) -> int:
     by_image: dict[str, list] = {}
     for roi in rois:
         by_image.setdefault(roi.reference, []).append(roi)
-    results = {}
-    for ref, on_image in by_image.items():
-        results.update(_extract_image(Path(args.images) / f"{ref}.pgm", on_image, cfg,
-                                      args.side))
+    marginals = (item for ref, on_image in by_image.items()
+                 for item in _roi_marginals(Path(args.images) / f"{ref}.pgm", on_image, cfg,
+                                            args.side))
+    results = {sid: (values, error)
+               for sid, values, error in _features(marginals, cfg.symmetric)}
     rows = []
     failures = []
     for roi in rois:  # id order, whatever the image order

@@ -12,14 +12,17 @@ The GLDM is the |i-j| marginal of the GLCM's integer pair counts, so
 the paper's 25-feature schema, and so every distance, includes them.
 
 ``extract_all`` averages them over the four standard directions into one
-fixed-schema feature vector per image. Each direction's runs are found once and
-kept only as marginals (runs per gray and per length) and a table of consecutive
-run pairs. At distance 1 every co-occurring pixel pair is two neighbours on one
-run line, so that table also gives the direction's pair counts: pairs of
-different grays are run boundaries, and pairs of gray g number its pixels minus
-its runs. At larger distances the pairs are counted from pixels coded once as
-``gray * levels``. The statistics of all four directions then come from one pass
-over the stacks, the code the public ``*_features`` run on a stack of one.
+fixed-schema feature vector per image, in two stages. First each direction's runs
+are found once and kept only as marginals (runs per gray and per length) and a
+table of consecutive run pairs. At distance 1 every co-occurring pixel pair is two
+neighbours on one run line, so that table also gives the direction's pair counts:
+pairs of different grays are run boundaries, and pairs of gray g number its pixels
+minus its runs. At larger distances the pairs are counted from pixels coded once as
+``gray * levels``. Then the statistics of a batch of ROIs, all their directions,
+come from one pass over the stacked pair counts (the run counts, whose widths
+differ, go a ROI at a time): the code the public ``*_features`` run on a stack of
+one. ``extract_all`` is a batch of one; ``fknne extract`` batches ROIs across images
+up to ``_BATCH_BYTES`` of pair counts and computes a batch that raises a ROI at a time.
 Stacked forms keep the bits of one matrix alone: one bincount over row-offset
 codes, sums over the contiguous last axis, (n, 1, g) @ (g, 1) matmuls (one BLAS
 dot per row), and one reduce per row for the ragged sums over positive entries.
@@ -162,7 +165,8 @@ def _check_coverage(by_len: np.ndarray, n_pixels: int) -> None:
 @cache
 def _grids(g: int, n: int = 1) -> SimpleNamespace:
     """Index grids of a g-level matrix, raveled, built on first use. The i + j and |i - j|
-    bins of a stack of n are offset by row, so one bincount sums each row as alone."""
+    bins of a stack of up to n are offset by row, so one bincount sums each row as alone;
+    stacks round n up to a power of two, so batches of any size keep a few entries."""
     i = np.arange(g, dtype=np.float64)
     ii, jj = (a.ravel() for a in np.indices((g, g)))
     rows, sq = np.arange(n)[:, None], (ii - jj) ** 2
@@ -241,10 +245,10 @@ def _plogs(*pairs) -> np.ndarray:
 def _haralick(p: np.ndarray) -> np.ndarray:
     """The 13 statistics of each matrix of a stack p (n, g, g), one row each."""
     n, g = p.shape[:2]
-    G, flat = _grids(g, n), p.reshape(n, -1)
+    G, flat = _grids(g, 1 << (n - 1).bit_length()), p.reshape(n, -1)
     px, py = p.sum(axis=2), p.sum(axis=1)
-    psum = np.bincount(G.sums, weights=flat.ravel()).reshape(n, -1)
-    pdiff = np.bincount(G.diffs, weights=flat.ravel()).reshape(n, -1)
+    psum = np.bincount(G.sums[: flat.size], weights=flat.ravel()).reshape(n, -1)
+    pdiff = np.bincount(G.diffs[: flat.size], weights=flat.ravel()).reshape(n, -1)
     # Means and variances of px, py, the pooled marginal (px+py)/2 and the |i-j| distribution.
     m = np.stack([px, py, 0.5 * (px + py), pdiff])
     mu_x, mu_y, mu, diff_mean = means = _dot(G.i, m)
@@ -393,7 +397,8 @@ def _gldm(counts: np.ndarray) -> np.ndarray:
     """The |i-j| distribution of each pair-count matrix of a stack (n, g, g). Integer weights
     sum exactly in float64: bit for bit the pixel differences counted one by one."""
     n, flat = len(counts), counts.reshape(len(counts), -1)
-    d = np.bincount(_grids(counts.shape[1], n).diffs, weights=flat.ravel()).reshape(n, -1)
+    diffs = _grids(counts.shape[1], 1 << (n - 1).bit_length()).diffs[: flat.size]
+    d = np.bincount(diffs, weights=flat.ravel()).reshape(n, -1)
     return d / flat.sum(axis=1)[:, None]
 
 
@@ -437,15 +442,9 @@ FEATURE_NAMES = tuple([f"glcm.{n}" for n in HARALICK_NAMES] + [f"rl.{n}" for n i
                       + [f"gldm.{n}" for n in GLDM_NAMES])
 
 
-def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureVector:
-    """Quantize, run all three matrix families per direction, average the
-    features over directions and concatenate.
-
-    The output schema is fixed: the 13 "glcm." statistics, then the 7
-    "rl." statistics, then the 5 "gldm." statistics (see FEATURE_NAMES).
-    Images already at or below the target depth are used as-is.
-    """
-    cfg = ExtractionConfig() if cfg is None else cfg
+def _marginals(img: GrayImage, cfg: ExtractionConfig):
+    """Quantize and count: pair counts (4, g, g), runs per gray (4, g) and per length
+    (4, max_run) of each direction, and the pixel count, all the statistics need."""
     q = img if img.max_val + 1 <= cfg.levels else quantize(img, cfg.levels)
     pixels, levels = q.pixels, _levels(q)
     codes = _coded(q)[1] if cfg.distance > 1 else None
@@ -465,11 +464,66 @@ def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureV
         else:
             off = (ux * cfg.distance, uy * cfg.distance)
             counts[k] = _glcm(pixels, codes, levels, *off, cfg.symmetric)
-    del grays, lengths  # the statistics need only the marginals
+    return counts, by_gray, by_len, pixels.size
+
+
+def _statistics(batch: list, symmetric: bool) -> np.ndarray:
+    """The (R, 25) direction means of a batch of R ``_marginals`` of one level count; a ROI
+    alone raises its first failing check's message (FeatureVector checks finiteness)."""
+    counts = np.concatenate([c for c, _, _, _ in batch])
     p = counts / counts.sum(axis=(1, 2))[:, None, None]
-    _check_probability(p, cfg.symmetric)
-    _check_coverage(by_len, pixels.size)
+    _check_probability(p, symmetric)
+    for _, _, by_len, n_pixels in batch:
+        _check_coverage(by_len, n_pixels)
     d = _gldm(counts)
     _check_probability(d)
-    rows = np.hstack([_haralick(p), _runlength(by_gray, by_len, pixels.size), _gldm_stats(d)])
-    return FeatureVector(FEATURE_NAMES, np.mean(rows, axis=0))
+    rl = [_runlength(by_gray, by_len, n_pixels) for _, by_gray, by_len, n_pixels in batch]
+    rows = np.hstack([_haralick(p), np.concatenate(rl), _gldm_stats(d)])
+    return rows.reshape(len(batch), len(DIRECTIONS), -1).mean(axis=1)
+
+
+# Pair-count bytes of a full batch: 8 ROIs at 16 levels (statistics' temporaries near
+# 1 MiB); at 64 levels a ROI is its own batch.
+_BATCH_BYTES = 1 << 16
+
+
+def _batch(batch: list, symmetric: bool) -> list:
+    """(key, features, None), or (key, None, message) if it fails, of each (key, marginals)
+    of a batch. A batch that raises is computed again a ROI at a time."""
+    try:
+        rows = [FeatureVector(FEATURE_NAMES, row).values
+                for row in _statistics([m for _, m in batch], symmetric)]
+    except ValueError as exc:
+        if len(batch) == 1:
+            return [(batch[0][0], None, str(exc))]
+        return [out for item in batch for out in _batch([item], symmetric)]
+    return [(key, row, None) for (key, _), row in zip(batch, rows)]
+
+
+def _features(items, symmetric: bool):
+    """Yield the ``_batch`` triples of (key, marginals, message) items, whose marginals are
+    None when they failed. A batch holds one level count and is computed once its pair
+    counts take _BATCH_BYTES, when the next ROI comes or the items end."""
+    batch = []
+    for key, marginals, message in items:
+        if marginals is None:
+            yield key, None, message
+            continue
+        if batch and (batch[0][1][0].shape != marginals[0].shape
+                      or len(batch) * marginals[0].nbytes >= _BATCH_BYTES):
+            yield from _batch(batch, symmetric)
+            batch = []
+        batch.append((key, marginals))
+    yield from _batch(batch, symmetric) if batch else ()
+
+
+def extract_all(img: GrayImage, cfg: ExtractionConfig | None = None) -> FeatureVector:
+    """Quantize, run all three matrix families per direction, average the
+    features over directions and concatenate.
+
+    The output schema is fixed: the 13 "glcm." statistics, then the 7
+    "rl." statistics, then the 5 "gldm." statistics (see FEATURE_NAMES).
+    Images already at or below the target depth are used as-is.
+    """
+    cfg = ExtractionConfig() if cfg is None else cfg
+    return FeatureVector(FEATURE_NAMES, _statistics([_marginals(img, cfg)], cfg.symmetric)[0])

@@ -546,6 +546,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ClassifierConfig(m=m)
 
+    def test_integer_fuzzifier_past_float_range_rejected(self):
+        # m - 1.0 overflows on it, so predict would raise OverflowError.
+        with pytest.raises(ValueError, match="^fuzzifier m must be finite$"):
+            ClassifierConfig(kind="fknn", k=1, m=10**400)
+
+    def test_integer_fuzzifier_within_float_range_accepted(self):
+        data = two_cluster_dataset(n_per_class=3, seed=1)
+        model = fit(data, ClassifierConfig(kind="fknn", k=2, m=10**300))
+        assert np.isclose(predict(model, data.X[0]).scores.sum(), 1.0)
+
     @pytest.mark.parametrize("m", ["2", True])
     def test_non_real_fuzzifier_rejected_naming_the_field(self, m):
         with pytest.raises(ValueError, match=f"^m must be a real number, got {m!r}$"):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import fknne.cli
 import fknne.formats
+import fknne.texture
 from fknne import (
     KINDS,
     ClassifierConfig,
@@ -251,6 +252,47 @@ class TestExtractReadsEachImageOnce:
         out = tmp_path / "features.csv"
         assert main(extract_args(images, index, out)) == 0
         assert out.read_text(encoding="utf-8") == expected_csv
+
+
+class TestExtractBatchFailure:
+    """Texture statistics are computed a batch of ROIs at a time. A ROI that fails
+    there fails alone, with the message and output that per-ROI extraction gives."""
+
+    # Sides 7, 9, 11, 13 and 15 on two images: each ROI has its own pixel count.
+    INDEX = ("a G CIRC B 20 15 3\na G CIRC M 10 10 4\nb G CIRC B 12 20 5\n"
+             "a G CIRC M 22 22 6\nb G CIRC B 16 16 7\n")
+
+    @pytest.mark.parametrize("target", [11 * 11, 13 * 13])
+    def test_one_failing_roi_mid_batch_fails_alone(self, tmp_path, monkeypatch, target):
+        images = tmp_path / "images"
+        images.mkdir()
+        for ref, seed in (("a", 1), ("b", 2)):
+            (images / f"{ref}.pgm").write_bytes(write_pgm(textured_image(32, 32, seed=seed)))
+        index = tmp_path / "index.txt"
+        index.write_text(self.INDEX)
+        check_coverage = fknne.texture._check_coverage
+
+        def failing_check(by_len, n_pixels):
+            if n_pixels == target:
+                raise ValueError(f"runs cover 0 pixels, expected {n_pixels}")
+            check_coverage(by_len, n_pixels)
+
+        monkeypatch.setattr(fknne.texture, "_check_coverage", failing_check)
+        expected_csv, failures = per_roi_extract(images, index, 32)
+        assert len(failures) == 1
+        out = tmp_path / "features.csv"
+        # One ROI a batch, two, and all five.
+        for cap in (1, 2 * 4 * 16 * 16 * 8, fknne.texture._BATCH_BYTES):
+            monkeypatch.setattr(fknne.texture, "_BATCH_BYTES", cap)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                assert main(extract_args(images, index, out)) == 2
+            partial = out.with_name("features.csv.partial")
+            assert stdout.getvalue() == f"wrote 4 feature rows to {partial}\n"
+            assert stderr.getvalue().splitlines() == [
+                f"failed {sid}: {msg}" for sid, msg in failures] + ["1 of 5 ROIs failed"]
+            assert partial.read_text(encoding="utf-8") == expected_csv
+            partial.unlink()
 
 
 _FUZZ_IMAGE = write_pgm(textured_image(24, 24, seed=9))

@@ -10,6 +10,7 @@ the package must reproduce them bit for bit.
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ from fknne import texture
 from fknne.texture import (
     HARALICK_NAMES,
     _gldm,
+    _features,
     _gldm_stats,
     _haralick,
+    _marginals,
     _run_pairs,
     _runlength,
     _runs,
@@ -763,6 +766,99 @@ class TestUnitDistanceDispatch:
             extract_all(img, ExtractionConfig(distance=1, symmetric=symmetric))
             with pytest.raises(AssertionError, match="pixel pair count called"):
                 extract_all(img, ExtractionConfig(distance=2, symmetric=symmetric))
+
+
+@st.composite
+def roi_streams(draw):
+    """1-10 ROIs in the order extraction meets them: 1 x N, N x 1, thin, wide and square,
+    each of its own depth, so some keep fewer levels than the target and some are quantized."""
+    rois = []
+    for _ in range(draw(st.integers(1, 10))):
+        side = st.integers(1, 12) | st.integers(40, 90)
+        h, w, max_val = draw(side), draw(side), draw(st.integers(1, 70) | st.just(255))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        top = rng.integers(0, max_val + 1)  # a narrow band of grays makes long runs likely
+        rois.append(GrayImage(rng.integers(0, top + 1, (h, w)), max_val))
+    return rois
+
+
+def batched(rois, cfg, batch_bytes):
+    """_features over ``rois`` with the cap at ``batch_bytes``: per ROI index its
+    (values, message), the batches as (level count, pair-count bytes) per ROI, and the
+    (levels, rows) of every stack grid looked up."""
+    items = []
+    for k, roi in enumerate(rois):
+        try:
+            items.append((k, _marginals(roi, cfg), None))
+        except ValueError as exc:
+            items.append((k, None, str(exc)))
+    batches, grids = [], []
+    statistics, index_grids = texture._statistics, texture._grids
+
+    def recording_statistics(batch, symmetric):
+        batches.append([(c.shape[1], c.nbytes) for c, _, _, _ in batch])
+        return statistics(batch, symmetric)
+
+    def recording_grids(g, n=1):
+        grids.append((g, n))
+        return index_grids(g, n)
+
+    with mock.patch.object(texture, "_BATCH_BYTES", batch_bytes), \
+            mock.patch.object(texture, "_statistics", recording_statistics), \
+            mock.patch.object(texture, "_grids", recording_grids):
+        out = {k: (values, message) for k, values, message in _features(iter(items), cfg.symmetric)}
+    return out, batches, grids
+
+
+class TestBatchedExtraction:
+    """extract computes the statistics of a batch of ROIs at once; each ROI's features
+    must be extract_all's bit for bit, and each failure its message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(roi_streams(), st.integers(2, 64), st.integers(1, 3), st.booleans(),
+           st.integers(1, 12))
+    @example([GrayImage([[0, 1, 1, 0, 1] * 12], 1), GrayImage([[3], [0], [3]], 3),
+              random_quantized(np.random.default_rng(30), (2, 50), 16), GRAY_63,
+              GrayImage([[2]], 255), random_quantized(np.random.default_rng(31), (9, 9), 256)],
+             16, 1, False, 2)
+    @example([GRAY_63, LONG_SHAPES[1], LONG_SHAPES[2], CONSTANT], 64, 2, True, 1)
+    def test_batched_rows_match_extract_all(self, rois, levels, distance, symmetric,
+                                            per_batch):
+        cfg = ExtractionConfig(levels=levels, distance=distance, symmetric=symmetric)
+        cap = per_batch * 32 * levels**2  # the pair counts of per_batch ROIs at `levels`
+        out, batches, grids = batched(rois, cfg, cap)
+        for k, roi in enumerate(rois):
+            try:
+                expected = extract_all(roi, cfg).values
+            except ValueError as exc:
+                assert out[k] == (None, str(exc))
+            else:
+                values, message = out[k]
+                assert message is None and values.tobytes() == expected.tobytes()
+        # A batch holds one level count and ends once it reaches the cap; one below the
+        # cap is the last, or the next ROI has another level count.
+        for k, batch in enumerate(batches):
+            sizes = [size for _, size in batch]
+            assert len({g for g, _ in batch}) == 1 and sum(sizes[:-1]) < cap
+            if sum(sizes) < cap and k + 1 < len(batches):
+                assert batches[k + 1][0][0] != batch[0][0]
+        # Stack grids are looked up for a power of two rows, at most twice a batch's.
+        for g, n in grids:
+            assert n & (n - 1) == 0 and n * g * g * 8 < 2 * (cap + 32 * g * g)
+
+    def test_index_grids_stay_bounded_over_every_batch_size(self):
+        # At 4 levels the default cap takes 128 ROIs a batch; batches of 1-40 ROIs
+        # stack 4-160 matrices, which look up 7 grid sizes, not 40, besides the
+        # one-row grids of the run-length and GLDM statistics.
+        cfg = ExtractionConfig(levels=4)
+        rois = [random_quantized(np.random.default_rng(k), (6, 5), 4) for k in range(40)]
+        rows = [extract_all(roi, cfg).values for roi in rois]
+        texture._grids.cache_clear()
+        for size in range(1, 41):
+            out, batches, _ = batched(rois[:size], cfg, texture._BATCH_BYTES)
+            assert len(batches) == 1
+            assert all(out[k][0].tobytes() == rows[k].tobytes() for k in range(size))
+        assert texture._grids.cache_info().currsize == 7 + 1
 
 
 class TestExtractionConfig:
