@@ -31,6 +31,8 @@ from .ingestion import _check_bool, _check_int, _check_real
 from .texture import FeatureVector
 
 KINDS = ("knn", "fknn", "knne", "fknne")
+# The rules that read the k nearest entries of the pools joined (_ordered).
+_MERGING = ("knn", "fknn")
 
 
 class Dataset:
@@ -415,6 +417,16 @@ def _nearest(d: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((rank, d), axis=1)[:, :k]
 
 
+def _ordered(table, k: int):
+    """A table of the scoring rules that carries, as a fourth field, the
+    ``_nearest`` columns of its pools cut to k and joined. Each pool is
+    sorted by (distance, id rank) and a row's id ranks are unique, so the
+    first k' of them are, in order, the k' nearest entries: knn and fknn
+    read them at any k' <= k instead of sorting."""
+    ds, ranks = ([a[:, :k] for a in field] for field in table[:2])
+    return (*table, _nearest(np.concatenate(ds, axis=1), np.concatenate(ranks, axis=1), k))
+
+
 def keller_from_neighbours(nbrs: np.ndarray, label_index: np.ndarray,
                            one_hot: np.ndarray) -> np.ndarray:
     """0.49 * (class shares among each row's neighbours ``nbrs``), plus
@@ -552,7 +564,9 @@ def kneighbors(model: FitModel, x, k: int, class_filter: str | None = None):
 # memberships): per field, one array per class pool in class order, with
 # one row per query and one column per entry, nearest first, cut to the
 # config's k (memberships have one more axis, the classes). An entry's
-# label index is its pool's class. A rule joins only the fields it reads.
+# label index is its pool's class. For knn and fknn a fourth field holds
+# the columns of each row's k nearest entries of the pools joined, in
+# order (_ordered). A rule joins only the fields it reads.
 # No rule reads a FitModel, so queries gathered from different fits score
 # together: id ranks are only compared within a row, and a sum over one
 # query's neighbours runs in the order it would for that query alone,
@@ -564,10 +578,8 @@ def _knn(table, cfg: ClassifierConfig):
     Scores are vote fractions. A vote tie goes to the tied class whose
     voters are closest in summed distance, then to class order.
     """
-    ds, ranks, _ = table
-    d = np.concatenate(ds, axis=1)
-    order = _nearest(d, np.concatenate(ranks, axis=1), cfg.k)
-    d = np.take_along_axis(d, order, axis=1)
+    ds, _, _, order = table
+    d = np.take_along_axis(np.concatenate(ds, axis=1), order, axis=1)
     label = np.repeat(np.arange(len(ds)), [x.shape[1] for x in ds])
     voter = label[order][:, :, None] == np.arange(len(ds))
     votes = voter.sum(axis=1)
@@ -610,8 +622,8 @@ def _fknn(table, cfg: ClassifierConfig):
     A query that coincides with training samples takes the average
     membership of the exact matches instead.
     """
-    d, rank, memberships = (np.concatenate(field, axis=1) for field in table)
-    order = _nearest(d, rank, cfg.k)
+    ds, _, memberships, order = table
+    d, memberships = np.concatenate(ds, axis=1), np.concatenate(memberships, axis=1)
     d = np.take_along_axis(d, order, axis=1)
     memberships = np.take_along_axis(memberships, order[:, :, None], axis=1)
     scores = _membership_mean(memberships, _fuzzy_weights(d, cfg.m)[0])
@@ -642,7 +654,7 @@ def _fknne(table, cfg: ClassifierConfig):
     pool; with Keller memberships the neighbours' soft labels shift it.
     The exact-match rule applies to the union of all pools.
     """
-    ds, _, memberships = table
+    ds, _, memberships, _ = table
     d, memberships = np.concatenate(ds, axis=1), np.concatenate(memberships, axis=1)
     w, exact = _fuzzy_weights(d, cfg.m)
     bounds = list(accumulate([x.shape[1] for x in ds], initial=0))
@@ -661,9 +673,15 @@ _RULES = {"knn": _knn, "fknn": _fknn, "knne": _knne, "fknne": _fknne}
 def predict_table(table, cfg: ClassifierConfig):
     """Score every query of a table gathered at a k of at least ``cfg.k``
     with the rule, k and m of ``cfg``: the (distances, id ranks,
-    memberships) the rules read, per field one array per class pool.
+    memberships) the rules read, per field one array per class pool, and
+    optionally the order ``_ordered`` adds at a k of at least ``cfg.k``.
     Returns the winning class index of each query and its Q x C scores."""
-    return _RULES[cfg.kind]([[a[:, :cfg.k] for a in field] for field in table], cfg)
+    k, order = cfg.k, None
+    if cfg.kind in _MERGING:
+        # Both read the order's first k columns, of the pools cut to its width.
+        order = (table if len(table) > 3 else _ordered(table, k))[3]
+        k, order = order.shape[1], order[:, :k]
+    return _RULES[cfg.kind]([*([a[:, :k] for a in field] for field in table[:3]), order], cfg)
 
 
 def predict_many(model: FitModel, queries, kind: str | None = None) -> list[Prediction]:

@@ -16,12 +16,14 @@ import numpy as np
 
 from .classifiers import (
     _BLOCK_BYTES,
+    _MERGING,
     ClassifierConfig,
     Dataset,
     _id_order,
     _keller,
     _min_max,
     _normalize_rows,
+    _ordered,
     _overflowed,
     _search,
     fit,  # noqa: F401 -- re-exported; perfbench/spans.py wraps fknne.evaluation.fit
@@ -104,8 +106,9 @@ def rates(c: ConfusionCounts) -> tuple[float, float, float]:
     )
 
 
-def _roc(s: np.ndarray, y: np.ndarray) -> RocCurve:
-    """The ROC curve of float64 scores ``s`` against boolean truth ``y``."""
+def _roc(s: np.ndarray, y: np.ndarray):
+    """The ROC points (fpr, tpr, threshold) of float64 scores ``s``
+    against boolean truth ``y``, and the area under them."""
     n_pos = int(np.count_nonzero(y))
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -118,8 +121,7 @@ def _roc(s: np.ndarray, y: np.ndarray) -> RocCurve:
     # The trapezoids summed left to right: accumulate keeps that order,
     # where np.sum pairs terms and Python 3.12's sum() compensates.
     area = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
-    return RocCurve(points=np.column_stack((fpr, tpr, np.r_[np.inf, s_sorted[last]])),
-                    auc=float(area))
+    return np.column_stack((fpr, tpr, np.r_[np.inf, s_sorted[last]])), float(area)
 
 
 def roc_curve(scores, truth, positive: str = "malignant") -> RocCurve:
@@ -133,7 +135,7 @@ def roc_curve(scores, truth, positive: str = "malignant") -> RocCurve:
     y = np.asarray(truth, dtype=object) == positive
     if len(s) != len(y):
         raise ValueError("scores and truth must have equal length")
-    return _roc(s, y)
+    return RocCurve(*_roc(s, y))
 
 
 def auc(scores, truth, positive: str = "malignant") -> float:
@@ -189,13 +191,13 @@ class KFold:
 
     def splits(self, data: Dataset):
         order = _id_order(data.ids)
-        folds = [[] for _ in range(self.k)]
-        for c, places in _shuffled_by_class(data, order, self.seed):
+        # Every class is checked before any fold is made: k may be huge.
+        shuffled = list(_shuffled_by_class(data, order, self.seed))
+        for c, places in shuffled:
             if len(places) < self.k:
                 raise ValueError(f"class {c!r} has fewer than {self.k} samples")
-            for i, fold in enumerate(folds):
-                fold.append(places[i::self.k])
-        return [order[np.sort(np.concatenate(fold))] for fold in folds]
+        return [order[np.sort(np.concatenate([places[i::self.k] for _, places in shuffled]))]
+                for i in range(self.k)]
 
 
 @dataclass(frozen=True)
@@ -487,9 +489,11 @@ def _fit_key(cfg: ClassifierConfig):
     return cfg.normalize, cfg.init, k_init if cfg.init == "keller" else None
 
 
-def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
-    """Run every config under the same splits; yield one report per
-    config, in order.
+def _score(data: Dataset, configs, protocol, positive_class: str | None):
+    """Run every config under the same splits. Returns the positive class,
+    the splits, the tested rows in fold order, whether each is positive,
+    and an iterator of (config, predicted positive, positive-class score)
+    over them, per config in order.
 
     A fold is its test rows and trains on every other row. A refitted fold
     (``_refit``) is built from arrays sliced from the already checked
@@ -511,8 +515,8 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
     all tested rows. Each key's folds are then stacked into one table:
     ordinarily one per fit key, and a fold that lacks a class or has a
     pool narrower than its k forms its own. Each config scores each table
-    in one ``predict_table`` call, and one ``bincount`` gives every fold's
-    confusion.
+    in one ``predict_table`` call; knn and fknn configs share its merged
+    order (``_ordered``), sorted at their largest k.
     """
     if len(data.classes) != 2:
         raise ValueError(
@@ -527,8 +531,11 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
         raise ValueError(f"unknown protocol {protocol!r}")
 
     k_max: dict[bool, int] = {}
+    k_order = {}  # per fit key, the largest k of its knn and fknn configs
     for cfg in configs:
         k_max[cfg.normalize] = max(k_max.get(cfg.normalize, 0), cfg.k)
+        if cfg.kind in _MERGING:
+            k_order[_fit_key(cfg)] = max(k_order.get(_fit_key(cfg), 0), cfg.k)
     splits = protocol.splits(data)
     label = np.array([data.classes.index(c) for c in data.labels], dtype=np.intp)
     rank = np.argsort(_id_order(data.ids))
@@ -550,34 +557,47 @@ def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None
                     widths = tuple(d.shape[1] for d in e[0])
                     gathered.setdefault((key, classes, widths), []).append(
                         (np.arange(start[f], start[f + 1]), e))
-    rows = np.concatenate(splits)
-    fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
-    # Reports are yielded one at a time: each group is popped as it is
-    # stacked, so only the stacked entries are held meanwhile.
+    # Each group is popped as it is stacked, so only the stacked entries
+    # are held meanwhile.
     for key, classes, widths in list(gathered):
         places, entries = zip(*gathered.pop((key, classes, widths)))
         # Per field and class pool, the member folds' arrays concatenated query by query.
         entries = tuple([np.concatenate(pool) for pool in zip(*field)] for field in zip(*entries))
+        if key in k_order:
+            entries = _ordered(entries, k_order[key])
         groups[key].append((classes, entries, np.concatenate(places)))
+    rows = np.concatenate(splits)
+
+    def scored():
+        for cfg in configs:
+            hit, s = np.empty(len(rows), dtype=bool), np.zeros(len(rows))
+            for classes, entries, at in groups[_fit_key(cfg)]:
+                winners, scores = predict_table(entries, cfg)
+                # Folds that never saw the positive class predict it nowhere, scoring 0.
+                p = classes.index(positive) if positive in classes else -1
+                hit[at] = winners == p
+                if p >= 0:
+                    s[at] = scores[:, p]
+            yield cfg, hit, s
+
+    return positive, splits, rows, label[rows] == data.classes.index(positive), scored()
+
+
+def _cross_validate(data: Dataset, configs, protocol, positive_class: str | None):
+    """Yield the report of each config, in order, as ``_score`` scores
+    it; one ``bincount`` gives every fold's confusion."""
+    positive, splits, rows, y, scored = _score(data, configs, protocol, positive_class)
+    fold_of = np.repeat(np.arange(len(splits)), [len(t) for t in splits])
     negative = data.classes[1 - data.classes.index(positive)]
     ids = [data.ids[i] for i in rows]
     truth = [data.labels[i] for i in rows]
-    y = label[rows] == data.classes.index(positive)
-    for cfg in configs:
-        hit, s = np.empty(len(rows), dtype=bool), np.zeros(len(rows))
-        for classes, entries, at in groups[_fit_key(cfg)]:
-            winners, scores = predict_table(entries, cfg)
-            # Folds that never saw the positive class predict it nowhere, scoring 0.
-            p = classes.index(positive) if positive in classes else -1
-            hit[at] = winners == p
-            if p >= 0:
-                s[at] = scores[:, p]
+    for cfg, hit, s in scored:
         per_fold = np.bincount(4 * fold_of + 2 * y + hit, minlength=4 * len(splits))
         folds = tuple(_fold_result(ConfusionCounts(tp, fp, tn, fn))
                       for tn, fp, fn, tp in per_fold.reshape(-1, 4).tolist())
         pooled = _counts(y, hit)
         sens, spec, acc = rates(pooled)
-        roc = _roc(s, y)
+        roc = RocCurve(*_roc(s, y))
         averaged = {}
         for key in ("sensitivity", "specificity", "accuracy"):
             defined = [getattr(f, key) for f in folds if getattr(f, key) is not None]
@@ -650,7 +670,8 @@ def compare_classifiers(data: Dataset, configs, protocol,
                         positive_class: str | None = None) -> ComparisonTable:
     """Evaluate each config under the same protocol; rows keep input order.
 
-    Each row equals what ``evaluate`` reports for its config alone. Method
+    Each row equals what ``evaluate`` reports for its config alone, but
+    only the row is built, from the scored rows (``_score``). Method
     labels are the config kinds; when one kind appears with several k
     values the label carries the k to stay unambiguous.
     """
@@ -658,7 +679,9 @@ def compare_classifiers(data: Dataset, configs, protocol,
         raise ValueError("at least one classifier config is required")
     kinds = [c.kind for c in configs]
     dup = {k for k in kinds if kinds.count(k) > 1}
+    *_, y, scored = _score(data, configs, protocol, positive_class)
     return ComparisonTable(rows=tuple(
-        ComparisonRow.from_report(rep, f"{cfg.kind}[k={cfg.k}]" if cfg.kind in dup else cfg.kind)
-        for cfg, rep in zip(configs, _cross_validate(data, configs, protocol, positive_class))
+        ComparisonRow(f"{cfg.kind}[k={cfg.k}]" if cfg.kind in dup else cfg.kind, cfg.k,
+                      *rates(_counts(y, hit)), _roc(s, y)[1])
+        for cfg, hit, s in scored
     ))

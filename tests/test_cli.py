@@ -7,6 +7,9 @@ import json
 import mmap
 import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -481,6 +484,26 @@ class TestEval:
                      "--feature-mask", "f0,nope"])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_huge_fold_count_exits_2_before_any_fold_is_made(self, tmp_path, synthetic_csv,
+                                                               command):
+        # One list per fold would exhaust memory before the class check. The
+        # child runs under a 2 GiB address-space limit, so a regression shows
+        # as a MemoryError, not as a machine out of memory.
+        folds = "100000000000000000000"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = Path(fknne.cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "fknne.cli", command, "--features", str(synthetic_csv),
+             "--folds", folds, "--out-json", str(tmp_path / "out.json")],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src)),
+            capture_output=True, text=True, preexec_fn=limit, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: class 'benign' has fewer than {folds} samples\n"
 
     def test_one_class_data_exits_2(self, tmp_path, capsys):
         data = Dataset(["a", "b", "c"], np.zeros((3, 2)), ["benign"] * 3)

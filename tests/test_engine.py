@@ -31,6 +31,7 @@ import fknne.evaluation
 from fknne import (
     KINDS,
     ClassifierConfig,
+    ComparisonRow,
     ConfusionCounts,
     Dataset,
     FoldResult,
@@ -1179,3 +1180,89 @@ class TestStackedScoring:
         few = [ClassifierConfig(kind=kind, k=25) for kind in KINDS]
         many = [ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (5, 10, 15, 20, 25)]
         assert peak(many) < 1.5 * peak(few)
+
+
+@st.composite
+def k_sweeps(draw):
+    """A cross-validation's data and protocol, and a compare sweep over
+    them: every kind at each k of an unsorted sweep (k past a pool's width
+    included), under one or two (init, normalize) settings."""
+    data, protocol, _ = draw(cross_validations())
+    ks = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
+    fits = draw(st.lists(st.tuples(st.sampled_from(("crisp", "keller")), st.booleans()),
+                         min_size=1, max_size=2, unique=True))
+    m, k_init = draw(st.sampled_from((1.5, 2.0, 3.0))), draw(st.none() | st.integers(1, 4))
+    return data, protocol, [ClassifierConfig(kind=kind, k=k, m=m, init=init, k_init=k_init,
+                                             normalize=normalize)
+                            for init, normalize in fits for kind in KINDS for k in ks]
+
+
+def narrow_pool_data():
+    """31 rows, 11 malignant: under 10 folds one fold trains on 9
+    malignant rows, a pool narrower than k = 10. Rows 20-25 repeat rows
+    0-5 exactly, so distances tie."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(31, 3))
+    X[20:26] = X[:6]
+    return Dataset([f"s{i:02d}" for i in range(31)], X, ["malignant"] * 11 + ["benign"] * 20)
+
+
+class TestCompareRowsOnly:
+    """compare builds each row straight from the scored rows, with no
+    report; every row must equal the row of ``evaluate``'s report for its
+    config alone, bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_reports(data, cfgs, protocol):
+        rows = compare_classifiers(data, cfgs, protocol).rows
+        assert len(rows) == len(cfgs)
+        for cfg, row in zip(cfgs, rows):
+            want = ComparisonRow.from_report(evaluate(data, cfg, protocol), row.method)
+            assert row == want
+            assert same_bits([row.sensitivity, row.specificity, row.accuracy, row.auc],
+                             [want.sensitivity, want.specificity, want.accuracy, want.auc])
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_sweeps())
+    def test_rows_equal_evaluate(self, problem):
+        data, protocol, cfgs = problem
+        self.assert_rows_equal_reports(data, cfgs, protocol)
+
+    @pytest.mark.parametrize("protocol", [KFold(10, seed=0), Holdout(0.3, seed=1), Loocv()])
+    def test_unsorted_sweep_past_a_narrow_pool(self, protocol):
+        cfgs = [ClassifierConfig(kind=kind, k=k, init=init, normalize=normalize)
+                for init in ("crisp", "keller") for normalize in (True, False)
+                for kind in KINDS for k in (5, 1, 10, 3)]
+        self.assert_rows_equal_reports(narrow_pool_data(), cfgs, protocol)
+
+
+class TestSharedMergeOrder:
+    """knn and fknn configs read each stacked group's merged (distance, id
+    rank) order, sorted once at their largest k; a group that no knn or
+    fknn config scores is never sorted."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        nearest = mock.Mock(wraps=fknne.classifiers._nearest)
+        monkeypatch.setattr(fknne.classifiers, "_nearest", nearest)
+        return nearest
+
+    @pytest.mark.parametrize("data, groups", [
+        (Dataset([f"s{i:02d}" for i in range(60)], np.random.default_rng(3).normal(size=(60, 4)),
+                 ["benign", "malignant"] * 30), 1),
+        (narrow_pool_data(), 2),
+    ])
+    def test_a_crisp_kfold_sweep_sorts_once_per_group(self, monkeypatch, data, groups):
+        nearest = self.counting(monkeypatch)
+        scored = mock.Mock(wraps=fknne.evaluation.predict_table)
+        monkeypatch.setattr(fknne.evaluation, "predict_table", scored)
+        # A knne config at a larger k widens the tables, not the order.
+        cfgs = [ClassifierConfig(kind=kind, k=k) for kind in KINDS for k in (1, 3, 5, 7, 9)]
+        compare_classifiers(data, cfgs + [ClassifierConfig(kind="knne", k=12)], KFold(10, seed=0))
+        assert scored.call_count == groups * (len(cfgs) + 1)
+        assert [c.args[2] for c in nearest.call_args_list] == [9] * groups
+
+    def test_keller_fknne_loocv_never_sorts(self, monkeypatch):
+        nearest = self.counting(monkeypatch)
+        evaluate(narrow_pool_data(), ClassifierConfig(kind="fknne", k=5, init="keller"), Loocv())
+        assert nearest.call_count == 0

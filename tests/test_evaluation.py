@@ -2,6 +2,7 @@
 cross-validation protocols."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,18 @@ class TestStratifiedKfold:
         data = clusters_1d(3)
         with pytest.raises(ValueError, match="fewer than"):
             stratified_kfold(data, 4, seed=0)
+
+    def test_huge_fold_count_rejected_before_any_fold_is_made(self):
+        # Both classes are too small; the first in class order is named.
+        # One list per fold would take ~64 MB at a million folds.
+        data = clusters_1d(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^class 'benign' has fewer than 1000000 samples$"):
+                KFold(10 ** 6).splits(data)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_independent_of_input_order(self):
         data = clusters_1d(6)
