@@ -48,22 +48,15 @@ def _out_path(explicit, default_name: str) -> Path:
 
 
 def _image_data(path: Path):
-    """The bytes of image file ``path``: a read-only memory map when the file
-    starts with the P5 magic, so only the pages of the rows cropped are read,
-    else the whole file. A file the kernel does not map (a pipe, a device) is
-    read whole. The map is unmapped when its last view is freed."""
+    """The bytes of image file ``path``: a read-only memory map, so only the
+    pages a parse touches are read (of a P5 image, the header and the rows
+    cropped). A file the kernel does not map (a pipe, a device, an empty
+    file) is read whole. The map is unmapped when its last view is freed."""
     with open(path, "rb", buffering=0) as f:
-        head = f.read(2)
-        if head == b"P5":
-            try:
-                return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            except OSError:
-                pass
-        if not f.seekable():
-            return head + f.readall()
-        # Read from the start: joining the head to the rest would copy the file.
-        f.seek(0)
-        return f.readall()
+        try:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return f.readall()
 
 
 def _roi_marginals(path: Path, rois, cfg: ExtractionConfig, side):
@@ -99,9 +92,11 @@ def _extraction_config(args) -> ExtractionConfig:
 
 def cmd_extract(args) -> int:
     cfg = _extraction_config(args)
-    index_text = read_utf8(args.index)
+    index_text, error = read_utf8(args.index)
     rois = sorted(parse_mias_index(index_text, image_height=args.image_height),
                   key=lambda r: r.id)
+    if error:
+        raise error
     if not rois:
         print("index contains no coordinate-bearing records", file=sys.stderr)
         return 2
@@ -355,7 +350,7 @@ def main(argv=None) -> int:
     args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

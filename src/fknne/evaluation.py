@@ -115,13 +115,13 @@ def _roc(s: np.ndarray, y: np.ndarray):
         raise ValueError("ROC requires both classes in the truth")
     order = np.argsort(-s, kind="stable")
     s_sorted, y_sorted = s[order], y[order]
-    last = np.r_[np.flatnonzero(np.diff(s_sorted) != 0), len(s) - 1]
-    fpr = np.r_[0.0, np.cumsum(~y_sorted)[last] / n_neg]
-    tpr = np.r_[0.0, np.cumsum(y_sorted)[last] / n_pos]
+    last = np.concatenate((np.flatnonzero(np.diff(s_sorted) != 0), [len(s) - 1]))
+    fpr = np.concatenate(([0.0], np.cumsum(~y_sorted)[last] / n_neg))
+    tpr = np.concatenate(([0.0], np.cumsum(y_sorted)[last] / n_pos))
     # The trapezoids summed left to right: accumulate keeps that order,
     # where np.sum pairs terms and Python 3.12's sum() compensates.
     area = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
-    return np.column_stack((fpr, tpr, np.r_[np.inf, s_sorted[last]])), float(area)
+    return np.column_stack((fpr, tpr, np.concatenate(([np.inf], s_sorted[last])))), float(area)
 
 
 def roc_curve(scores, truth, positive: str = "malignant") -> RocCurve:

@@ -43,26 +43,26 @@ def write_feature_csv(path, dataset: Dataset) -> None:
         f.write(feature_csv_text(dataset))
 
 
-def read_utf8(path) -> str:
-    """A file's text, decoded as UTF-8. A byte that does not decode raises
-    ValueError naming the path, the line and the byte."""
+def read_utf8(path):
+    """(text, None): the file's text, decoded as UTF-8, from one read. When a
+    byte does not decode, (the whole lines before it, a ValueError naming the
+    path, the line and the byte), so a caller can parse those lines first and
+    report a fault in them before the bad byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+        cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        return data[:cut].decode("utf-8"), ValueError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
 
 
-def _utf8_lines(f, path):
-    """The lines of text file ``f``, opened from ``path`` as UTF-8. A byte
-    that does not decode raises read_utf8's error, located by line."""
-    try:
-        yield from f
-    except UnicodeDecodeError:
-        read_utf8(path)
-        raise
+def _then_raise(lines, error):
+    """The items of ``lines``, then a raise of ``error``."""
+    yield from lines
+    raise error
 
 
 def _feature_names(path, header) -> tuple:
@@ -120,9 +120,11 @@ def _csv_rows(path, lines):
 
 def _loadtxt_rows(path, text):
     """_csv_rows's result when every line is one numpy's C reader reads as
-    csv.reader and float() do, else None. The caller has screened out
-    quotes, CR and NUL, which csv.reader parses otherwise, and bytes
-    0x1c-0x1f, which the C reader strips around a value and float() does not."""
+    csv.reader and float() do, else None. Text holding quotes, CR or NUL,
+    which csv.reader parses otherwise, or bytes 0x1c-0x1f, which the C reader
+    strips around a value and float() does not, is None at once."""
+    if any(c in text for c in '"\r\x00\x1c\x1d\x1e\x1f'):
+        return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -146,18 +148,15 @@ def read_feature_csv(path) -> Dataset:
 
     An unquoted, LF-only file has its values parsed by one np.loadtxt; a
     file that reader does not take goes through csv.reader, with the same
-    Dataset or the same ValueError. A file that is not UTF-8 is read line by
-    line, so a fault before its first bad byte is the one reported."""
-    try:
-        text = read_utf8(path)
-    except ValueError:
-        with open(path, encoding="utf-8", newline="") as f:
-            _csv_rows(path, _utf8_lines(f, path))
-        raise
-    fast = None
-    if not any(c in text for c in '"\r\x00\x1c\x1d\x1e\x1f'):
-        fast = _loadtxt_rows(path, text)
-    names, ids, labels, X, line_of = fast or _csv_rows(path, io.StringIO(text, newline=""))
+    Dataset or the same ValueError. Of a file that is not UTF-8, csv.reader
+    reads the lines before the first bad byte, so a fault in them is the one
+    reported, and then read_utf8's error is raised."""
+    text, error = read_utf8(path)
+    rows = None if error else _loadtxt_rows(path, text)
+    if rows is None:
+        lines = io.StringIO(text, newline="")
+        rows = _csv_rows(path, _then_raise(lines, error) if error else lines)
+    names, ids, labels, X, line_of = rows
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, col = bad[0]

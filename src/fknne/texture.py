@@ -146,7 +146,7 @@ class Gldm:
 def _check_probability(x: np.ndarray, symmetric: bool = False) -> None:
     """Check a stack of GLCM p's (n, g, g) or GLDM d's (n, g); raise for the first failing."""
     flat = x.reshape(len(x), -1)
-    off = (flat < 0).any(axis=1) | (np.abs(flat.sum(axis=1) - 1.0) > 1e-9)
+    off = ~((flat >= 0).all(axis=1) & (np.abs(flat.sum(axis=1) - 1.0) <= 1e-9))  # NaN fails
     skew = symmetric and ~np.isclose(x, np.swapaxes(x, 1, 2), atol=1e-12).all(axis=(1, 2))
     for k in np.flatnonzero(off | skew)[:1]:
         if not off[k]:

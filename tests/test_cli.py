@@ -122,6 +122,34 @@ class TestExtract:
         assert data.ids == ("case-7", "mdb001")
         assert data.X[0].tobytes() == data.X[1].tobytes()
 
+    def test_roi_centred_outside_its_image_fails_alone(self, tmp_path, image_dir, index_file,
+                                                       capsys):
+        index_file.write_text("mdb001 G CIRC B 20 15 8\nmdb001 G CIRC M 40 15 3\n")
+        out = tmp_path / "features.csv"
+        assert main(extract_args(image_dir, index_file, out)) == 2
+        assert capsys.readouterr().err == (
+            "failed mdb001-2: ROI centre (40,16) outside 32x32 image\n1 of 2 ROIs failed\n")
+        assert not out.exists()
+        assert read_feature_csv(tmp_path / "features.csv.partial").ids == ("mdb001",)
+
+    def test_index_of_normal_records_only_exits_2(self, tmp_path, image_dir, index_file,
+                                                  capsys):
+        index_file.write_text("mdb003 D NORM\nmdb004 F NORM\n")
+        assert main(extract_args(image_dir, index_file, tmp_path / "features.csv")) == 2
+        assert capsys.readouterr() == ("", "index contains no coordinate-bearing records\n")
+        assert not list(tmp_path.glob("features.csv*"))
+
+    def test_index_fault_before_a_non_utf8_byte_is_reported(self, tmp_path, image_dir,
+                                                             index_file, capsys):
+        index_file.write_bytes(b"mdb001 G CIRC X 20 15 8\nmdb002 D MISC M 12 20 6 \xd8\n")
+        assert main(extract_args(image_dir, index_file, tmp_path / "features.csv")) == 2
+        assert capsys.readouterr().err == "error: line 1: unknown severity 'X'\n"
+        index_file.write_bytes(b"mdb001 G CIRC B 20 15 8\nmdb002 D MISC M 12 20 6 \xd8\n")
+        assert main(extract_args(image_dir, index_file, tmp_path / "features.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {index_file}:2: not UTF-8 text (byte 0xd8)\n")
+        assert not list(tmp_path.glob("features.csv*"))
+
     def test_duplicate_roi_id_exits_2_naming_the_line(self, tmp_path, image_dir,
                                                       index_file, capsys):
         index_file.write_text("mdb001 G CIRC B 20 15 8\nmdb001 G CIRC B 10 10 4\n"
@@ -306,8 +334,9 @@ _FUZZ_INDEX = "img G CIRC B 12 11 6\nimg G CIRC M 6 20 3\n"
 def extract_outcome(tmp):
     """Exit code, stdout, stderr and output file bytes of extract over the
     images and index.txt in ``tmp``, twice: as the command reads images
-    (a P5 file through a memory map) and with every image read whole, as
-    Path.read_bytes reads it. Output files are removed after each run."""
+    (through a memory map where the kernel maps the file) and with every
+    image read whole, as Path.read_bytes reads it. Output files are removed
+    after each run."""
     outcomes = []
     for read in (fknne.cli._image_data, Path.read_bytes):
         out, err = io.StringIO(), io.StringIO()
@@ -336,7 +365,7 @@ class TestExtractMutatedImage:
             (tmp / "img.pgm").write_bytes(bytes(data[:keep]))
             (tmp / "index.txt").write_text(_FUZZ_INDEX)
             mapped, whole = extract_outcome(tmp)
-        # A mutation that keeps the P5 magic is read through the map.
+        # Every non-empty mutation, P5 magic or not, is read through the map.
         assert mapped == whole
         code, _, err, files = mapped
         assert list(files) == ["features.csv" if code == 0 else "features.csv.partial"]
@@ -378,9 +407,9 @@ _IMAGE_FILES = {
 
 
 class TestExtractMappedRead:
-    """extract reads a file that starts with the P5 magic through a memory
-    map and any other whole; the output, messages and exit code are those
-    of reading every image whole."""
+    """extract reads every image file the kernel maps through a memory map
+    (P5, P2 or neither) and one it does not map (empty, a pipe) whole; the
+    output, messages and exit code are those of reading every image whole."""
 
     @pytest.mark.parametrize("name", sorted(_IMAGE_FILES))
     def test_same_outcome_as_reading_the_file_whole(self, tmp_path, name):
@@ -434,6 +463,21 @@ class TestExtractMappedRead:
         finally:
             writer.join()
         assert type(data) is bytes and data == _FUZZ_IMAGE
+
+    def test_a_p2_image_is_read_through_its_map(self, tmp_path, monkeypatch):
+        (tmp_path / "img.pgm").write_bytes(_IMAGE_FILES["P2"])
+        (tmp_path / "index.txt").write_text(_FUZZ_INDEX)
+        real_read = fknne.cli.read_pgm
+        seen = []
+
+        def mapped_read(data):
+            seen.append(type(data))
+            return real_read(data)
+
+        monkeypatch.setattr(fknne.cli, "read_pgm", mapped_read)
+        assert main(extract_args(tmp_path, tmp_path / "index.txt",
+                                 tmp_path / "features.csv")) == 0
+        assert seen == [mmap.mmap]
 
 
 class TestEval:
@@ -538,6 +582,20 @@ class TestEval:
         assert capsys.readouterr().err.strip() == (
             "error: sample 'd': every distance to its fold's training rows overflows "
             "to inf; feature values are too large")
+
+    def test_holdout_writes_its_report(self, tmp_path, synthetic_csv, capsys):
+        out_json, out_roc = tmp_path / "report.json", tmp_path / "roc.csv"
+        assert main(["eval", "--features", str(synthetic_csv), "--method", "knne",
+                     "--protocol", "holdout", "--fraction", "0.25", "--seed", "4",
+                     "--out-json", str(out_json), "--out-roc", str(out_roc)]) == 0
+        report = json.loads(out_json.read_text())
+        assert (report["protocol"], report["seed"], report["accuracy"]) == (
+            "holdout(0.25)", 4, 1.0)
+        assert len(report["folds"]) == 1 and report["folds"][0]["tp"] == report["pooled"]["tp"]
+        assert out_roc.read_text().startswith("threshold,fpr,tpr\n")
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[-2:] == [f"report: {out_json}", f"roc: {out_roc}"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--folds", "-3"], "error: --folds must be >= 2"),
@@ -675,6 +733,23 @@ class TestSynth:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "s.csv").exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # The child runs under a 2 GiB address-space limit, so the allocation
+        # fails there whatever memory the machine has.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = Path(fknne.cli.__file__).resolve().parents[1]
+        out = tmp_path / "x.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "fknne.cli", "synth", "--out", str(out),
+             "--n-per-class", "100000000000"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src)),
+            capture_output=True, text=True, preexec_fn=limit, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
 
 class TestFeatureCsv:
     def test_duplicate_feature_names_rejected(self, tmp_path, capsys):
@@ -705,6 +780,12 @@ class TestFeatureCsv:
             read_feature_csv(p)
         assert main(["eval", "--features", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}:3: not UTF-8 text (byte 0xd8)\n"
+
+    def test_row_fault_before_a_non_utf8_byte_is_reported(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"id,label,f\nx0,benign\nx1,benign,1.0\nx2,malig\xffnant,2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: expected 3 fields, got 2$"):
+            read_feature_csv(p)
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_field_past_the_size_limit_exits_2_naming_the_line(self, tmp_path, capsys, line):
@@ -798,7 +879,7 @@ class TestFeatureCsvFastPath:
         assert spy.called == (text == "id,label,a\n")
 
     def test_a_fault_before_the_first_non_utf8_byte_is_reported(self, tmp_path):
-        # Past the first 8 KiB a text stream has not decoded the bad byte yet.
+        # The file is read once, so its size cannot change which fault wins.
         rows = b"".join(b"r%d,benign,1\n" % i for i in range(3000))
         path = tmp_path / "features.csv"
         path.write_bytes(b"id,label,a\nx,benign,1\nx,malignant,2\n" + rows + b"y,b\xd8,1\n")

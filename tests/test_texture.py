@@ -351,6 +351,10 @@ class TestGlcm:
                     assert (p >= 0).all()
                     assert abs(p.sum() - 1.0) < 1e-9
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="^p must be a probability matrix summing to 1$"):
+            texture.Glcm(2, [[np.nan, 0.5], [0.5, 0.0]], (1, 0), False)
+
 
 class TestHaralickFeatures:
     def test_constant_image_values(self):
@@ -538,6 +542,10 @@ class TestGldm:
                 d = compute_gldm(img, dx, dy).d
                 assert (d >= 0).all()
                 assert abs(d.sum() - 1.0) < 1e-9
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="^d must be a probability vector summing to 1$"):
+            Gldm(2, [np.nan, 1.0], (1, 0))
 
 
 class TestGldmFeatures:
